@@ -8,7 +8,7 @@
 //! without `--features profiling`; the bench labels itself accordingly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mapreduce::Engine;
+use mapreduce::{Engine, EngineArena};
 use smr_bench::{bench_config, mini_job};
 use std::hint::black_box;
 use workloads::Puma;
@@ -60,10 +60,12 @@ fn engine_run_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut p = smapreduce::SlotManagerPolicy::paper_default();
             let telem = telemetry::Telemetry::enabled();
+            let mut state = Engine::new(cfg.clone())
+                .prepare(vec![mini_job(Puma::Grep)])
+                .expect("prepare");
+            state.override_policy("SMapReduce").expect("bind");
             black_box(
-                Engine::new(cfg.clone())
-                    .run_with(vec![mini_job(Puma::Grep)], &mut p, &telem)
-                    .expect("run"),
+                Engine::resume_in(state, &mut p, &telem, &mut EngineArena::new()).expect("run"),
             )
         });
     });

@@ -20,7 +20,7 @@
 
 use mapreduce::auditor;
 use mapreduce::policy::SlotPolicy;
-use mapreduce::{Engine, EngineConfig, JobSpec};
+use mapreduce::{Engine, EngineConfig, JobSpec, Recording};
 use simgrid::error::SimError;
 use simgrid::time::{SimDuration, SimTime};
 
@@ -112,11 +112,13 @@ fn prove(
     byte_level: bool,
 ) -> Result<EquivalenceProof, SimError> {
     let mut straight_policy = make_policy();
-    let (straight, capsules, straight_trace) = Engine::new(cfg.clone()).run_with_snapshots_traced(
-        jobs.to_vec(),
-        straight_policy.as_mut(),
-        every,
-    )?;
+    let mut state = Engine::new(cfg.clone()).prepare(jobs.to_vec())?;
+    state.override_policy(straight_policy.name())?;
+    let Recording {
+        report: straight,
+        capsules,
+        hash_trace: straight_trace,
+    } = Engine::record(state, straight_policy.as_mut(), Some(every))?;
     // t=0 is a multiple of every period, so a completed run always
     // captures at least one capsule — but guard rather than index: a
     // refactor that breaks that invariant must not turn into a panic
@@ -130,7 +132,11 @@ fn prove(
     let mid = capsules[capsules.len() / 2].clone();
     let resumed_from = mid.at();
     let mut resumed_policy = make_policy();
-    let (resumed, resumed_trace) = Engine::resume_traced(mid, resumed_policy.as_mut())?;
+    let Recording {
+        report: resumed,
+        hash_trace: resumed_trace,
+        ..
+    } = Engine::record(mid, resumed_policy.as_mut(), None)?;
     let (steps_compared, first_divergence) = compare_traces(&straight_trace, &resumed_trace);
     let byte_identical = byte_level.then(|| {
         let straight_bytes = serde_json::to_string(&straight).expect("report serialises");

@@ -327,14 +327,6 @@ pub fn list_capsules(dir: &Path) -> Result<Vec<(SimTime, PathBuf)>, CapsuleError
     Ok(out)
 }
 
-/// The packed (pool-deduplicated, uncompressed) binary encoding of one
-/// engine state — the byte string the sweep engine's prefix cache interns
-/// by: several times shorter than canonical JSON, so fingerprinting and
-/// hit confirmation are correspondingly cheaper.
-pub fn state_encoding(state: &EngineState) -> Vec<u8> {
-    codec::pack_value(&serde_json::to_value(state).expect("capsule serialises"))
-}
-
 /// Write a run's per-step hash trace next to its capsule stream
 /// (`dir/hash-trace.txt`, atomically). One line per step:
 /// `<step> <at_ms> <hash>`.
@@ -416,9 +408,15 @@ mod tests {
             8,
             SimTime::ZERO,
         );
-        Engine::new(cfg)
-            .run_with_snapshots(vec![job], &mut StaticSlotPolicy, SimDuration::from_secs(10))
-            .expect("runs")
+        let mut state = Engine::new(cfg).prepare(vec![job]).expect("prepare");
+        state.override_policy("HadoopV1").expect("bind");
+        let rec = Engine::record(
+            state,
+            &mut StaticSlotPolicy,
+            Some(SimDuration::from_secs(10)),
+        )
+        .expect("runs");
+        (rec.report, rec.capsules)
     }
 
     #[test]
@@ -495,7 +493,9 @@ mod tests {
             let dir = tmp_dir(&format!("resume-{format}"));
             let paths = write_stream_as(&dir, &states, format).expect("write");
             let snap = load(&paths[paths.len() / 2]).expect("load");
-            let resumed = Engine::resume(snap.state, &mut StaticSlotPolicy).expect("resume");
+            let resumed = Engine::record(snap.state, &mut StaticSlotPolicy, None)
+                .expect("resume")
+                .report;
             assert_eq!(
                 serde_json::to_string(&straight).unwrap(),
                 serde_json::to_string(&resumed).unwrap(),

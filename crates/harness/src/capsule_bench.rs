@@ -56,10 +56,11 @@ fn run_target(target: &str, scale: Scale) -> CapsuleBench {
     let (mut cfg, jobs, system, _) =
         dashboard::representative(target, scale).expect("representative run");
     cfg.record_events = false;
-    let seed = cfg.seed;
-    let (_, states) =
-        runner::run_once_with_snapshots(&cfg, jobs, &system, seed, SimDuration::from_secs(30))
-            .expect("representative run completes");
+    let every = SimDuration::from_secs(30);
+    let states = runner::boot(&cfg, jobs, &system, cfg.seed)
+        .and_then(|state| runner::record_once(state, &system, Some(every)))
+        .expect("representative run completes")
+        .capsules;
     let snaps: Vec<SimSnapshot> = states.into_iter().map(SimSnapshot::new).collect();
 
     let encode_all = |format: CapsuleFormat| -> (Vec<Vec<u8>>, f64) {

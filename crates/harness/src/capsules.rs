@@ -21,7 +21,7 @@ use crate::dashboard;
 use crate::runner::{self, System};
 use crate::scale::Scale;
 use checkpoint::{CapsuleFormat, SimSnapshot};
-use mapreduce::auditor;
+use mapreduce::{auditor, Recording};
 use simgrid::time::SimDuration;
 use std::path::{Path, PathBuf};
 
@@ -74,34 +74,23 @@ pub fn fingerprint_target(
     // fingerprints cover counters; event recording only bloats capsules
     cfg.record_events = false;
     let seed = cfg.seed;
+    let err = |e: simgrid::error::SimError| e.to_string();
+    let state = runner::boot(&cfg, jobs, &system, seed).map_err(err)?;
     let (report, trace) = match (via, hash_trace) {
-        (Via::Straight, false) => (
-            runner::run_once(&cfg, jobs, &system, seed).map_err(|e| e.to_string())?,
-            None,
-        ),
+        (Via::Straight, false) => (runner::resume_once(state, &system).map_err(err)?, None),
         (Via::Straight, true) => {
-            // snapshot capture is observational (proven by the resume
-            // equivalence gate), so tracing through the snapshotting run
-            // keeps this line identical to the plain straight line
-            let (report, _, trace) = runner::run_once_with_snapshots_traced(
-                &cfg,
-                jobs,
-                &system,
-                seed,
-                fingerprint_every(),
-            )
-            .map_err(|e| e.to_string())?;
-            (report, Some(trace))
+            // recording is observational (proven by the resume
+            // equivalence gate), so this line stays identical to the
+            // plain straight line
+            let rec = runner::record_once(state, &system, None).map_err(err)?;
+            (rec.report, Some(rec.hash_trace))
         }
         (Via::Resume, _) => {
-            let (_, capsules, straight_trace) = runner::run_once_with_snapshots_traced(
-                &cfg,
-                jobs,
-                &system,
-                seed,
-                fingerprint_every(),
-            )
-            .map_err(|e| e.to_string())?;
+            let Recording {
+                capsules,
+                hash_trace: straight_trace,
+                ..
+            } = runner::record_once(state, &system, Some(fingerprint_every())).map_err(err)?;
             if capsules.is_empty() {
                 return Err(format!(
                     "{target}: straight run captured no capsules to resume from \
@@ -115,10 +104,9 @@ pub fn fingerprint_target(
             }
             let mid = capsules[capsules.len() / 2].clone();
             if hash_trace {
-                let (report, resumed_trace) =
-                    runner::resume_once_traced(mid, &system).map_err(|e| e.to_string())?;
+                let resumed = runner::record_once(mid, &system, None).map_err(err)?;
                 let (compared, mismatch) =
-                    checkpoint::compare_traces(&straight_trace, &resumed_trace);
+                    checkpoint::compare_traces(&straight_trace, &resumed.hash_trace);
                 if let Some(m) = mismatch {
                     return Err(format!(
                         "{target}: resumed run diverged from the straight run at step {} \
@@ -135,12 +123,9 @@ pub fn fingerprint_target(
                 }
                 // verified step-for-step, so the straight trace digest is
                 // the resumed run's digest too: both lines cmp equal
-                (report, Some(straight_trace))
+                (resumed.report, Some(straight_trace))
             } else {
-                (
-                    runner::resume_once(mid, &system).map_err(|e| e.to_string())?,
-                    None,
-                )
+                (runner::resume_once(mid, &system).map_err(err)?, None)
             }
         }
     };
@@ -185,10 +170,13 @@ pub fn record_target(
     let (mut cfg, jobs, system, _) =
         dashboard::representative(target, scale).map_err(|e| e.to_string())?;
     cfg.record_events = false;
-    let seed = cfg.seed;
-    let (report, capsules, trace) =
-        runner::run_once_with_snapshots_traced(&cfg, jobs, &system, seed, every)
-            .map_err(|e| e.to_string())?;
+    let Recording {
+        report,
+        capsules,
+        hash_trace: trace,
+    } = runner::boot(&cfg, jobs, &system, cfg.seed)
+        .and_then(|state| runner::record_once(state, &system, Some(every)))
+        .map_err(|e| e.to_string())?;
     let paths = checkpoint::write_stream_as(dir, &capsules, format).map_err(|e| e.to_string())?;
     checkpoint::write_hash_trace(dir, &trace).map_err(|e| e.to_string())?;
     Ok(RecordOutcome {
@@ -209,7 +197,7 @@ pub fn resume_capsule(path: &Path) -> Result<String, String> {
     let name = snap.state.policy_name().to_string();
     if name.is_empty() {
         return Err(format!(
-            "{}: capsule is an unbound warm-start capture (Engine::prepare); \
+            "{}: capsule is an unbound t=0 state (Engine::prepare); \
              it has no policy to resume under",
             path.display()
         ));

@@ -11,8 +11,7 @@
 //! `NodeLost` error instead of hanging.
 
 use crate::runner::{
-    average_reports, prepare_warm, run_cells, run_once, take_cell_reports, trial_seed, CellRequest,
-    System,
+    average_reports, run_cells, run_once, take_cell_reports, trial_seed, CellRequest, System,
 };
 use crate::scale::Scale;
 use crate::table;
@@ -21,8 +20,6 @@ use serde::{Deserialize, Serialize};
 use simgrid::cluster::NodeId;
 use simgrid::time::{SimDuration, SimTime};
 use simgrid::{FaultPlan, NodeFault};
-use std::sync::Arc;
-use sweepengine::PrefixCache;
 use workloads::Puma;
 
 /// One (MTTF, system, recovery) cell.
@@ -121,19 +118,6 @@ pub fn run(scale: Scale) -> ExtFaults {
     let m = baseline.makespan().as_secs_f64();
     let workers = cfg.cluster.workers;
     let mttfs: Vec<(&str, f64)> = vec![("none", 0.0), ("high", m / 2.0), ("low", m / 4.0)];
-    // every cell of the grid shares the same cluster boot + DFS load per
-    // trial seed; capture that common prefix once per seed — interned by
-    // content fingerprint, so identical prefixes keep one resident
-    // capsule — and let all 18 cells warm-start from it (fault plan and
-    // policy bind at resume)
-    let prefixes = PrefixCache::new();
-    let warms: std::collections::HashMap<u64, Arc<mapreduce::EngineState>> = (0..scale.trials())
-        .map(|t| {
-            let seed = trial_seed(cfg.seed, t as u64);
-            let capsule = prepare_warm(&cfg, vec![job()], seed).expect("warm capture");
-            (seed, prefixes.intern(capsule))
-        })
-        .collect();
     // build the full grid — (MTTF × system × recovery) × trials — and
     // drive it through the bounded pool in one batch
     let mut grid = Vec::new();
@@ -150,12 +134,11 @@ pub fn run(scale: Scale) -> ExtFaults {
                 cell_cfg.fault_plan = plan.clone();
                 cell_cfg.fault_recovery = recovery;
                 for t in 0..scale.trials() {
-                    let seed = trial_seed(cfg.seed, t as u64);
-                    requests.push(CellRequest::warm(
-                        Arc::clone(&warms[&seed]),
+                    requests.push(CellRequest::cold(
                         cell_cfg.clone(),
+                        vec![job()],
                         sys.clone(),
-                        seed,
+                        trial_seed(cfg.seed, t as u64),
                     ));
                 }
                 grid.push((label.to_string(), *mttf_s, sys.clone(), recovery));

@@ -16,12 +16,11 @@
 //! management needs workload stretches longer than its adaptation time —
 //! the flip side of Fig. 6's "the larger the input, the more benefit".
 
-use crate::runner::{prepare_warm, run_cells, CellRequest, System};
+use crate::runner::{run_cells, CellRequest, System};
 use crate::scale::Scale;
 use crate::table;
 use mapreduce::EngineConfig;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use workloads::TraceSpec;
 
 /// One system's outcome over one trace.
@@ -51,8 +50,7 @@ impl ExtLoad {
 }
 
 /// Run both traces under the three systems — one batched grid of six
-/// cells, each trace's systems warm-starting from one shared capsule of
-/// the common prefix (cluster boot + DFS load of every job).
+/// cells.
 pub fn run(scale: Scale) -> ExtLoad {
     let mut traces = Vec::new();
     let mut requests = Vec::new();
@@ -67,14 +65,8 @@ pub fn run(scale: Scale) -> ExtLoad {
         );
         let jobs = spec.generate(17);
         let cfg = EngineConfig::paper_default();
-        let warm = Arc::new(prepare_warm(&cfg, jobs.clone(), cfg.seed).expect("warm capture"));
         for sys in System::all() {
-            requests.push(CellRequest::warm(
-                Arc::clone(&warm),
-                cfg.clone(),
-                sys,
-                cfg.seed,
-            ));
+            requests.push(CellRequest::cold(cfg.clone(), jobs.clone(), sys, cfg.seed));
             traces.push(label);
         }
     }

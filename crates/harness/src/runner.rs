@@ -19,14 +19,14 @@
 use mapreduce::auditor::{audit, AuditSetup};
 use mapreduce::policy::{SlotPolicy, StaticSlotPolicy};
 use mapreduce::{
-    CounterLedger, Engine, EngineArena, EngineConfig, EngineState, HashPoint, JobSpec, RunReport,
+    CounterLedger, Engine, EngineArena, EngineConfig, EngineState, JobSpec, Recording, RunReport,
 };
 use serde::{Deserialize, Serialize};
 use simgrid::error::SimError;
 use simgrid::time::{SimDuration, SteppingMode};
 use smapreduce::{HeteroSlotManagerPolicy, SlotManagerPolicy, SmrConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use sweepengine::{BatchedSweep, SweepCell, SweepOutcome};
 use yarn::CapacityPolicy;
 
@@ -166,6 +166,20 @@ pub struct AveragedRun {
     pub sample: RunReport,
 }
 
+/// Boot `jobs` into a t=0 [`EngineState`] bound to `system`, under `cfg`
+/// with the trial seed and the process-wide `--engine` override applied.
+/// Every harness run starts from one.
+pub fn boot(
+    cfg: &EngineConfig,
+    jobs: Vec<JobSpec>,
+    system: &System,
+    seed: u64,
+) -> Result<EngineState, SimError> {
+    let mut state = Engine::new(effective_config(cfg, seed)).prepare(jobs)?;
+    state.override_policy(system.label())?;
+    Ok(state)
+}
+
 /// Run `jobs` under `system` once with the given seed. The finished report
 /// is audited before being returned: a counter/event invariant violation
 /// surfaces as [`SimError::AuditFailed`].
@@ -175,88 +189,19 @@ pub fn run_once(
     system: &System,
     seed: u64,
 ) -> Result<RunReport, SimError> {
-    let cfg = effective_config(cfg, seed);
-    let setup = AuditSetup::from_config(&cfg);
-    let mut policy = system.make_policy();
-    let report = Engine::new(cfg).run_with(jobs, policy.as_mut(), &active_telemetry())?;
-    account_and_audit(report, &setup)
+    resume_once(boot(cfg, jobs, system, seed)?, system)
 }
 
-/// [`run_once`] drawing scratch from a recycled [`EngineArena`] — the
-/// pool-worker path. Byte-identical results; only allocation behaviour
-/// differs.
-pub fn run_once_in(
-    cfg: &EngineConfig,
-    jobs: Vec<JobSpec>,
-    system: &System,
-    seed: u64,
-    arena: &mut EngineArena,
-) -> Result<RunReport, SimError> {
-    let cfg = effective_config(cfg, seed);
-    let setup = AuditSetup::from_config(&cfg);
-    let mut policy = system.make_policy();
-    let report = Engine::new(cfg).run_in(jobs, policy.as_mut(), &active_telemetry(), arena)?;
-    account_and_audit(report, &setup)
-}
-
-/// [`run_once`], additionally capturing a state capsule at every multiple
-/// of `every` simulated time. The run is audited like any other.
-pub fn run_once_with_snapshots(
-    cfg: &EngineConfig,
-    jobs: Vec<JobSpec>,
-    system: &System,
-    seed: u64,
-    every: SimDuration,
-) -> Result<(RunReport, Vec<EngineState>), SimError> {
-    let cfg = effective_config(cfg, seed);
-    let setup = AuditSetup::from_config(&cfg);
-    let mut policy = system.make_policy();
-    let (report, capsules) = Engine::new(cfg).run_with_snapshots(jobs, policy.as_mut(), every)?;
-    Ok((account_and_audit(report, &setup)?, capsules))
-}
-
-/// [`run_once_with_snapshots`], additionally recording the engine's
-/// per-step hash trace — the replay-verification path of the CI
-/// equivalence gate.
-pub fn run_once_with_snapshots_traced(
-    cfg: &EngineConfig,
-    jobs: Vec<JobSpec>,
-    system: &System,
-    seed: u64,
-    every: SimDuration,
-) -> Result<(RunReport, Vec<EngineState>, Vec<HashPoint>), SimError> {
-    let cfg = effective_config(cfg, seed);
-    let setup = AuditSetup::from_config(&cfg);
-    let mut policy = system.make_policy();
-    let (report, capsules, trace) =
-        Engine::new(cfg).run_with_snapshots_traced(jobs, policy.as_mut(), every)?;
-    Ok((account_and_audit(report, &setup)?, capsules, trace))
-}
-
-/// Resume a capsule to completion under a fresh instance of `system`
-/// (which must match the capsule's recorded policy name), with the same
-/// auditing and accounting as [`run_once`].
+/// Resume a state to completion under a fresh instance of `system` (which
+/// must match the state's bound policy name), with the same auditing and
+/// accounting as [`run_once`].
 pub fn resume_once(state: EngineState, system: &System) -> Result<RunReport, SimError> {
-    let setup = AuditSetup::from_config(state.config());
-    let mut policy = system.make_policy();
-    let report = Engine::resume_with(state, policy.as_mut(), &active_telemetry())?;
-    account_and_audit(report, &setup)
+    resume_audited(state, system, &mut EngineArena::new())
 }
 
-/// [`resume_once`], additionally recording the resumed run's per-step
-/// hash trace for comparison against the straight run's.
-pub fn resume_once_traced(
-    state: EngineState,
-    system: &System,
-) -> Result<(RunReport, Vec<HashPoint>), SimError> {
-    let setup = AuditSetup::from_config(state.config());
-    let mut policy = system.make_policy();
-    let (report, trace) = Engine::resume_traced(state, policy.as_mut())?;
-    Ok((account_and_audit(report, &setup)?, trace))
-}
-
-/// [`resume_once`] drawing scratch from a recycled [`EngineArena`].
-pub fn resume_once_in(
+/// [`resume_once`] drawing scratch from `arena` — the one audited
+/// [`Engine::resume_in`] call behind every harness run.
+fn resume_audited(
     state: EngineState,
     system: &System,
     arena: &mut EngineArena,
@@ -267,47 +212,19 @@ pub fn resume_once_in(
     account_and_audit(report, &setup)
 }
 
-/// Boot the cluster and DFS for `jobs` and capture the t=0 capsule sweeps
-/// warm-start from, under the process-wide engine-mode override and the
-/// given seed (the capsule can only be resumed under configs with this
-/// seed).
-pub fn prepare_warm(
-    cfg: &EngineConfig,
-    jobs: Vec<JobSpec>,
-    seed: u64,
-) -> Result<EngineState, SimError> {
-    Engine::new(effective_config(cfg, seed)).prepare(jobs)
-}
-
-/// Run one sweep cell from a shared warm capsule: bind the capsule to the
-/// cell's config (fault plan, knobs — cluster/seed/block size must match
-/// the capture) and `system`, then resume. Byte-identical to a cold
-/// [`run_once`] of the same cell — proven by `warm_start_equals_cold_run`
-/// below.
-pub fn run_warm(
-    warm: &EngineState,
-    cfg: &EngineConfig,
+/// [`resume_once`] through [`Engine::record`]: the audited report plus a
+/// capsule at every multiple of `every` (when set) and the per-step hash
+/// trace. Telemetry stays off.
+pub fn record_once(
+    state: EngineState,
     system: &System,
-    seed: u64,
-) -> Result<RunReport, SimError> {
-    let mut state = warm.clone();
-    state.override_config(effective_config(cfg, seed))?;
-    state.override_policy(system.label())?;
-    resume_once(state, system)
-}
-
-/// [`run_warm`] drawing scratch from a recycled [`EngineArena`].
-pub fn run_warm_in(
-    warm: &EngineState,
-    cfg: &EngineConfig,
-    system: &System,
-    seed: u64,
-    arena: &mut EngineArena,
-) -> Result<RunReport, SimError> {
-    let mut state = warm.clone();
-    state.override_config(effective_config(cfg, seed))?;
-    state.override_policy(system.label())?;
-    resume_once_in(state, system, arena)
+    every: Option<SimDuration>,
+) -> Result<Recording, SimError> {
+    let setup = AuditSetup::from_config(state.config());
+    let mut policy = system.make_policy();
+    let mut rec = Engine::record(state, policy.as_mut(), every)?;
+    rec.report = account_and_audit(rec.report, &setup)?;
+    Ok(rec)
 }
 
 /// The per-run config: the cell's config with the trial seed and the
@@ -358,45 +275,25 @@ pub fn trial_seed(cell_seed: u64, trial: u64) -> u64 {
 }
 
 /// One grid cell, ready for the [`BatchedSweep`] pool: the cell's config,
-/// the system to run, its trial seed, and either a cold job list or a
-/// shared warm-start capsule. Grid drivers build a `Vec<CellRequest>` for
-/// the *whole* grid and hand it to [`run_cells`] in one call.
+/// jobs, the system to run and its trial seed. Grid drivers build a
+/// `Vec<CellRequest>` for the *whole* grid and hand it to [`run_cells`] in
+/// one call.
 #[derive(Debug, Clone)]
 pub struct CellRequest {
     cfg: EngineConfig,
     system: System,
     seed: u64,
     jobs: Vec<JobSpec>,
-    warm: Option<Arc<EngineState>>,
 }
 
 impl CellRequest {
-    /// A cold cell: boots the cluster and DFS itself.
+    /// A cell that boots its own cluster and DFS.
     pub fn cold(cfg: EngineConfig, jobs: Vec<JobSpec>, system: System, seed: u64) -> CellRequest {
         CellRequest {
             cfg,
             system,
             seed,
             jobs,
-            warm: None,
-        }
-    }
-
-    /// A warm cell: resumes `warm` (a shared [`prepare_warm`] capsule,
-    /// typically interned through a [`sweepengine::PrefixCache`]) with the
-    /// cell's config and system bound at resume time.
-    pub fn warm(
-        warm: Arc<EngineState>,
-        cfg: EngineConfig,
-        system: System,
-        seed: u64,
-    ) -> CellRequest {
-        CellRequest {
-            cfg,
-            system,
-            seed,
-            jobs: Vec::new(),
-            warm: Some(warm),
         }
     }
 }
@@ -410,11 +307,10 @@ impl SweepCell for CellRequest {
         self.seed
     }
 
+    /// [`run_once`] with scratch drawn from the pool worker's `arena`.
     fn run(&self, arena: &mut EngineArena) -> Result<RunReport, SimError> {
-        match &self.warm {
-            Some(warm) => run_warm_in(warm, &self.cfg, &self.system, self.seed, arena),
-            None => run_once_in(&self.cfg, self.jobs.clone(), &self.system, self.seed, arena),
-        }
+        let state = boot(&self.cfg, self.jobs.clone(), &self.system, self.seed)?;
+        resume_audited(state, &self.system, arena)
     }
 }
 
@@ -438,70 +334,8 @@ pub fn run_averaged(
     system: &System,
     trials: usize,
 ) -> Result<AveragedRun, SimError> {
-    run_averaged_by(cfg, system, trials, &|seed, arena| {
-        run_once_in(cfg, jobs.to_vec(), system, seed, arena)
-    })
-}
-
-/// [`run_averaged`] where every trial warm-starts from a shared capsule
-/// of the common prefix (cluster boot + DFS load) instead of redoing it:
-/// `warm_for_seed` hands back the [`prepare_warm`] capsule for a trial
-/// seed, and each trial binds it to this cell's `cfg` and `system`.
-pub fn run_averaged_warm(
-    cfg: &EngineConfig,
-    warm_for_seed: &(dyn Fn(u64) -> EngineState + Sync),
-    system: &System,
-    trials: usize,
-) -> Result<AveragedRun, SimError> {
-    run_averaged_by(cfg, system, trials, &|seed, arena| {
-        run_warm_in(&warm_for_seed(seed), cfg, system, seed, arena)
-    })
-}
-
-/// A closure-driven trial for [`run_averaged_by`]'s pool dispatch.
-struct TrialCell<'a> {
-    system: &'a System,
-    seed: u64,
-    run: &'a (dyn Fn(u64, &mut EngineArena) -> Result<RunReport, SimError> + Sync),
-}
-
-impl SweepCell for TrialCell<'_> {
-    fn system(&self) -> &str {
-        self.system.label()
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn run(&self, arena: &mut EngineArena) -> Result<RunReport, SimError> {
-        (self.run)(self.seed, arena)
-    }
-}
-
-fn run_averaged_by(
-    cfg: &EngineConfig,
-    system: &System,
-    trials: usize,
-    run: &(dyn Fn(u64, &mut EngineArena) -> Result<RunReport, SimError> + Sync),
-) -> Result<AveragedRun, SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "run_averaged needs at least one trial".into(),
-        ));
-    }
-    // the pool re-raises a panicking trial tagged (system, index, seed),
-    // so a sweep failure still names the exact cell that died
-    let cells: Vec<TrialCell> = (0..trials)
-        .map(|t| TrialCell {
-            system,
-            seed: trial_seed(cfg.seed, t as u64),
-            run,
-        })
-        .collect();
-    let outcome = BatchedSweep::auto().run(&cells);
-    let reports = outcome.reports.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok(average_reports(system, reports))
+    let mut rows = run_systems(cfg, jobs, std::slice::from_ref(system), trials)?;
+    Ok(rows.remove(0))
 }
 
 /// Draw exactly `trials` reports from a pooled grid's report stream and
@@ -547,12 +381,23 @@ pub(crate) fn average_reports(system: &System, mut reports: Vec<RunReport>) -> A
     }
 }
 
-/// Run the same workload under all three systems. One batched grid —
-/// systems × trials cells — over the bounded pool, not a thread per
-/// system: an idle worker picks up another system's remaining trials.
+/// Run the same workload under all three systems.
 pub fn run_comparison(
     cfg: &EngineConfig,
     jobs: &[JobSpec],
+    trials: usize,
+) -> Result<Vec<AveragedRun>, SimError> {
+    run_systems(cfg, jobs, &System::all(), trials)
+}
+
+/// Seed-average `jobs` under each of `systems`. One batched grid —
+/// systems × trials cells — over the bounded pool, not a thread per
+/// system: an idle worker picks up another system's remaining trials, and
+/// a panicking trial re-raises tagged (system, index, seed).
+fn run_systems(
+    cfg: &EngineConfig,
+    jobs: &[JobSpec],
+    systems: &[System],
     trials: usize,
 ) -> Result<Vec<AveragedRun>, SimError> {
     if trials == 0 {
@@ -560,7 +405,6 @@ pub fn run_comparison(
             "run_averaged needs at least one trial".into(),
         ));
     }
-    let systems = System::all();
     let cells: Vec<CellRequest> = systems
         .iter()
         .flat_map(|system| {
@@ -622,21 +466,35 @@ mod tests {
 
     #[test]
     fn batched_cells_match_the_legacy_sequential_path() {
-        // a mixed cold/warm grid through the pool must be byte-identical
-        // to running each cell on its own, the pre-pool way
+        // a grid mixing fault plans, seeds and systems through the pool
+        // must be byte-identical to running each cell on its own, the
+        // pre-pool way
+        use simgrid::cluster::NodeId;
+        use simgrid::{FaultPlan, NodeFault};
         let cfg = small_cfg();
-        let warm = Arc::new(prepare_warm(&cfg, vec![small_job()], 5).expect("prepare"));
-        let cells = vec![
-            CellRequest::cold(cfg.clone(), vec![small_job()], System::HadoopV1, 3),
-            CellRequest::warm(Arc::clone(&warm), cfg.clone(), System::SMapReduce, 5),
-            CellRequest::cold(cfg.clone(), vec![small_job()], System::Yarn, 4),
+        let mut faulted = cfg.clone();
+        faulted.fault_plan = FaultPlan::new(vec![NodeFault::transient(
+            NodeId(1),
+            SimTime::from_secs(30),
+            SimDuration::from_secs(60),
+        )]);
+        let grid = [
+            (&cfg, System::HadoopV1, 3),
+            (&faulted, System::SMapReduce, 5),
+            (&cfg, System::SMapReduce, 5),
+            (&faulted, System::Yarn, 4),
         ];
+        let cells: Vec<CellRequest> = grid
+            .iter()
+            .map(|(c, sys, seed)| {
+                CellRequest::cold((*c).clone(), vec![small_job()], sys.clone(), *seed)
+            })
+            .collect();
         let pooled = run_cells(&cells);
-        let legacy = [
-            run_once(&cfg, vec![small_job()], &System::HadoopV1, 3).unwrap(),
-            run_warm(&warm, &cfg, &System::SMapReduce, 5).unwrap(),
-            run_once(&cfg, vec![small_job()], &System::Yarn, 4).unwrap(),
-        ];
+        let legacy: Vec<RunReport> = grid
+            .iter()
+            .map(|(c, sys, seed)| run_once(c, vec![small_job()], sys, *seed).unwrap())
+            .collect();
         for (got, want) in pooled.reports.iter().zip(&legacy) {
             assert_eq!(
                 serde_json::to_string(got.as_ref().unwrap()).unwrap(),
@@ -696,60 +554,6 @@ mod tests {
         assert!(
             delta.get(mapreduce::Counter::TotalLaunchedMaps)
                 >= r.counters.get(mapreduce::Counter::TotalLaunchedMaps)
-        );
-    }
-
-    #[test]
-    fn warm_start_equals_cold_run() {
-        use simgrid::cluster::NodeId;
-        use simgrid::{FaultPlan, NodeFault};
-        // the sweep pattern: one shared prepare() capsule, per-cell fault
-        // plan bound at resume time — must be byte-identical to the cold run
-        let base = small_cfg();
-        let mut cell = base.clone();
-        cell.fault_plan = FaultPlan::new(vec![NodeFault::transient(
-            NodeId(1),
-            SimTime::from_secs(30),
-            simgrid::time::SimDuration::from_secs(60),
-        )]);
-        let seed = 77;
-        let warm = prepare_warm(&base, vec![small_job()], seed).expect("prepare");
-        for sys in [System::HadoopV1, System::SMapReduce] {
-            let warm_report = run_warm(&warm, &cell, &sys, seed).expect("warm run");
-            let cold_report = run_once(&cell, vec![small_job()], &sys, seed).expect("cold run");
-            assert_eq!(
-                serde_json::to_string(&warm_report).unwrap(),
-                serde_json::to_string(&cold_report).unwrap(),
-                "{} warm-start diverged from the cold run",
-                sys.label()
-            );
-        }
-    }
-
-    #[test]
-    fn averaged_panics_carry_system_and_trial_seed() {
-        let cfg = small_cfg();
-        let bad_seed = trial_seed(cfg.seed, 1);
-        let payload = std::panic::catch_unwind(|| {
-            let _ = run_averaged_by(&cfg, &System::SMapReduce, 2, &|seed, arena| {
-                if seed == bad_seed {
-                    panic!("injected failure");
-                }
-                run_once_in(&cfg, vec![small_job()], &System::SMapReduce, seed, arena)
-            });
-        })
-        .expect_err("second trial panics");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("re-panic carries a String");
-        assert!(msg.contains("SMapReduce"), "no system in: {msg}");
-        assert!(
-            msg.contains(&format!("seed {bad_seed}")),
-            "no trial seed in: {msg}"
-        );
-        assert!(
-            msg.contains("injected failure"),
-            "original message lost: {msg}"
         );
     }
 

@@ -11,11 +11,12 @@
 //! 1024-node point to ≤ [`LINEARITY_BOUND`]× the 64-node point — a
 //! hash-map substrate or an accidentally quadratic per-node loop fails it.
 
-use crate::runner::{run_once_in, System};
+use crate::runner::{CellRequest, System};
 use crate::scale::Scale;
 use mapreduce::EngineArena;
 use serde::{Deserialize, Serialize};
 use simgrid::time::SimTime;
+use sweepengine::SweepCell;
 use workloads::Puma;
 
 /// One cluster size's measurements.
@@ -95,7 +96,8 @@ pub fn run_point(scale: Scale, nodes: usize) -> ScalePoint {
     for _ in 0..repeats(nodes) {
         let job = Puma::Grep.job(0, input_mb, REDUCES, SimTime::ZERO);
         let start = std::time::Instant::now();
-        let report = run_once_in(&cfg, vec![job], &System::SMapReduce, cfg.seed, &mut arena)
+        let report = CellRequest::cold(cfg.clone(), vec![job], System::SMapReduce, cfg.seed)
+            .run(&mut arena)
             .expect("scale-bench run completes");
         best_wall = best_wall.min(start.elapsed().as_secs_f64());
         steps = report.steps;

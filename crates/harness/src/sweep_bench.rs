@@ -1,20 +1,18 @@
 //! `reproduce sweep-bench` — throughput benchmark of the batched sweep
 //! executor. Drives a 1000+ cell grid — policy × fault plan × load ×
 //! seed — through [`sweepengine::BatchedSweep`] and reports cells/sec,
-//! peak resident cells, arena recycling counters, and prefix-cache dedup,
-//! written to `BENCH_sweep.json`. A sampled subset of cells is re-run on
-//! the legacy sequential path and byte-compared, so the throughput number
-//! is only reported alongside proof the pooled results are identical.
+//! peak resident cells and arena recycling counters, written to
+//! `BENCH_sweep.json`. A sampled subset of cells is re-run sequentially
+//! through [`run_once`] and byte-compared, so the throughput number is
+//! only reported alongside proof the pooled results are identical.
 
-use crate::runner::{prepare_warm, run_cells, run_warm, trial_seed, CellRequest, System};
+use crate::runner::{run_cells, run_once, trial_seed, CellRequest, System};
 use crate::scale::Scale;
-use mapreduce::{EngineConfig, EngineState};
+use mapreduce::{EngineConfig, JobSpec};
 use serde::{Deserialize, Serialize};
 use simgrid::cluster::NodeId;
 use simgrid::time::{SimDuration, SimTime};
 use simgrid::{FaultPlan, NodeFault};
-use std::sync::Arc;
-use sweepengine::PrefixCache;
 use workloads::Puma;
 
 /// The benchmark's measurements (the `BENCH_sweep.json` payload).
@@ -24,8 +22,8 @@ pub struct SweepBench {
     pub cells: usize,
     /// Pool workers the sweep ran on.
     pub workers: usize,
-    /// Wall-clock seconds inside the pool (prepares and the equivalence
-    /// re-runs excluded).
+    /// Wall-clock seconds inside the pool (the equivalence re-runs
+    /// excluded).
     pub wall_seconds: f64,
     pub cells_per_sec: f64,
     /// Most cells ever in flight at once — bounded by `workers`, unlike
@@ -37,13 +35,7 @@ pub struct SweepBench {
     /// Cells that drew scratch from a recycled arena (each pool worker's
     /// fresh first cell excluded).
     pub arena_cells_recycled: u64,
-    /// `prepare` calls made while building the grid.
-    pub prefix_prepares: usize,
-    /// Distinct capsules resident after fingerprint dedup.
-    pub prefix_capsules: usize,
-    /// Prepares that collapsed onto an already-interned capsule.
-    pub prefix_dedup_hits: u64,
-    /// Cells re-run on the legacy sequential path for comparison.
+    /// Cells re-run sequentially through `run_once` for comparison.
     pub equivalence_sample: usize,
     /// Sampled cells whose pooled report differed byte-wise (must be 0).
     pub equivalence_mismatches: usize,
@@ -83,15 +75,8 @@ fn run_grid(scale: Scale, seeds: usize, stride: usize) -> SweepBench {
     let workers = 4usize;
     let base = EngineConfig::small_test(workers, 0);
     let bench = Puma::Grep;
-    // Each (fault, load, seed) point captures its prefix independently —
-    // the cache collapses them by content fingerprint, because the warm
-    // capsule depends only on (load, seed): the fault plan binds at
-    // resume, not at capture. 4 fault variants therefore share one
-    // resident capsule per (load, seed).
-    let prefixes = PrefixCache::new();
-    let mut prepares = 0usize;
     let mut requests: Vec<CellRequest> = Vec::new();
-    type SampledCell = (usize, Arc<EngineState>, EngineConfig, System, u64);
+    type SampledCell = (usize, EngineConfig, Vec<JobSpec>, System, u64);
     let mut samples: Vec<SampledCell> = Vec::new();
     for plan in fault_variants(workers) {
         let mut cfg = base.clone();
@@ -100,32 +85,30 @@ fn run_grid(scale: Scale, seeds: usize, stride: usize) -> SweepBench {
             let jobs = vec![bench.job(0, scale.input(load_mb), 8, SimTime::ZERO)];
             for t in 0..seeds {
                 let seed = trial_seed(13, t as u64);
-                prepares += 1;
-                let warm =
-                    prefixes.intern(prepare_warm(&base, jobs.clone(), seed).expect("prepare"));
                 for sys in System::all() {
                     if requests.len().is_multiple_of(stride) {
                         samples.push((
                             requests.len(),
-                            Arc::clone(&warm),
                             cfg.clone(),
+                            jobs.clone(),
                             sys.clone(),
                             seed,
                         ));
                     }
-                    requests.push(CellRequest::warm(Arc::clone(&warm), cfg.clone(), sys, seed));
+                    requests.push(CellRequest::cold(cfg.clone(), jobs.clone(), sys, seed));
                 }
             }
         }
     }
     let outcome = run_cells(&requests);
     let mut mismatches = 0usize;
-    for (idx, warm, cfg, sys, seed) in &samples {
-        let legacy = run_warm(warm, cfg, sys, *seed).expect("legacy cell completes");
+    for (idx, cfg, jobs, sys, seed) in &samples {
+        let sequential =
+            run_once(cfg, jobs.clone(), sys, *seed).expect("sequential cell completes");
         let pooled = outcome.reports[*idx]
             .as_ref()
             .expect("pooled cell completes");
-        if serde_json::to_string(pooled).unwrap() != serde_json::to_string(&legacy).unwrap() {
+        if serde_json::to_string(pooled).unwrap() != serde_json::to_string(&sequential).unwrap() {
             mismatches += 1;
         }
     }
@@ -138,9 +121,6 @@ fn run_grid(scale: Scale, seeds: usize, stride: usize) -> SweepBench {
         peak_resident_cells: stats.peak_resident_cells,
         arena_growth_events: stats.arena_growth_events,
         arena_cells_recycled: stats.arena_cells_recycled,
-        prefix_prepares: prepares,
-        prefix_capsules: prefixes.capsules(),
-        prefix_dedup_hits: prefixes.dedup_hits(),
         equivalence_sample: samples.len(),
         equivalence_mismatches: mismatches,
     }
@@ -157,8 +137,7 @@ pub fn render(b: &SweepBench) -> String {
     format!(
         "batched sweep executor: {} cells over {} pool workers in {:.2}s ({:.1} cells/s)\n\
          peak resident cells {} (grid size {}), arena growth events {}, cells recycled {}\n\
-         prefix cache: {} prepares -> {} resident capsules ({} dedup hits)\n\
-         legacy-equivalence sample: {} cells re-run sequentially, {} mismatches\n",
+         equivalence sample: {} cells re-run sequentially, {} mismatches\n",
         b.cells,
         b.workers,
         b.wall_seconds,
@@ -167,9 +146,6 @@ pub fn render(b: &SweepBench) -> String {
         b.cells,
         b.arena_growth_events,
         b.arena_cells_recycled,
-        b.prefix_prepares,
-        b.prefix_capsules,
-        b.prefix_dedup_hits,
         b.equivalence_sample,
         b.equivalence_mismatches,
     )
@@ -180,17 +156,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reduced_grid_is_equivalent_and_deduplicated() {
+    fn reduced_grid_is_equivalent_to_sequential_runs() {
         // one seed per point: 3 systems × 4 faults × 4 loads = 48 cells —
         // the full 1008-cell grid runs via `reproduce sweep-bench`
         let b = run_grid(Scale::Quick, 1, 11);
         assert_eq!(b.cells, 48);
-        assert_eq!(b.equivalence_mismatches, 0, "pooled != legacy");
+        assert_eq!(b.equivalence_mismatches, 0, "pooled != sequential");
         assert!(b.equivalence_sample >= 4);
-        assert_eq!(b.prefix_prepares, 16);
-        // 4 fault variants share each (load, seed) capsule
-        assert_eq!(b.prefix_capsules, 4);
-        assert_eq!(b.prefix_dedup_hits, 12);
         assert!(b.peak_resident_cells <= b.workers);
         assert!(b.cells_per_sec > 0.0);
         // every cell beyond each worker's fresh first drew recycled scratch
@@ -208,15 +180,11 @@ mod tests {
             peak_resident_cells: 8,
             arena_growth_events: 24,
             arena_cells_recycled: 1000,
-            prefix_prepares: 336,
-            prefix_capsules: 84,
-            prefix_dedup_hits: 252,
             equivalence_sample: 24,
             equivalence_mismatches: 0,
         };
         let s = render(&b);
         assert!(s.contains("1008 cells") && s.contains("504.0 cells/s"));
-        assert!(s.contains("84 resident capsules"));
         assert!(s.contains("0 mismatches"));
     }
 }

@@ -43,8 +43,9 @@ const FAMILIES: usize = 17;
 /// Reusable scratch allocations for one engine run at a time.
 ///
 /// An arena is owned by one pool worker (or one sequential loop) and
-/// passed to [`crate::Engine::run_in`] / [`crate::Engine::resume_in`];
-/// it is not shareable across concurrent runs.
+/// passed to [`crate::Engine::resume_in`] /
+/// [`crate::Engine::advance_until_in`]; it is not shareable across
+/// concurrent runs.
 #[derive(Debug, Default)]
 pub struct EngineArena {
     node_cpu: Vec<f64>,
@@ -71,9 +72,8 @@ pub struct EngineArena {
     cells: u64,
 }
 
-/// The scratch family one run threads through its step loop. Fresh runs
-/// build it with [`Scratch::fresh`]; arena-backed runs check it out of an
-/// [`EngineArena`] and return it on completion.
+/// The scratch family one run threads through its step loop, checked out
+/// of an [`EngineArena`] and returned to it on completion.
 #[derive(Debug)]
 pub(crate) struct Scratch {
     pub(crate) node_cpu: Vec<f64>,
@@ -96,29 +96,6 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
-    /// Exactly the allocations a pre-arena run performed at construction.
-    pub(crate) fn fresh(workers: usize) -> Scratch {
-        Scratch {
-            node_cpu: vec![0.0; workers],
-            node_disk: vec![0.0; workers],
-            nic_in: vec![0.0; workers],
-            nic_out: vec![0.0; workers],
-            occ_map: vec![0; workers],
-            occ_reduce: vec![0; workers],
-            node_tasks: vec![Vec::new(); workers],
-            demands: Vec::new(),
-            flows: Vec::new(),
-            purposes: Vec::new(),
-            fabric: FabricScratch::new(),
-            rates: Vec::new(),
-            scales: Vec::new(),
-            map_posts: Vec::new(),
-            fetch_posts: Vec::new(),
-            sources: Vec::new(),
-            snapshots: Vec::new(),
-        }
-    }
-
     /// Capacity footprint per buffer family. For the nested task lists the
     /// footprint folds the inner capacities in, so a run that grew any
     /// per-node list is visible at check-in.

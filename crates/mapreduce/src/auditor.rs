@@ -340,10 +340,11 @@ fn audit_counters(report: &RunReport, v: &mut Vec<Violation>) {
                 ),
             );
         }
-        // shuffle conservation: fetched == served, except that killed
-        // reduces re-fetch their partition and re-executed maps are
-        // partially double-fetched — both bounded, and both require a
-        // fault to have happened
+        // shuffle conservation: fetched == served, except that a crash
+        // can destroy output reducers already fetched (counted lost, maybe
+        // re-executed and fetched again) and killed reduces re-fetch their
+        // partition — both bounded, and both require a fault to have
+        // happened, so a fault-free over-count always fails
         let fetched = c.get(Counter::ShuffleFetchedMb);
         let delta = fetched - j.shuffle_mb;
         let killed_reduces = c.get(Counter::KilledReduces);
@@ -371,15 +372,6 @@ fn audit_counters(report: &RunReport, v: &mut Vec<Violation>) {
                     "job {ji}: SHUFFLE_FETCHED_MB {fetched} exceeds shuffle_mb {} \
                      by {delta} — more than faults can explain ({refetch_bound})",
                     j.shuffle_mb
-                ),
-            );
-        } else if delta > eps(fetched) && c.get(Counter::ReexecutedMaps) + killed_reduces == 0.0 {
-            push(
-                v,
-                "shuffle-conservation",
-                format!(
-                    "job {ji}: SHUFFLE_FETCHED_MB over-count {delta} with no \
-                     re-executed maps or killed reduces to cause it"
                 ),
             );
         }
@@ -839,6 +831,82 @@ mod tests {
     }
 
     #[test]
+    fn fault_free_fetch_over_count_is_caught() {
+        let (mut report, setup) = run(false, 7);
+        report.jobs[0].counters.add(Counter::ShuffleFetchedMb, 1.0);
+        report.counters.add(Counter::ShuffleFetchedMb, 1.0);
+        let violations = audit(&report, &setup);
+        assert!(
+            violations
+                .iter()
+                .any(|x| x.invariant == "shuffle-conservation"),
+            "expected shuffle-conservation among {violations:?}"
+        );
+    }
+
+    #[test]
+    fn crash_after_the_shuffle_audits_clean() {
+        use crate::events::Event;
+        use simgrid::cluster::NodeId;
+        use simgrid::{FaultPlan, NodeFault, SimDuration};
+        let mut cfg = EngineConfig::small_test(8, 3);
+        cfg.record_events = true;
+        let job = JobSpec::new(
+            0,
+            JobProfile::synthetic_reduce_heavy(),
+            2048.0,
+            2,
+            SimTime::ZERO,
+        );
+        let straight = Engine::new(cfg.clone())
+            .run(vec![job.clone()], &mut StaticSlotPolicy)
+            .expect("fault-free run");
+        // crash a node that holds map output but runs no reduce, once
+        // every reduce has fetched its whole partition
+        let events = straight.events.events();
+        let shuffled = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::ShuffleCompleted { at, .. } => Some(*at),
+                _ => None,
+            })
+            .max()
+            .expect("shuffle completed");
+        let reduce_nodes: Vec<NodeId> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::ReduceLaunched { node, .. } => Some(*node),
+                _ => None,
+            })
+            .collect();
+        let victim = events
+            .iter()
+            .find_map(|e| match e {
+                Event::MapCompleted { node, .. } if !reduce_nodes.contains(node) => Some(*node),
+                _ => None,
+            })
+            .expect("a map-only node");
+        let crash_at = shuffled + SimDuration::from_secs(1);
+        // the loss must be detected (heartbeat expiry) before the job ends
+        assert!(
+            straight.single().finished_at
+                > crash_at + cfg.heartbeat_timeout + cfg.heartbeat_timeout,
+            "reduce tail too short for the crash to be detected"
+        );
+        cfg.fault_plan = FaultPlan::new(vec![NodeFault::permanent(victim, crash_at)]);
+        let report = Engine::new(cfg.clone())
+            .run(vec![job], &mut StaticSlotPolicy)
+            .expect("faulted run");
+        let c = &report.single().counters;
+        assert_eq!(report.node_crashes, 1);
+        assert!(c.get(Counter::LostMapOutputMb) > 0.0, "fetched output died");
+        assert_eq!(c.get(Counter::ReexecutedMaps), 0.0);
+        assert_eq!(c.get(Counter::KilledReduces), 0.0);
+        let violations = audit(&report, &AuditSetup::from_config(&cfg));
+        assert!(violations.is_empty(), "unexpected: {violations:?}");
+    }
+
+    #[test]
     fn phantom_kill_is_caught_by_event_crosscheck() {
         let (mut report, setup) = run(true, 7);
         report.jobs[0].counters.inc(Counter::KilledAttempts);
@@ -882,9 +950,15 @@ mod tests {
             8,
             SimTime::ZERO,
         );
-        Engine::new(cfg)
-            .run_with(vec![job], &mut StaticSlotPolicy, &telem)
-            .expect("run succeeds");
+        let mut state = Engine::new(cfg).prepare(vec![job]).expect("prepare");
+        state.override_policy("HadoopV1").expect("bind");
+        Engine::resume_in(
+            state,
+            &mut StaticSlotPolicy,
+            &telem,
+            &mut crate::EngineArena::new(),
+        )
+        .expect("run succeeds");
         telem
     }
 

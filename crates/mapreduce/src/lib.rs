@@ -53,7 +53,7 @@ pub use auditor::{audit_phase_spans, phase_means, AuditSetup, PhaseBudget, Phase
 pub use counters::{Counter, CounterLedger};
 pub use engine::{
     fold_hash, initial_state_hash, Advanced, Engine, EngineConfig, EngineObservation, EngineState,
-    HashPoint, JobObservation, NodeObservation,
+    HashPoint, JobObservation, NodeObservation, Recording,
 };
 pub use events::{Event, EventLog};
 pub use job::{JobId, JobProfile, JobSpec};

@@ -215,6 +215,13 @@ impl FrameCell {
         self.slot.lock().expect("frame slot poisoned").clone()
     }
 
+    /// Hold the slot the way a slow reader would: every publish skips
+    /// until the guard drops.
+    #[cfg(test)]
+    pub(crate) fn hold(&self) -> std::sync::MutexGuard<'_, Arc<ObservationFrame>> {
+        self.slot.lock().expect("frame slot poisoned")
+    }
+
     /// Writer side: install `frame`, reclaiming the replaced frame's body
     /// into `pool` if no reader still holds it. Returns `false` (and
     /// reclaims `frame` itself) when a reader held the slot — the tick

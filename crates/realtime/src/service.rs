@@ -267,6 +267,11 @@ struct Tenant {
     /// `(map_target, reduce_target)` per node as of the last *successful*
     /// publish — diffed into the next frame's `recent_decisions`.
     prev_slots: Vec<(usize, usize)>,
+    /// The tenant changed since its last successful publish: a reader
+    /// held the frame slot, so the publish skipped and retries every tick
+    /// until it lands (a finished or paused tenant would otherwise never
+    /// publish its last state).
+    publish_pending: bool,
     trace: Vec<TickHash>,
     created_tick: u64,
 }
@@ -633,18 +638,24 @@ fn tick_loop(cfg: ServiceConfig, rx: Receiver<Envelope>, shared: Arc<Shared>) ->
         }
         telem.record_span("realtime", "advance", t0, tick);
 
-        // Phase 3: record hashes and publish frames for touched tenants.
+        // Phase 3: record hashes for changed tenants and publish their
+        // frames, retrying every earlier skipped publish. Only changes
+        // record hash points: the replay must stay a function of the
+        // ingress script, never of reader contention.
         let t0 = telem.clock_us();
         for (i, tenant) in tenants.iter_mut().enumerate() {
-            if !(advanced[i] || touched[i]) {
-                continue;
-            }
-            if cfg.record_script {
+            let changed = advanced[i] || touched[i];
+            if changed && cfg.record_script {
                 if let Some(point) = tenant.core.hash_point(tick) {
                     tenant.trace.push(point);
                 }
             }
-            if publish_frame(tenant, tick, &mut frame_pool) {
+            if !(changed || tenant.publish_pending) {
+                continue;
+            }
+            let published = publish_frame(tenant, tick, &mut frame_pool);
+            tenant.publish_pending = !published;
+            if published {
                 shared.frames.fetch_add(1, Ordering::Relaxed);
                 frame_counter.inc();
             }
@@ -771,6 +782,7 @@ fn apply_command(
                 cell,
                 epoch: 0,
                 prev_slots: Vec::new(),
+                publish_pending: false,
                 trace: Vec::new(),
                 created_tick: tick,
                 id,
@@ -891,4 +903,68 @@ fn publish_frame(tenant: &mut Tenant, tick: u64, pool: &mut FramePool) -> bool {
         tenant.prev_slots = next_slots;
     }
     published
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn skipped_final_publish_is_retried_until_it_lands() {
+        let cfg = ServiceConfig {
+            tick_interval: Duration::from_millis(2),
+            dilation: 2000.0,
+            ..ServiceConfig::default()
+        };
+        // how many quanta the job takes, through the same tenant core the
+        // tick thread drives
+        let mut probe = TenantCore::new("probe".into(), "HadoopV1".into(), 4, 5, cfg.sim_horizon);
+        probe.submit_job(0, "grep", 512.0, 2).unwrap();
+        let mut arena = EngineArena::new();
+        let mut quanta = 0u64;
+        while !probe.finished {
+            probe.advance(cfg.quantum_ms(), &Telemetry::disabled(), &mut arena);
+            quanta += 1;
+            assert!(
+                quanta < 10_000 && probe.error.is_none(),
+                "probe never finished"
+            );
+        }
+
+        let handle = RealtimeService::spawn(cfg);
+        let t = handle.create_tenant("held", 4, 5, "HadoopV1").unwrap();
+        let cell = handle.shared.pool.cell(t).expect("tenant cell registered");
+        // a reader holds the frame slot across the tick the tenant
+        // finishes in, so that tick's publish skips
+        let held = cell.hold();
+        handle.submit_job(t, "grep", 512.0, 2).unwrap();
+        let finish_by = handle.tick() + quanta + 2;
+        while handle.tick() < finish_by {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            !held.obs.all_finished,
+            "no finished frame landed while held"
+        );
+        assert!(cell.skipped() > 0, "the hold skipped publishes");
+        drop(held);
+
+        // a later tick retries the skipped publish
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !handle.frame(t).is_some_and(|f| f.obs.all_finished) {
+            assert!(
+                Instant::now() < deadline,
+                "the finished tenant's frame was never republished"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let summary = handle.shutdown().unwrap();
+        assert!(summary.tenants[t].finished);
+        let outcome = summary.script.expect("recording was on").replay();
+        assert!(
+            outcome.verified,
+            "replay diverged: {:?}",
+            outcome.mismatches
+        );
+    }
 }

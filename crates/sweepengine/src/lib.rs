@@ -24,10 +24,6 @@
 //!   after the grid drains the executor re-raises the lowest-indexed one
 //!   tagged with (system, cell index, trial seed).
 //!
-//! Shared warm-start prefixes (cluster boot + DFS load capsules from
-//! `Engine::prepare`) are deduplicated across cells by capsule fingerprint
-//! in a [`PrefixCache`].
-//!
 //! Cell results are byte-identical to the thread-per-cell path: workers
 //! only decide *when* a cell runs, never *what* it computes, and arenas
 //! hand out buffers reset to exactly the state a fresh allocation would
@@ -35,10 +31,8 @@
 //! `tests/sweep_determinism.rs` pins this down.
 
 mod pool;
-mod prefix;
 
 pub use pool::{BatchedSweep, SweepCell, SweepOutcome, SweepStats};
-pub use prefix::PrefixCache;
 
 /// Best-effort extraction of a panic payload's message — the one shared
 /// implementation for pool workers and the harness's per-trial wrappers.

@@ -9,7 +9,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// One independent unit of sweep work. Implementations hold everything
-/// the cell needs (config, jobs or a warm capsule, the system to run) and
+/// the cell needs (config, jobs, the system to run) and
 /// produce a fully audited `RunReport` when driven by a pool worker.
 ///
 /// `system` and `seed` exist purely for failure attribution: when a cell
@@ -300,7 +300,9 @@ mod tests {
                 8,
                 SimTime::ZERO,
             );
-            Engine::new(cfg).run_in(vec![job], &mut StaticSlotPolicy, &disabled(), arena)
+            let mut state = Engine::new(cfg).prepare(vec![job])?;
+            state.override_policy("HadoopV1")?;
+            Engine::resume_in(state, &mut StaticSlotPolicy, &disabled(), arena)
         }
     }
 

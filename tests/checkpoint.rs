@@ -8,14 +8,28 @@ use checkpoint::{
     SimSnapshot,
 };
 use harness::dashboard::representative;
-use harness::runner::{resume_once, run_once_with_snapshots};
+use harness::runner::{boot, record_once, resume_once};
 use harness::{Scale, System};
-use mapreduce::{EngineConfig, JobProfile, JobSpec};
+use mapreduce::{EngineConfig, EngineState, JobProfile, JobSpec, RunReport};
 use proptest::proptest;
 use simgrid::cluster::NodeId;
 use simgrid::time::{SimDuration, SimTime, SteppingMode};
 use simgrid::{FaultPlan, NodeFault};
 use std::path::PathBuf;
+
+/// A recorded run of `job` under `system`: its report and a capsule every
+/// `every`.
+fn record(
+    cfg: &EngineConfig,
+    job: JobSpec,
+    system: &System,
+    every: SimDuration,
+) -> (RunReport, Vec<EngineState>) {
+    let rec = boot(cfg, vec![job], system, cfg.seed)
+        .and_then(|state| record_once(state, system, Some(every)))
+        .expect("recorded run completes");
+    (rec.report, rec.capsules)
+}
 
 /// Every target `reproduce fingerprint` accepts.
 const TARGETS: &[&str] = &[
@@ -107,14 +121,7 @@ proptest! {
             SimTime::ZERO,
         );
         for system in [System::HadoopV1, System::SMapReduce] {
-            let (straight, capsules) = run_once_with_snapshots(
-                &cfg,
-                vec![job.clone()],
-                &system,
-                cfg.seed,
-                SimDuration::from_secs(10),
-            )
-            .expect("straight run");
+            let (straight, capsules) = record(&cfg, job.clone(), &system, SimDuration::from_secs(10));
             let state = capsules[pick % capsules.len()].clone();
             let from = state.at();
             let resumed = resume_once(state, &system).expect("resumed run");
@@ -146,14 +153,7 @@ fn bisect_pinpoints_a_deliberately_corrupted_stream() {
         8,
         SimTime::ZERO,
     );
-    let (_, capsules) = run_once_with_snapshots(
-        &cfg,
-        vec![job],
-        &System::SMapReduce,
-        cfg.seed,
-        SimDuration::from_secs(5),
-    )
-    .expect("recorded run");
+    let (_, capsules) = record(&cfg, job, &System::SMapReduce, SimDuration::from_secs(5));
     assert!(capsules.len() >= 4, "need a few checkpoints to bisect");
     let good = tmp_dir("good");
     let bad = tmp_dir("bad");
@@ -254,14 +254,7 @@ fn bisect_pinpoints_corruption_across_mixed_formats() {
         8,
         SimTime::ZERO,
     );
-    let (_, capsules) = run_once_with_snapshots(
-        &cfg,
-        vec![job],
-        &System::SMapReduce,
-        cfg.seed,
-        SimDuration::from_secs(5),
-    )
-    .expect("recorded run");
+    let (_, capsules) = record(&cfg, job, &System::SMapReduce, SimDuration::from_secs(5));
     assert!(capsules.len() >= 4, "need a few checkpoints to bisect");
     let good = tmp_dir("mixed-good");
     let bad = tmp_dir("mixed-bad");

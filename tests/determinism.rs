@@ -59,7 +59,7 @@ fn serialized_event_logs_and_reports_are_byte_identical() {
 fn telemetry_is_strictly_observational() {
     // an enabled telemetry sink must not perturb the simulation: the
     // serialized report of an instrumented run matches the plain run
-    use mapreduce::Engine;
+    use mapreduce::{Engine, EngineArena};
     let mut cfg = EngineConfig::small_test(4, 7);
     cfg.record_events = true;
     cfg.seed = 77;
@@ -67,9 +67,9 @@ fn telemetry_is_strictly_observational() {
     let plain = Engine::new(cfg.clone()).run(vec![job()], &mut p1).unwrap();
     let mut p2 = smapreduce::SlotManagerPolicy::paper_default();
     let telem = telemetry::Telemetry::enabled();
-    let traced = Engine::new(cfg)
-        .run_with(vec![job()], &mut p2, &telem)
-        .unwrap();
+    let mut state = Engine::new(cfg).prepare(vec![job()]).unwrap();
+    state.override_policy("SMapReduce").unwrap();
+    let traced = Engine::resume_in(state, &mut p2, &telem, &mut EngineArena::new()).unwrap();
     assert!(
         telem.instant_count() > 0,
         "the sink really observed the run"

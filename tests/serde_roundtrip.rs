@@ -6,13 +6,29 @@
 //! reports, and the capsule envelope itself.
 
 use checkpoint::{codec, CapsuleFormat, SimSnapshot};
-use harness::runner::run_once_with_snapshots;
+use harness::runner::{boot, record_once};
 use harness::{run_once, System};
-use mapreduce::{Counter, CounterLedger, EngineConfig, JobProfile, JobSpec, RunReport};
+use mapreduce::{
+    Counter, CounterLedger, EngineConfig, EngineState, JobProfile, JobSpec, RunReport,
+};
 use proptest::proptest;
 use simgrid::cluster::NodeId;
 use simgrid::time::{SimDuration, SimTime};
 use simgrid::{FaultPlan, NodeFault};
+
+/// A recorded run of `job` under `system`: its report and a capsule every
+/// `every`.
+fn record(
+    cfg: &EngineConfig,
+    job: JobSpec,
+    system: &System,
+    every: SimDuration,
+) -> (RunReport, Vec<EngineState>) {
+    let rec = boot(cfg, vec![job], system, cfg.seed)
+        .and_then(|state| record_once(state, system, Some(every)))
+        .expect("recorded run completes");
+    (rec.report, rec.capsules)
+}
 
 proptest! {
     /// Any ledger built from arbitrary adds survives a JSON round trip
@@ -122,14 +138,7 @@ proptest! {
             4,
             SimTime::ZERO,
         );
-        let (_, capsules) = run_once_with_snapshots(
-            &cfg,
-            vec![job],
-            &System::SMapReduce,
-            cfg.seed,
-            SimDuration::from_secs(20),
-        )
-        .expect("run completes");
+        let (_, capsules) = record(&cfg, job, &System::SMapReduce, SimDuration::from_secs(20));
         let state = capsules.into_iter().next_back().expect("capsules captured");
         let snap = SimSnapshot::new(state);
         let json = checkpoint::to_bytes(&snap, CapsuleFormat::Json);
@@ -224,14 +233,7 @@ fn corrupt_binary_capsules_never_panic() {
         4,
         SimTime::ZERO,
     );
-    let (_, capsules) = run_once_with_snapshots(
-        &cfg,
-        vec![job],
-        &System::HadoopV1,
-        cfg.seed,
-        SimDuration::from_secs(30),
-    )
-    .expect("run completes");
+    let (_, capsules) = record(&cfg, job, &System::HadoopV1, SimDuration::from_secs(30));
     let snap = SimSnapshot::new(capsules.into_iter().next_back().expect("capsules"));
     let bytes = checkpoint::to_bytes(&snap, CapsuleFormat::Binary);
     let origin = std::path::Path::new("corrupt-test");
@@ -319,14 +321,7 @@ fn capsule_envelopes_round_trip_byte_identical() {
         6,
         SimTime::ZERO,
     );
-    let (_, capsules) = run_once_with_snapshots(
-        &cfg,
-        vec![job],
-        &System::SMapReduce,
-        cfg.seed,
-        SimDuration::from_secs(10),
-    )
-    .expect("run completes");
+    let (_, capsules) = record(&cfg, job, &System::SMapReduce, SimDuration::from_secs(10));
     assert!(!capsules.is_empty());
     for state in capsules {
         let snap = SimSnapshot::new(state);

@@ -5,25 +5,25 @@
 //! makes the pool allocation-free must never leak one cell's state into
 //! the next cell run in the same slot.
 
-use harness::runner::{prepare_warm, run_once, run_once_in, run_warm};
+use harness::runner::run_once;
 use harness::{run_cells_with, CellRequest, System};
 use mapreduce::{EngineArena, EngineConfig, JobSpec};
 use proptest::proptest;
 use simgrid::cluster::NodeId;
 use simgrid::time::{SimDuration, SimTime};
 use simgrid::{FaultPlan, NodeFault};
-use std::sync::Arc;
+use sweepengine::SweepCell;
 use workloads::Puma;
 
 fn job(input_mb: f64) -> JobSpec {
     Puma::Grep.job(0, input_mb, 8, SimTime::ZERO)
 }
 
-/// A mixed grid: cold and warm cells, all three systems, two loads, and
-/// one faulted cell — every dispatch shape the drivers use.
-fn grid() -> Vec<CellRequest> {
+/// A mixed grid of (config, input MB, system, seed) cells: all three
+/// systems, three loads, several seeds, and one faulted cell per system —
+/// every dispatch shape the drivers use.
+fn cell_specs() -> Vec<(EngineConfig, f64, System, u64)> {
     let cfg = EngineConfig::small_test(4, 0);
-    let warm = Arc::new(prepare_warm(&cfg, vec![job(1024.0)], 9).expect("prepare"));
     let mut faulted = cfg.clone();
     faulted.fault_plan = FaultPlan::new(vec![NodeFault::transient(
         NodeId(1),
@@ -32,32 +32,19 @@ fn grid() -> Vec<CellRequest> {
     )]);
     let mut cells = Vec::new();
     for (i, sys) in System::all().into_iter().enumerate() {
-        cells.push(CellRequest::cold(
-            cfg.clone(),
-            vec![job(512.0)],
-            sys.clone(),
-            i as u64 + 1,
-        ));
-        cells.push(CellRequest::cold(
-            cfg.clone(),
-            vec![job(1536.0)],
-            sys.clone(),
-            i as u64 + 100,
-        ));
-        cells.push(CellRequest::warm(
-            Arc::clone(&warm),
-            cfg.clone(),
-            sys.clone(),
-            9,
-        ));
-        cells.push(CellRequest::warm(
-            Arc::clone(&warm),
-            faulted.clone(),
-            sys,
-            9,
-        ));
+        cells.push((cfg.clone(), 512.0, sys.clone(), i as u64 + 1));
+        cells.push((cfg.clone(), 1536.0, sys.clone(), i as u64 + 100));
+        cells.push((cfg.clone(), 1024.0, sys.clone(), 9));
+        cells.push((faulted.clone(), 1024.0, sys, 9));
     }
     cells
+}
+
+fn grid() -> Vec<CellRequest> {
+    cell_specs()
+        .into_iter()
+        .map(|(cfg, mb, sys, seed)| CellRequest::cold(cfg, vec![job(mb)], sys, seed))
+        .collect()
 }
 
 fn fingerprints(cells: &[CellRequest], workers: usize) -> Vec<String> {
@@ -86,22 +73,11 @@ fn per_cell_reports_are_identical_across_worker_counts() {
 
 #[test]
 fn pooled_reports_match_the_legacy_sequential_path() {
-    let cfg = EngineConfig::small_test(4, 0);
-    let warm = Arc::new(prepare_warm(&cfg, vec![job(1024.0)], 9).expect("prepare"));
-    let mut faulted = cfg.clone();
-    faulted.fault_plan = FaultPlan::new(vec![NodeFault::transient(
-        NodeId(1),
-        SimTime::from_secs(30),
-        SimDuration::from_secs(90),
-    )]);
     let pooled = fingerprints(&grid(), 3);
-    let mut legacy = Vec::new();
-    for (i, sys) in System::all().into_iter().enumerate() {
-        legacy.push(run_once(&cfg, vec![job(512.0)], &sys, i as u64 + 1).unwrap());
-        legacy.push(run_once(&cfg, vec![job(1536.0)], &sys, i as u64 + 100).unwrap());
-        legacy.push(run_warm(&warm, &cfg, &sys, 9).unwrap());
-        legacy.push(run_warm(&warm, &faulted, &sys, 9).unwrap());
-    }
+    let legacy: Vec<_> = cell_specs()
+        .iter()
+        .map(|(cfg, mb, sys, seed)| run_once(cfg, vec![job(*mb)], sys, *seed).unwrap())
+        .collect();
     assert_eq!(pooled.len(), legacy.len());
     for (i, want) in legacy.iter().enumerate() {
         assert_eq!(
@@ -133,15 +109,14 @@ proptest! {
         let cfg_a = EngineConfig::small_test(4, seed_a);
         let cfg_b = EngineConfig::small_test(3, seed_b);
 
-        let mut shared = EngineArena::new();
-        let _a = run_once_in(&cfg_a, vec![job(loads[load_a])], sys_a, seed_a, &mut shared)
-            .expect("cell A completes");
-        let recycled = run_once_in(&cfg_b, vec![job(loads[load_b])], sys_b, seed_b, &mut shared)
-            .expect("cell B completes recycled");
+        let cell_a = CellRequest::cold(cfg_a, vec![job(loads[load_a])], sys_a.clone(), seed_a);
+        let cell_b = CellRequest::cold(cfg_b, vec![job(loads[load_b])], sys_b.clone(), seed_b);
 
-        let mut fresh_arena = EngineArena::new();
-        let fresh = run_once_in(&cfg_b, vec![job(loads[load_b])], sys_b, seed_b, &mut fresh_arena)
-            .expect("cell B completes fresh");
+        let mut shared = EngineArena::new();
+        let _a = cell_a.run(&mut shared).expect("cell A completes");
+        let recycled = cell_b.run(&mut shared).expect("cell B completes recycled");
+
+        let fresh = cell_b.run(&mut EngineArena::new()).expect("cell B completes fresh");
 
         assert_eq!(
             serde_json::to_string(&recycled).unwrap(),

@@ -187,18 +187,22 @@ fn step_loop_telemetry_calls_do_not_allocate() {
     // --- arena recycling: after a warm-up cell has sized every scratch
     // buffer, a steady-state loop of same-shaped cells must never grow
     // them again — the sweep pool's per-worker arenas stay flat ---
-    use harness::runner::{run_once_in, System as SweepSystem};
+    use harness::runner::{CellRequest, System as SweepSystem};
     use mapreduce::{EngineArena, EngineConfig};
+    use sweepengine::SweepCell;
     use workloads::Puma;
 
-    let cfg = EngineConfig::small_test(4, 0);
-    let job = || Puma::Grep.job(0, 512.0, 8, Default::default());
+    let cell = CellRequest::cold(
+        EngineConfig::small_test(4, 0),
+        vec![Puma::Grep.job(0, 512.0, 8, Default::default())],
+        SweepSystem::SMapReduce,
+        1,
+    );
     let mut arena = EngineArena::new();
-    run_once_in(&cfg, vec![job()], &SweepSystem::SMapReduce, 1, &mut arena).expect("warm-up cell");
+    cell.run(&mut arena).expect("warm-up cell");
     let after_warmup = arena.growth_events();
     for _ in 0..8 {
-        run_once_in(&cfg, vec![job()], &SweepSystem::SMapReduce, 1, &mut arena)
-            .expect("steady-state cell");
+        cell.run(&mut arena).expect("steady-state cell");
     }
     assert_eq!(
         arena.growth_events(),
