@@ -54,7 +54,7 @@ pub struct EngineArena {
     nic_out: Vec<f64>,
     occ_map: Vec<usize>,
     occ_reduce: Vec<usize>,
-    node_tasks: Vec<Vec<(TaskRef, TaskDemand)>>,
+    node_tasks: Vec<Vec<(usize, TaskDemand)>>,
     demands: Vec<TaskDemand>,
     flows: Vec<Flow>,
     purposes: Vec<(FlowId, FlowPurpose)>,
@@ -82,7 +82,7 @@ pub(crate) struct Scratch {
     pub(crate) nic_out: Vec<f64>,
     pub(crate) occ_map: Vec<usize>,
     pub(crate) occ_reduce: Vec<usize>,
-    pub(crate) node_tasks: Vec<Vec<(TaskRef, TaskDemand)>>,
+    pub(crate) node_tasks: Vec<Vec<(usize, TaskDemand)>>,
     pub(crate) demands: Vec<TaskDemand>,
     pub(crate) flows: Vec<Flow>,
     pub(crate) purposes: Vec<(FlowId, FlowPurpose)>,

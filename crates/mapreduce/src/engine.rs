@@ -421,13 +421,15 @@ pub(crate) struct FetchPost {
 /// the integrate phase advances every task by exactly `rate × dt`.
 ///
 /// All three indexes are sorted flat vectors recycled step over step (via
-/// [`Sim::reclaim`]) instead of hash/tree maps: lookups are binary
-/// searches or cursor walks over the same ascending order the consumers
-/// iterate in, so the allocate phase neither hashes `NodeId`s nor
-/// allocates in the steady state.
+/// [`Sim::reclaim`]) instead of hash/tree maps: every consumer looks them
+/// up with a forward [`posted`] cursor walk over the same ascending order
+/// it iterates in, so the allocate phase neither hashes `NodeId`s nor
+/// allocates in the steady state, and no lookup searches.
 struct StepRates {
     /// Per-task node-contention scale (includes the management-stall
-    /// factor), sorted by `TaskRef`.
+    /// factor), one entry per running task, sorted by `TaskRef`: all map
+    /// attempts ascending, then all reduces ascending — the order the
+    /// allocate phase gathers them in. A task on a down node scores 0.0.
     scales: Vec<(TaskRef, f64)>,
     /// Granted fabric bandwidth per remote-reading map attempt (MB/s),
     /// sorted by attempt id (the flow build order).
@@ -438,15 +440,6 @@ struct StepRates {
     cpu_offered_rate: f64,
     /// Granted CPU rate (cores) summed over running tasks.
     cpu_granted_rate: f64,
-}
-
-/// Binary-search lookup in a sorted scale table; absent tasks score 0.0
-/// (exactly the old `BTreeMap::get(..).unwrap_or(0.0)` contract).
-fn scale_of(scales: &[(TaskRef, f64)], r: TaskRef) -> f64 {
-    match scales.binary_search_by(|probe| probe.0.cmp(&r)) {
-        Ok(i) => scales[i].1,
-        Err(_) => 0.0,
-    }
 }
 
 /// Cursor walk over a sorted posting list: advance `cursor` past keys
@@ -624,9 +617,10 @@ struct Sim<'p> {
     nic_out: Vec<f64>,
     occ_map: Vec<usize>,
     occ_reduce: Vec<usize>,
-    /// Per-node task lists and the flattened demand vector the node
-    /// allocator walks; cleared and refilled by every allocate phase.
-    task_scratch: Vec<Vec<(TaskRef, simgrid::node::TaskDemand)>>,
+    /// Per-node task lists (each task's scale-table index and demand) and
+    /// the flattened demand vector the node allocator walks; cleared and
+    /// refilled by every allocate phase.
+    task_scratch: Vec<Vec<(usize, simgrid::node::TaskDemand)>>,
     demand_scratch: Vec<simgrid::node::TaskDemand>,
     /// Flow list (and the purpose tags indexing its grants) handed to the
     /// fabric each step; cleared and rebuilt in place.
@@ -1268,9 +1262,10 @@ impl<'p> Sim<'p> {
         }
 
         let mut map_cursor = 0usize;
+        let mut scale_cursor = 0usize;
         for (id, t) in &self.running_maps {
             let profile = &self.profiles[id.task.job.0];
-            let scale = scale_of(&rates.scales, TaskRef::Map(*id));
+            let scale = posted(&rates.scales, &mut scale_cursor, TaskRef::Map(*id)).unwrap_or(0.0);
             let read_rate = posted(&rates.map_posts, &mut map_cursor, *id).unwrap_or(0.0);
             let work_rate = t.effective_work_rate(profile, scale, read_rate);
             if let Some(s) = t.time_to_completion(work_rate) {
@@ -1284,10 +1279,12 @@ impl<'p> Sim<'p> {
         }
 
         let mut fetch_cursor = 0usize;
+        let mut scale_cursor = 0usize;
         for (rid, r) in &self.running_reduces {
             let profile = &self.profiles[rid.job.0];
             let job = &self.jobs[rid.job.0];
-            let scale = scale_of(&rates.scales, TaskRef::Reduce(*rid));
+            let scale =
+                posted(&rates.scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
             match r.phase {
                 ReducePhase::Shuffle => {
                     // pre-barrier, sources refill only at map completions —
@@ -1354,18 +1351,25 @@ impl<'p> Sim<'p> {
             tasks.clear();
         }
         node_tasks.resize_with(workers, Vec::new);
+        // gather maps then reduces, each ascending, so the scale table is
+        // born in `TaskRef` order; each per-node entry keeps its task's
+        // table index, and the node pass writes the scale in place (a task
+        // on a down node keeps 0.0)
+        let mut out = std::mem::take(&mut self.scales_scratch);
+        out.clear();
         for (id, t) in &self.running_maps {
             let profile = &self.profiles[id.task.job.0];
-            node_tasks[t.node.0].push((TaskRef::Map(*id), profile.map_demand()));
+            node_tasks[t.node.0].push((out.len(), profile.map_demand()));
+            out.push((TaskRef::Map(*id), 0.0));
         }
         for (id, t) in &self.running_reduces {
             let profile = &self.profiles[id.job.0];
-            node_tasks[t.node.0].push((TaskRef::Reduce(*id), t.demand(profile)));
+            node_tasks[t.node.0].push((out.len(), t.demand(profile)));
+            out.push((TaskRef::Reduce(*id), 0.0));
         }
+        debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
         let tick_ms = self.cfg.tick.tick.as_millis() as f64;
         let any_active = self.jobs.iter().any(|j| j.is_active(self.now));
-        let mut out = std::mem::take(&mut self.scales_scratch);
-        out.clear();
         let mut offered = 0.0;
         let mut granted = 0.0;
         for (n, tasks) in node_tasks.iter().enumerate() {
@@ -1395,18 +1399,14 @@ impl<'p> Sim<'p> {
             } else {
                 1.0
             };
-            for ((r, d), s) in tasks.iter().zip(scales) {
+            for (&(ix, d), s) in tasks.iter().zip(scales) {
                 granted += d.cpu_cores * s * stall_factor;
                 self.node_cpu[n] += d.cpu_cores * s * stall_factor;
                 self.node_disk[n] += (d.disk_read + d.disk_write) * s * stall_factor;
-                out.push((*r, s * stall_factor));
+                out[ix].1 = s * stall_factor;
             }
         }
         self.task_scratch = node_tasks;
-        // tasks were gathered per node, not in `TaskRef` order; sort so the
-        // consumers can binary-search (unique keys ⇒ unstable sort is
-        // deterministic)
-        out.sort_unstable_by_key(|a| a.0);
         (out, offered, granted)
     }
 
@@ -1423,6 +1423,7 @@ impl<'p> Sim<'p> {
     ) {
         let mut next = 0u64;
 
+        let mut scale_cursor = 0usize;
         for (id, t) in &self.running_maps {
             let Some(src) = t.remote_src else { continue };
             if t.input_remaining <= 1e-9 {
@@ -1432,7 +1433,7 @@ impl<'p> Sim<'p> {
                 continue; // either endpoint dead: nothing flows
             }
             let profile = &self.profiles[id.task.job.0];
-            let scale = scale_of(scales, TaskRef::Map(*id));
+            let scale = posted(scales, &mut scale_cursor, TaskRef::Map(*id)).unwrap_or(0.0);
             // input consumption rate implied by the granted work rate
             let work_rate = profile.map_rate * scale;
             let input_rate = if t.work_total > 0.0 {
@@ -1461,13 +1462,14 @@ impl<'p> Sim<'p> {
             purposes.push((fid, FlowPurpose::MapRead(*id)));
         }
 
+        let mut scale_cursor = 0usize;
         for (rid, r) in &self.running_reduces {
             if r.phase != ReducePhase::Shuffle || !self.node_up[r.node.0] {
                 continue;
             }
             let profile = &self.profiles[rid.job.0];
             let job = &self.jobs[rid.job.0];
-            let scale = scale_of(scales, TaskRef::Reduce(*rid));
+            let scale = posted(scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
             // merge-throughput budget for this tick, shared across sources;
             // T_r2 > T_r1: the cap rises once the barrier frees the sources
             let boost = if job.shuffle.maps_all_done() {
@@ -1540,9 +1542,10 @@ impl<'p> Sim<'p> {
             ..
         } = self;
         let mut cursor = 0usize;
+        let mut scale_cursor = 0usize;
         for (id, t) in running_maps.iter_mut() {
             let profile = &profiles[id.task.job.0];
-            let scale = scale_of(scales, TaskRef::Map(*id));
+            let scale = posted(scales, &mut scale_cursor, TaskRef::Map(*id)).unwrap_or(0.0);
             let mut work_step = profile.map_rate * scale * dt;
             if t.remote_src.is_some() && t.input_remaining > 1e-9 {
                 // input arrives over the network; cap work by delivery
@@ -1845,12 +1848,14 @@ impl<'p> Sim<'p> {
             ..
         } = self;
         let mut fetch_cursor = 0usize;
+        let mut scale_cursor = 0usize;
         for (rid, r) in running_reduces.iter_mut() {
             let profile = &profiles[rid.job.0];
             let job = &jobs[rid.job.0];
             match r.phase {
                 ReducePhase::Shuffle => {
-                    let scale = scale_of(scales, TaskRef::Reduce(*rid));
+                    let scale =
+                        posted(scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
                     let boost = if job.shuffle.maps_all_done() {
                         profile.shuffle_barrier_boost
                     } else {
@@ -1918,7 +1923,8 @@ impl<'p> Sim<'p> {
                     }
                 }
                 ReducePhase::Sort | ReducePhase::Reduce => {
-                    let scale = scale_of(scales, TaskRef::Reduce(*rid));
+                    let scale =
+                        posted(scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
                     let work = r.phase_rate(profile) * scale * dt;
                     if r.advance_compute(work) {
                         done.push(*rid);
@@ -2347,15 +2353,17 @@ impl<'p> Sim<'p> {
         let mut map_progress = vec![0.0_f64; self.jobs.len()];
         let mut reduce_progress = vec![0.0_f64; self.jobs.len()];
         // with speculation two attempts of one task may run; count the
-        // task's best attempt, not the sum. (BTreeMap: iteration order must
-        // be deterministic or float summation order would vary per run.)
-        let mut best: BTreeMap<MapTaskId, f64> = BTreeMap::new();
-        for (id, t) in &self.running_maps {
-            let e = best.entry(id.task).or_insert(0.0);
-            *e = e.max(t.progress());
-        }
-        for (id, p) in best {
-            map_progress[id.job.0] += p;
+        // task's best attempt, not the sum. `running_maps` is keyed by
+        // (task, attempt), so a task's attempts are adjacent: fold each
+        // run of them and add it in ascending task order (a fixed float
+        // summation order, so the sums repeat bit for bit)
+        let mut attempts = self.running_maps.iter().peekable();
+        while let Some((id, t)) = attempts.next() {
+            let mut best = 0.0_f64.max(t.progress());
+            while let Some((_, t)) = attempts.next_if(|(next, _)| next.task == id.task) {
+                best = best.max(t.progress());
+            }
+            map_progress[id.task.job.0] += best;
         }
         for (id, t) in &self.running_reduces {
             reduce_progress[id.job.0] += t.progress();

@@ -87,8 +87,11 @@ impl ShuffleState {
         (share - reduce.fetched_by_src[src.0]).max(0.0)
     }
 
-    /// Total MB still fetchable right now by `reduce` across all sources.
-    pub fn remaining_total(&self, reduce: &ReduceTask) -> f64 {
+    /// Total MB still fetchable right now by `reduce` across all sources:
+    /// the full sum that the early exit of
+    /// [`ShuffleState::shuffle_complete`] must agree with.
+    #[cfg(test)]
+    fn remaining_total(&self, reduce: &ReduceTask) -> f64 {
         (0..self.avail_by_src.len())
             .map(|s| self.remaining_from(reduce, NodeId(s)))
             .sum()
@@ -97,20 +100,29 @@ impl ShuffleState {
     /// True when `reduce` has fetched its entire partition *and* the
     /// barrier has been crossed — the conditions for leaving the shuffle
     /// phase.
+    ///
+    /// Sums the per-source remainders in source order but stops at the
+    /// first partial sum past the threshold: every term is non-negative and
+    /// adding one never makes a float sum smaller, so the full sum would
+    /// be past it too.
     pub fn shuffle_complete(&self, reduce: &ReduceTask) -> bool {
-        self.maps_all_done && self.remaining_total(reduce) <= 1e-6
+        let mut total = 0.0;
+        self.maps_all_done
+            && (0..self.avail_by_src.len()).all(|s| {
+                total += self.remaining_from(reduce, NodeId(s));
+                total <= 1e-6
+            })
     }
 
     /// Source nodes with data still fetchable by `reduce`, largest backlog
-    /// first, truncated to `max_sources` (the parallel-copies limit).
-    pub fn fetch_sources(&self, reduce: &ReduceTask, max_sources: usize) -> Vec<(NodeId, f64)> {
-        let mut srcs = Vec::new();
-        self.fetch_sources_into(reduce, max_sources, &mut srcs);
-        srcs
-    }
-
-    /// [`ShuffleState::fetch_sources`] writing into a caller-owned
-    /// (recycled) buffer, so the per-step flow build allocates nothing.
+    /// first, at most `max_sources` of them (the parallel-copies limit),
+    /// written into a caller-owned (recycled) buffer so the per-step flow
+    /// build allocates nothing.
+    ///
+    /// One ascending pass over the nodes keeps the `max_sources` largest
+    /// backlogs in order. A source goes after every kept one with an equal
+    /// backlog, and a full list rejects a source that only ties its last
+    /// entry, so equal backlogs go to the lower node id.
     pub fn fetch_sources_into(
         &self,
         reduce: &ReduceTask,
@@ -118,13 +130,24 @@ impl ShuffleState {
         out: &mut Vec<(NodeId, f64)>,
     ) {
         out.clear();
-        out.extend((0..self.avail_by_src.len()).filter_map(|s| {
+        if max_sources == 0 {
+            return;
+        }
+        for s in 0..self.avail_by_src.len() {
             let rem = self.remaining_from(reduce, NodeId(s));
-            (rem > 1e-9).then_some((NodeId(s), rem))
-        }));
-        // largest-first; tie-break on node id for determinism
-        out.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0 .0.cmp(&b.0 .0)));
-        out.truncate(max_sources);
+            let full = out.len() == max_sources;
+            if rem <= 1e-9 || (full && rem <= out[max_sources - 1].1) {
+                continue;
+            }
+            if full {
+                out.pop();
+            }
+            let mut at = out.len();
+            while at > 0 && out[at - 1].1 < rem {
+                at -= 1;
+            }
+            out.insert(at, (NodeId(s), rem));
+        }
     }
 }
 
@@ -134,6 +157,31 @@ mod tests {
     use crate::job::JobId;
     use crate::task::ReduceTaskId;
     use simgrid::time::SimTime;
+
+    /// The retired selection, kept as the differential reference: every
+    /// source with data, sorted largest backlog first with ties to the
+    /// lower node id, truncated to `max_sources`.
+    fn reference_sources(
+        sh: &ShuffleState,
+        reduce: &ReduceTask,
+        max_sources: usize,
+    ) -> Vec<(NodeId, f64)> {
+        let mut out: Vec<(NodeId, f64)> = (0..sh.avail_by_src.len())
+            .filter_map(|s| {
+                let rem = sh.remaining_from(reduce, NodeId(s));
+                (rem > 1e-9).then_some((NodeId(s), rem))
+            })
+            .collect();
+        out.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0 .0.cmp(&b.0 .0)));
+        out.truncate(max_sources);
+        out
+    }
+
+    fn sources(sh: &ShuffleState, reduce: &ReduceTask, max_sources: usize) -> Vec<(NodeId, f64)> {
+        let mut out = Vec::new();
+        sh.fetch_sources_into(reduce, max_sources, &mut out);
+        out
+    }
 
     fn reduce(node: usize, workers: usize) -> ReduceTask {
         ReduceTask::new(
@@ -200,7 +248,7 @@ mod tests {
         sh.on_map_complete(NodeId(2), 50.0);
         sh.on_map_complete(NodeId(4), 30.0);
         let r = reduce(1, 5);
-        let srcs = sh.fetch_sources(&r, 2);
+        let srcs = sources(&sh, &r, 2);
         assert_eq!(srcs.len(), 2);
         assert_eq!(srcs[0].0, NodeId(2));
         assert_eq!(srcs[1].0, NodeId(4));
@@ -212,7 +260,7 @@ mod tests {
         sh.on_map_complete(NodeId(2), 10.0);
         sh.on_map_complete(NodeId(0), 10.0);
         let r = reduce(1, 3);
-        let srcs = sh.fetch_sources(&r, 3);
+        let srcs = sources(&sh, &r, 3);
         assert_eq!(srcs[0].0, NodeId(0));
         assert_eq!(srcs[1].0, NodeId(2));
     }
@@ -256,6 +304,50 @@ mod tests {
                 "fetched {} vs share {}", r.fetched_mb, share);
             sh.set_maps_all_done();
             proptest::prop_assert!(sh.shuffle_complete(&r));
+        }
+
+        /// The one-pass top-k choice returns exactly the sources, in
+        /// exactly the order and with exactly the backlog bits, of the
+        /// retired sort + truncate, and the early-exit completion test
+        /// agrees with the full sum, for every parallel-copies limit from 1
+        /// to 8 (above the candidate count on small clusters). Availability
+        /// and fetch fractions come from small palettes so equal backlogs
+        /// are common, and the tiny entries straddle both thresholds.
+        #[test]
+        fn prop_top_k_sources_match_sort_reference(
+            cells in proptest::collection::vec((0usize..6, 0usize..4), 1..65),
+            num_reduces in 1usize..=3,
+            node in 0usize..64,
+            barrier in 0u8..2,
+        ) {
+            const AVAIL_MB: [f64; 6] = [0.0, 3e-9, 2e-7, 7.5, 15.0, 30.0];
+            const FETCHED: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+            let workers = cells.len();
+            let mut sh = ShuffleState::new(workers, num_reduces);
+            let mut r = reduce(node % workers, workers);
+            for (s, &(a, f)) in cells.iter().enumerate() {
+                sh.on_map_complete(NodeId(s), AVAIL_MB[a]);
+                let fetched = AVAIL_MB[a] / num_reduces as f64 * FETCHED[f];
+                if fetched > 0.0 {
+                    r.record_fetch(NodeId(s), fetched);
+                }
+            }
+            let barrier = barrier == 1;
+            if barrier {
+                sh.set_maps_all_done();
+            }
+            let bits = |v: &[(NodeId, f64)]| -> Vec<(usize, u64)> {
+                v.iter().map(|&(n, rem)| (n.0, rem.to_bits())).collect()
+            };
+            for max_sources in 1..=8 {
+                let want = reference_sources(&sh, &r, max_sources);
+                let got = sources(&sh, &r, max_sources);
+                proptest::prop_assert_eq!(bits(&got), bits(&want), "max_sources {}", max_sources);
+            }
+            proptest::prop_assert_eq!(
+                sh.shuffle_complete(&r),
+                barrier && sh.remaining_total(&r) <= 1e-6
+            );
         }
     }
 

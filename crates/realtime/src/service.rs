@@ -28,6 +28,12 @@ use sweepengine::BatchedSweep;
 use telemetry::Telemetry;
 use workloads::puma::Puma;
 
+/// The most workers one tenant may ask for: the largest cluster any
+/// target or benchmark runs. A tenant's engine sizes per-node state by its
+/// worker count, so an unbounded count would let one command exhaust the
+/// memory every tenant shares.
+pub const MAX_TENANT_WORKERS: usize = 1024;
+
 /// Tuning of one service instance.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -760,8 +766,10 @@ fn apply_command(
             seed,
             system,
         } => {
-            if *workers == 0 {
-                return Err("tenant needs at least one worker".into());
+            if !(1..=MAX_TENANT_WORKERS).contains(workers) {
+                return Err(format!(
+                    "tenant needs 1..={MAX_TENANT_WORKERS} workers, got {workers}"
+                ));
             }
             if crate::policy_for(system).is_none() {
                 return Err(format!(

@@ -15,6 +15,9 @@
 //! ```
 //!
 //! Responses are `{"ok":true,...}` or `{"ok":false,"error":"..."}`.
+//! `create_tenant` refuses a `"workers"` count outside
+//! 1..=[`MAX_TENANT_WORKERS`](crate::service::MAX_TENANT_WORKERS) (1024,
+//! the largest cluster any target or benchmark runs) with an error reply.
 //! Mutating commands go through the ingress queue (the caller blocks
 //! until the tick boundary applies them); `observe`/`stats`/`tenants`
 //! read the egress pool directly and never touch the tick thread.
@@ -107,7 +110,9 @@ fn dispatch(req: &Value, handle: &ServiceHandle, stop: &Arc<AtomicBool>) -> Valu
     match cmd {
         "create_tenant" => {
             let name = str_field(req, "name").unwrap_or("tenant");
-            let workers = u64_field(req, "workers").unwrap_or(8) as usize;
+            // a count too wide for usize saturates, so the service refuses it
+            let workers =
+                u64_field(req, "workers").map_or(8, |w| usize::try_from(w).unwrap_or(usize::MAX));
             let seed = u64_field(req, "seed").unwrap_or(1);
             let system = str_field(req, "system").unwrap_or("SMapReduce");
             reply_json(handle.send(Command::CreateTenant {

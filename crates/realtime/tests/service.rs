@@ -181,6 +181,12 @@ fn commands_validate_and_errors_do_not_kill_the_service() {
     let handle = RealtimeService::spawn(fast_config());
     // bad system label
     assert!(handle.create_tenant("x", 8, 1, "nope").is_err());
+    // no workers, or more than any cluster the service sizes for
+    assert!(handle.create_tenant("x", 0, 1, "SMapReduce").is_err());
+    let too_wide = realtime::service::MAX_TENANT_WORKERS + 1;
+    assert!(handle
+        .create_tenant("x", too_wide, 1, "SMapReduce")
+        .is_err());
     // no such tenant
     assert!(handle.submit_job(9, "grep", 1024.0, 4).is_err());
     let t = handle.create_tenant("x", 8, 1, "SMapReduce").unwrap();

@@ -104,6 +104,10 @@ fn ndjson_protocol_end_to_end() {
     assert_eq!(bad.get("ok").and_then(Value::as_bool), Some(false));
     let bad = c.call(r#"{"cmd":"definitely-not-a-command"}"#);
     assert_eq!(bad.get("ok").and_then(Value::as_bool), Some(false));
+    let bad = c.call(r#"{"cmd":"create_tenant","name":"huge","workers":1000000000000}"#);
+    assert_eq!(bad.get("ok").and_then(Value::as_bool), Some(false));
+    let why = bad.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(why.contains("1..=1024 workers"), "{why}");
 
     // frames advance: poll tenant 0 until its sim clock moves and its
     // frame checksum verifies

@@ -131,3 +131,55 @@ fn seed_only_enters_via_config() {
     let b = run_once(&cfg, vec![job()], &System::SMapReduce, 99).unwrap();
     assert_eq!(a.jobs[0].finished_at, b.jobs[0].finished_at);
 }
+
+#[test]
+fn wide_cluster_runs_are_pinned_exactly() {
+    // every committed reference runs at most 16 nodes, where a reduce sees
+    // a handful of shuffle sources; at 64 and 256 nodes it chooses among
+    // hundreds, so these pins catch a changed source choice or tie-break
+    // that leaves nearly every small reference byte-identical
+    use harness::Scale;
+    use mapreduce::auditor::fingerprint;
+    use mapreduce::Engine;
+    use simgrid::time::{SimTime, SteppingMode};
+    let pins = [
+        (
+            64,
+            SteppingMode::Adaptive,
+            0x1c19_c545_1e1f_a669_u64,
+            85,
+            24_025,
+        ),
+        (64, SteppingMode::Fixed, 0x207c_5b1f_65a8_0791, 247, 24_600),
+        (
+            256,
+            SteppingMode::Adaptive,
+            0x26cb_0838_d55b_86a5,
+            109,
+            26_000,
+        ),
+        (256, SteppingMode::Fixed, 0xba94_360a_62a2_637d, 267, 26_600),
+    ];
+    for (nodes, mode, print, steps, finished_ms) in pins {
+        let mut cfg = Scale::Full.engine(nodes);
+        cfg.seed = 7;
+        cfg.tick.mode = mode;
+        let input_mb = nodes as f64 * 2.0 * cfg.block_mb;
+        let job = Puma::Grep.job(0, input_mb, 32, SimTime::ZERO);
+        let mut policy = System::SMapReduce.make_policy();
+        let report = Engine::new(cfg).run(vec![job], policy.as_mut()).unwrap();
+        let got = (
+            fingerprint(&report),
+            report.steps,
+            report.jobs[0].finished_at.as_millis(),
+        );
+        assert_eq!(
+            got,
+            (print, steps, finished_ms),
+            "{nodes} nodes, {mode:?}: got {:#018x}/{}/{}",
+            got.0,
+            got.1,
+            got.2
+        );
+    }
+}
