@@ -6,11 +6,11 @@
 //! handed to the fabric. A thread-per-cell sweep pays for all of them on
 //! every cell; a pool worker driving thousands of cells should pay once.
 //!
-//! [`EngineArena`] owns that family between cells. The engine checks the
-//! buffers out at cell start (reset **in place**: cleared and re-sized
-//! into the existing backing allocation, never reconstructed), threads
-//! them through the run as its ordinary scratch fields, and checks them
-//! back in when the cell finishes. The arena counts **growth events** —
+//! [`EngineArena`] owns that family between cells as one [`Scratch`]
+//! value. Every stepping call checks it out (reset **in place**: cleared
+//! and re-sized into the existing backing allocation, never
+//! reconstructed), steps with it, and checks it back in when the call
+//! returns. The arena counts **growth events** —
 //! any checkout or run that had to enlarge a backing allocation — so the
 //! steady state is testable: after one warm-up cell of a given shape,
 //! subsequent same-shape cells must report zero growth.
@@ -37,89 +37,118 @@ use simgrid::network::{FabricScratch, Flow, FlowId};
 use simgrid::node::TaskDemand;
 
 /// The number of distinct buffer families an arena recycles (used to size
-/// the capacity-footprint snapshot taken at checkout).
+/// the footprint snapshot taken at checkout).
 const FAMILIES: usize = 17;
 
 /// Reusable scratch allocations for one engine run at a time.
 ///
 /// An arena is owned by one pool worker (or one sequential loop) and
-/// passed to [`crate::Engine::resume_in`] /
-/// [`crate::Engine::advance_until_in`]; it is not shareable across
-/// concurrent runs.
+/// passed to every stepping call ([`crate::Engine::resume_in`],
+/// [`crate::Engine::advance_until_in`], [`crate::Run::advance_until`]);
+/// it is not shareable across concurrent runs.
 #[derive(Debug, Default)]
 pub struct EngineArena {
-    node_cpu: Vec<f64>,
-    node_disk: Vec<f64>,
-    nic_in: Vec<f64>,
-    nic_out: Vec<f64>,
-    occ_map: Vec<usize>,
-    occ_reduce: Vec<usize>,
-    node_tasks: Vec<Vec<(usize, TaskDemand)>>,
-    demands: Vec<TaskDemand>,
-    flows: Vec<Flow>,
-    purposes: Vec<(FlowId, FlowPurpose)>,
-    fabric: FabricScratch,
-    rates: Vec<f64>,
-    scales: Vec<(TaskRef, f64)>,
-    map_posts: Vec<(MapAttemptId, f64)>,
-    fetch_posts: Vec<FetchPost>,
-    sources: Vec<(NodeId, f64)>,
-    snapshots: Vec<TrackerSnapshot>,
-    /// Capacity footprint of the buffers currently checked out, recorded
-    /// so check-in can detect growth that happened *during* the run.
-    handed_caps: [usize; FAMILIES],
+    scratch: Scratch,
+    /// Byte footprint of the family currently checked out, recorded so
+    /// check-in can detect growth that happened *during* the run.
+    handed: [usize; FAMILIES],
     growth_events: u64,
     cells: u64,
 }
 
 /// The scratch family one run threads through its step loop, checked out
-/// of an [`EngineArena`] and returned to it on completion.
-#[derive(Debug)]
+/// of an [`EngineArena`] and returned to it when the stepping call ends.
+#[derive(Debug, Default)]
 pub(crate) struct Scratch {
+    /// Per-node rates rewritten by every allocate phase and read by the
+    /// following integrate: granted CPU cores, disk MB/s and NIC MB/s per
+    /// direction, plus the step-start slot occupancy.
     pub(crate) node_cpu: Vec<f64>,
     pub(crate) node_disk: Vec<f64>,
     pub(crate) nic_in: Vec<f64>,
     pub(crate) nic_out: Vec<f64>,
     pub(crate) occ_map: Vec<usize>,
     pub(crate) occ_reduce: Vec<usize>,
+    /// Per-node task lists (each task's scale-table index and demand) and
+    /// the flattened demand vector the node allocator walks.
     pub(crate) node_tasks: Vec<Vec<(usize, TaskDemand)>>,
     pub(crate) demands: Vec<TaskDemand>,
+    /// Flow list (and the purpose tags indexing its grants) handed to the
+    /// fabric each step.
     pub(crate) flows: Vec<Flow>,
     pub(crate) purposes: Vec<(FlowId, FlowPurpose)>,
+    /// Dense water-filling state and the positional rate vector the
+    /// fabric writes grants into.
     pub(crate) fabric: FabricScratch,
     pub(crate) rates: Vec<f64>,
+    /// Backing stores of the allocate phase's rate indexes, swapped out
+    /// at allocate and back after integrate.
     pub(crate) scales: Vec<(TaskRef, f64)>,
     pub(crate) map_posts: Vec<(MapAttemptId, f64)>,
     pub(crate) fetch_posts: Vec<FetchPost>,
+    /// Per-reduce fetch-source list rebuilt by every flow build.
     pub(crate) sources: Vec<(NodeId, f64)>,
+    /// Live-tracker snapshots rebuilt by every heartbeat fan-in.
     pub(crate) snapshots: Vec<TrackerSnapshot>,
 }
 
+/// Backing bytes of one buffer, sized by its own element type.
+fn vec_bytes<T>(vec: &Vec<T>) -> usize {
+    vec.capacity() * std::mem::size_of::<T>()
+}
+
 impl Scratch {
-    /// Capacity footprint per buffer family. For the nested task lists the
-    /// footprint folds the inner capacities in, so a run that grew any
-    /// per-node list is visible at check-in.
-    fn caps(&self) -> [usize; FAMILIES] {
+    /// Backing bytes per buffer family. The nested task lists fold their
+    /// inner buffers in, so a run that grew any per-node list shows.
+    fn footprint(&self) -> [usize; FAMILIES] {
         [
-            self.node_cpu.capacity(),
-            self.node_disk.capacity(),
-            self.nic_in.capacity(),
-            self.nic_out.capacity(),
-            self.occ_map.capacity(),
-            self.occ_reduce.capacity(),
-            self.node_tasks.capacity()
-                + self.node_tasks.iter().map(|v| v.capacity()).sum::<usize>(),
-            self.demands.capacity(),
-            self.flows.capacity(),
-            self.purposes.capacity(),
-            self.fabric.footprint(),
-            self.rates.capacity(),
-            self.scales.capacity(),
-            self.map_posts.capacity(),
-            self.fetch_posts.capacity(),
-            self.sources.capacity(),
-            self.snapshots.capacity(),
+            vec_bytes(&self.node_cpu),
+            vec_bytes(&self.node_disk),
+            vec_bytes(&self.nic_in),
+            vec_bytes(&self.nic_out),
+            vec_bytes(&self.occ_map),
+            vec_bytes(&self.occ_reduce),
+            vec_bytes(&self.node_tasks) + self.node_tasks.iter().map(vec_bytes).sum::<usize>(),
+            vec_bytes(&self.demands),
+            vec_bytes(&self.flows),
+            vec_bytes(&self.purposes),
+            self.fabric.approx_bytes(),
+            vec_bytes(&self.rates),
+            vec_bytes(&self.scales),
+            vec_bytes(&self.map_posts),
+            vec_bytes(&self.fetch_posts),
+            vec_bytes(&self.sources),
+            vec_bytes(&self.snapshots),
         ]
+    }
+
+    /// Reset every buffer in place for a `workers`-node run. Returns how
+    /// many families had to grow.
+    fn reset(&mut self, workers: usize) -> u64 {
+        let mut grew = 0u64;
+        grew += u64::from(reset_filled(&mut self.node_cpu, workers, 0.0));
+        grew += u64::from(reset_filled(&mut self.node_disk, workers, 0.0));
+        grew += u64::from(reset_filled(&mut self.nic_in, workers, 0.0));
+        grew += u64::from(reset_filled(&mut self.nic_out, workers, 0.0));
+        grew += u64::from(reset_filled(&mut self.occ_map, workers, 0));
+        grew += u64::from(reset_filled(&mut self.occ_reduce, workers, 0));
+        grew += u64::from(self.node_tasks.capacity() < workers);
+        for tasks in &mut self.node_tasks {
+            tasks.clear();
+        }
+        self.node_tasks.resize_with(workers, Vec::new);
+        self.demands.clear();
+        self.flows.clear();
+        self.purposes.clear();
+        // the fabric scratch needs no reset: its slabs are epoch-stamped,
+        // so stale lanes are invisible to the next allocation
+        self.rates.clear();
+        self.scales.clear();
+        self.map_posts.clear();
+        self.fetch_posts.clear();
+        self.sources.clear();
+        self.snapshots.clear();
+        grew
     }
 }
 
@@ -159,106 +188,23 @@ impl EngineArena {
     /// the scale bench's peak-memory proxy. Counts backing capacity, not
     /// live length, because capacity is what the process actually keeps.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.node_cpu.capacity() * size_of::<f64>()
-            + self.node_disk.capacity() * size_of::<f64>()
-            + self.nic_in.capacity() * size_of::<f64>()
-            + self.nic_out.capacity() * size_of::<f64>()
-            + self.occ_map.capacity() * size_of::<usize>()
-            + self.occ_reduce.capacity() * size_of::<usize>()
-            + self.node_tasks.capacity() * size_of::<Vec<(TaskRef, TaskDemand)>>()
-            + self
-                .node_tasks
-                .iter()
-                .map(|v| v.capacity() * size_of::<(TaskRef, TaskDemand)>())
-                .sum::<usize>()
-            + self.demands.capacity() * size_of::<TaskDemand>()
-            + self.flows.capacity() * size_of::<Flow>()
-            + self.purposes.capacity() * size_of::<(FlowId, FlowPurpose)>()
-            + self.fabric.approx_bytes()
-            + self.rates.capacity() * size_of::<f64>()
-            + self.scales.capacity() * size_of::<(TaskRef, f64)>()
-            + self.map_posts.capacity() * size_of::<(MapAttemptId, f64)>()
-            + self.fetch_posts.capacity() * size_of::<FetchPost>()
-            + self.sources.capacity() * size_of::<(NodeId, f64)>()
-            + self.snapshots.capacity() * size_of::<TrackerSnapshot>()
+        self.scratch.footprint().iter().sum()
     }
 
-    /// Reset every buffer in place for a `workers`-node cell and hand the
-    /// family out. The caller returns it via [`EngineArena::check_in`].
+    /// Reset the family in place for a `workers`-node cell and hand it
+    /// out. The caller returns it via [`EngineArena::check_in`].
     pub(crate) fn checkout(&mut self, workers: usize) -> Scratch {
-        let mut grew = 0u64;
-        grew += u64::from(reset_filled(&mut self.node_cpu, workers, 0.0));
-        grew += u64::from(reset_filled(&mut self.node_disk, workers, 0.0));
-        grew += u64::from(reset_filled(&mut self.nic_in, workers, 0.0));
-        grew += u64::from(reset_filled(&mut self.nic_out, workers, 0.0));
-        grew += u64::from(reset_filled(&mut self.occ_map, workers, 0));
-        grew += u64::from(reset_filled(&mut self.occ_reduce, workers, 0));
-        grew += u64::from(self.node_tasks.capacity() < workers);
-        for tasks in &mut self.node_tasks {
-            tasks.clear();
-        }
-        self.node_tasks.resize_with(workers, Vec::new);
-        self.demands.clear();
-        self.flows.clear();
-        self.purposes.clear();
-        // the fabric scratch needs no reset: its slabs are epoch-stamped,
-        // so stale lanes are invisible to the next allocation
-        self.rates.clear();
-        self.scales.clear();
-        self.map_posts.clear();
-        self.fetch_posts.clear();
-        self.sources.clear();
-        self.snapshots.clear();
-        self.growth_events += grew;
-        let scratch = Scratch {
-            node_cpu: std::mem::take(&mut self.node_cpu),
-            node_disk: std::mem::take(&mut self.node_disk),
-            nic_in: std::mem::take(&mut self.nic_in),
-            nic_out: std::mem::take(&mut self.nic_out),
-            occ_map: std::mem::take(&mut self.occ_map),
-            occ_reduce: std::mem::take(&mut self.occ_reduce),
-            node_tasks: std::mem::take(&mut self.node_tasks),
-            demands: std::mem::take(&mut self.demands),
-            flows: std::mem::take(&mut self.flows),
-            purposes: std::mem::take(&mut self.purposes),
-            fabric: std::mem::take(&mut self.fabric),
-            rates: std::mem::take(&mut self.rates),
-            scales: std::mem::take(&mut self.scales),
-            map_posts: std::mem::take(&mut self.map_posts),
-            fetch_posts: std::mem::take(&mut self.fetch_posts),
-            sources: std::mem::take(&mut self.sources),
-            snapshots: std::mem::take(&mut self.snapshots),
-        };
-        self.handed_caps = scratch.caps();
-        scratch
+        self.growth_events += self.scratch.reset(workers);
+        self.handed = self.scratch.footprint();
+        std::mem::take(&mut self.scratch)
     }
 
-    /// Take the family back after a run, folding in-run capacity growth
-    /// into the growth counter.
+    /// Take the family back after a run, folding in-run growth into the
+    /// growth counter.
     pub(crate) fn check_in(&mut self, scratch: Scratch) {
-        for (before, after) in self.handed_caps.iter().zip(scratch.caps()) {
-            if after > *before {
-                self.growth_events += 1;
-            }
-        }
-        self.node_cpu = scratch.node_cpu;
-        self.node_disk = scratch.node_disk;
-        self.nic_in = scratch.nic_in;
-        self.nic_out = scratch.nic_out;
-        self.occ_map = scratch.occ_map;
-        self.occ_reduce = scratch.occ_reduce;
-        self.node_tasks = scratch.node_tasks;
-        self.demands = scratch.demands;
-        self.flows = scratch.flows;
-        self.purposes = scratch.purposes;
-        self.fabric = scratch.fabric;
-        self.rates = scratch.rates;
-        self.scales = scratch.scales;
-        self.map_posts = scratch.map_posts;
-        self.fetch_posts = scratch.fetch_posts;
-        self.sources = scratch.sources;
-        self.snapshots = scratch.snapshots;
+        let grown = self.handed.iter().zip(scratch.footprint());
+        self.growth_events += grown.filter(|(before, after)| after > *before).count() as u64;
+        self.scratch = scratch;
         self.cells += 1;
     }
 }
@@ -320,6 +266,21 @@ mod tests {
         s.flows.reserve(1024); // a run that outgrew its flow list
         arena.check_in(s);
         assert!(arena.growth_events() > before);
+    }
+
+    #[test]
+    fn approx_bytes_sizes_each_family_by_its_element_type() {
+        let mut arena = EngineArena::new();
+        let s = arena.checkout(2);
+        arena.check_in(s);
+        let before = arena.approx_bytes();
+        let mut s = arena.checkout(2);
+        s.node_tasks[0].reserve_exact(10);
+        s.scales.reserve_exact(3);
+        arena.check_in(s);
+        let grown = 10 * std::mem::size_of::<(usize, TaskDemand)>()
+            + 3 * std::mem::size_of::<(TaskRef, f64)>();
+        assert_eq!(arena.approx_bytes() - before, grown);
     }
 
     #[test]

@@ -39,13 +39,12 @@ use dfs::NameNode;
 use serde::{Deserialize, Serialize};
 use simgrid::cluster::{ClusterSpec, NodeId};
 use simgrid::error::SimError;
-use simgrid::metrics::RecordedSeries;
-use simgrid::network::{Fabric, FabricConfig, FabricScratch, Flow, FlowId};
+use simgrid::network::{Fabric, FabricConfig, Flow, FlowId};
 use simgrid::node::allocate_node;
 use simgrid::rng::SimRng;
 use simgrid::time::{EventHorizon, SimDuration, SimTime, SteppingMode, TickConfig};
 use simgrid::usage::NodeUsageSampler;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use telemetry::Telemetry;
 
 /// All knobs of one simulated deployment.
@@ -535,131 +534,39 @@ pub struct HashPoint {
     pub hash: u64,
 }
 
-/// Mutable state of one run: an [`EngineState`] restored around a bound
-/// policy, live telemetry handles and recycled scratch.
-struct Sim<'p> {
-    cfg: EngineConfig,
-    policy: &'p mut dyn SlotPolicy,
-    jobs: Vec<JobInProgress>,
-    /// Immutable per-job profile copies (avoids borrow tangles).
-    profiles: Vec<JobProfile>,
-    trackers: Vec<Tracker>,
-    running_maps: BTreeMap<MapAttemptId, MapTask>,
-    running_reduces: BTreeMap<ReduceTaskId, ReduceTask>,
-    sched: FifoScheduler,
-    fabric: Fabric,
-    rng: SimRng,
-    now: SimTime,
-    map_slot_series: RecordedSeries,
-    reduce_slot_series: RecordedSeries,
-    slot_changes: u64,
-    heartbeat_round: u64,
-    events: EventLog,
+/// One stepping call over a run: the [`EngineState`] it steps in place,
+/// plus only what is not state — the bound policy, live telemetry handles,
+/// the arena's scratch family, the structures derived from the state
+/// (profiles, fabric, replica postings) and what a recording keeps.
+struct Sim<'r> {
+    st: &'r mut EngineState,
+    policy: &'r mut dyn SlotPolicy,
     telem: Telemetry,
-    /// Integration steps executed so far (fixed ticks or adaptive
-    /// macro-steps; reported and mirrored to a metrics counter).
-    steps: u64,
     step_counter: telemetry::Counter,
     heartbeat_counter: telemetry::Counter,
     /// Per-step wall-clock histogram (µs); only fed under the `profiling`
     /// feature, where the extra clock reads are accepted.
     step_duration_us: telemetry::Histogram,
-    speculative_attempts: u64,
-    speculative_wins: u64,
-    /// Injected failure points: attempt → progress fraction at which it
-    /// dies. Decided at launch so runs stay deterministic.
-    failure_points: HashMap<MapAttemptId, f64>,
-    map_failures: u64,
-    /// Integral of granted CPU (core·s) across the run.
-    cpu_granted_core_s: f64,
-    /// Integral of offered CPU capacity (core·s) while any job was active.
-    cpu_offered_core_s: f64,
-    /// Total bytes moved over the fabric (shuffle fetches + remote reads).
-    network_mb: f64,
-    /// Per-node up/down state driven by the fault plan.
-    node_up: Vec<bool>,
-    /// Every fault-plan transition at or before this instant has been
-    /// applied (lets fixed mode pick up off-grid instants on the next tick).
-    faults_done_until: SimTime,
-    /// Desired replica count, from the DFS placement policy — the
-    /// re-replication target.
-    replication: usize,
-    /// Under-replicated `(job, block)` pairs awaiting re-replication,
-    /// restored in FIFO order.
-    rerep_queue: VecDeque<(usize, usize)>,
-    /// Accumulated re-replication budget (MB) not yet spent on a block.
-    rerep_progress: f64,
-    node_crashes: u64,
-    /// In-flight attempts killed by crashes (on the dead node or streaming
-    /// input from it).
-    crash_task_kills: u64,
-    /// Completed maps re-executed because their output died with a node.
-    lost_map_outputs: u64,
-    trackers_blacklisted: u64,
-    /// Total map input MB consumed across all attempts (work conservation:
-    /// never less than the sum of job inputs on a successful run).
-    map_input_processed_mb: f64,
     node_crash_counter: telemetry::Counter,
     lost_output_counter: telemetry::Counter,
-    /// Hadoop-style job counters, one ledger per job (kept off
-    /// `JobInProgress` so the integrate-phase destructuring splits
-    /// cleanly).
-    job_counters: Vec<CounterLedger>,
-    /// Per-node resource-grant integrals between sample boundaries.
-    usage: NodeUsageSampler,
-    /// Per-node rate scratch rewritten by every allocate phase and read by
-    /// the following integrate: granted CPU cores, disk MB/s, and NIC
-    /// MB/s per direction. Kept on the sim so the step loop allocates
-    /// nothing.
-    node_cpu: Vec<f64>,
-    node_disk: Vec<f64>,
-    nic_in: Vec<f64>,
-    nic_out: Vec<f64>,
-    occ_map: Vec<usize>,
-    occ_reduce: Vec<usize>,
-    /// Per-node task lists (each task's scale-table index and demand) and
-    /// the flattened demand vector the node allocator walks; cleared and
-    /// refilled by every allocate phase.
-    task_scratch: Vec<Vec<(usize, simgrid::node::TaskDemand)>>,
-    demand_scratch: Vec<simgrid::node::TaskDemand>,
-    /// Flow list (and the purpose tags indexing its grants) handed to the
-    /// fabric each step; cleared and rebuilt in place.
-    flow_scratch: Vec<Flow>,
-    purpose_scratch: Vec<(FlowId, FlowPurpose)>,
-    /// Dense water-filling state (cluster-sized slabs, epoch-reset) and
-    /// the positional rate vector the fabric writes grants into.
-    fabric_scratch: FabricScratch,
-    rate_scratch: Vec<f64>,
-    /// Recycled backing stores for [`StepRates`]; swapped out at allocate
-    /// and swapped back by [`Sim::reclaim`] after integrate.
-    scales_scratch: Vec<(TaskRef, f64)>,
-    map_post_scratch: Vec<(MapAttemptId, f64)>,
-    fetch_post_scratch: Vec<FetchPost>,
-    /// Per-reduce fetch-source list rebuilt by every flow build.
-    source_scratch: Vec<(NodeId, f64)>,
-    /// Live-tracker snapshots rebuilt by every heartbeat fan-in.
-    snapshot_scratch: Vec<TrackerSnapshot>,
+    /// Per-step buffers checked out of an [`EngineArena`]; every allocate
+    /// phase rewrites them, so the step loop allocates nothing.
+    scratch: Scratch,
+    /// Immutable per-job profile copies (avoids borrow tangles).
+    profiles: Vec<JobProfile>,
+    fabric: Fabric,
     /// Per-job, per-node replica postings: `replica_postings[job][node]`
     /// lists the block indices of `job` holding a replica on `node`, so a
     /// crash prunes exactly the affected blocks instead of scanning every
-    /// block of every job. Derived state — rebuilt from the layouts on
-    /// construction and on capsule resume, never serialized.
+    /// block of every job. Derived from the layouts when the sim is built,
+    /// never serialized.
     replica_postings: Vec<Vec<Vec<u32>>>,
     /// Capture an [`EngineState`] capsule at every multiple of this period
     /// (must itself be a multiple of the sample period, so captures land on
     /// instants both stepping modes already stop at).
     snap_every: Option<SimDuration>,
-    /// Capsules captured so far this run (drained by the engine).
+    /// Capsules captured so far (drained by [`Engine::record`]).
     snapshots: Vec<EngineState>,
-    /// True when this run was restored from a capsule taken inside the
-    /// step loop: the adaptive pre-loop sample at t=0 is already in the
-    /// recorded series and must not be taken again.
-    resumed: bool,
-    /// Rolling per-step state digest (see [`fold_hash`]): seeded from the
-    /// run's seed, folded once per completed step, carried by every
-    /// capsule and restored on resume so a resumed run's digests line up
-    /// with the straight run's.
-    state_hash: u64,
     /// When set, every step's fold is also recorded into `hash_trace`.
     /// Off by default: the push below is the only step-loop allocation
     /// tracing adds, and the zero-alloc telemetry gate runs untraced.
@@ -667,44 +574,60 @@ struct Sim<'p> {
     hash_trace: Vec<HashPoint>,
 }
 
-impl<'p> Sim<'p> {
-    /// Hand the scratch family back (for return to an [`EngineArena`])
-    /// once the run is over. The sim must not step again afterwards.
-    fn take_scratch(&mut self) -> Scratch {
-        Scratch {
-            node_cpu: std::mem::take(&mut self.node_cpu),
-            node_disk: std::mem::take(&mut self.node_disk),
-            nic_in: std::mem::take(&mut self.nic_in),
-            nic_out: std::mem::take(&mut self.nic_out),
-            occ_map: std::mem::take(&mut self.occ_map),
-            occ_reduce: std::mem::take(&mut self.occ_reduce),
-            node_tasks: std::mem::take(&mut self.task_scratch),
-            demands: std::mem::take(&mut self.demand_scratch),
-            flows: std::mem::take(&mut self.flow_scratch),
-            purposes: std::mem::take(&mut self.purpose_scratch),
-            fabric: std::mem::take(&mut self.fabric_scratch),
-            rates: std::mem::take(&mut self.rate_scratch),
-            scales: std::mem::take(&mut self.scales_scratch),
-            map_posts: std::mem::take(&mut self.map_post_scratch),
-            fetch_posts: std::mem::take(&mut self.fetch_post_scratch),
-            sources: std::mem::take(&mut self.source_scratch),
-            snapshots: std::mem::take(&mut self.snapshot_scratch),
+impl<'r> Sim<'r> {
+    /// Build a sim over `st`, which [`EngineState::bind`] has bound to
+    /// `policy`. Live handles are attached fresh and everything derivable
+    /// from the state (profiles, fabric, replica postings) is rebuilt.
+    fn over(
+        st: &'r mut EngineState,
+        policy: &'r mut dyn SlotPolicy,
+        telem: &Telemetry,
+        scratch: Scratch,
+    ) -> Sim<'r> {
+        policy.attach_telemetry(telem);
+        st.events.set_sink(telem.clone());
+        let profiles = st.jobs.iter().map(|j| j.spec.profile.clone()).collect();
+        let replica_postings = build_replica_postings(&st.jobs, st.config.cluster.workers);
+        Sim {
+            fabric: Fabric::new(st.config.fabric),
+            st,
+            policy,
+            telem: telem.clone(),
+            step_counter: telem.counter("engine.steps"),
+            heartbeat_counter: telem.counter("engine.heartbeat_rounds"),
+            step_duration_us: telem.histogram("engine.step_duration_us"),
+            node_crash_counter: telem.counter("engine.node_crashes"),
+            lost_output_counter: telem.counter("engine.lost_map_outputs"),
+            scratch,
+            profiles,
+            replica_postings,
+            snap_every: None,
+            snapshots: Vec::new(),
+            trace_hashes: false,
+            hash_trace: Vec::new(),
         }
+    }
+
+    /// End the stepping call: detach the state from the telemetry sink
+    /// and hand the scratch family back for return to its arena.
+    fn finish(self) -> Scratch {
+        self.st.events.set_sink(Telemetry::disabled());
+        self.scratch
     }
 
     /// Return a step's [`StepRates`] backing stores to the sim's scratch
     /// fields once integrate has consumed them, so the next allocate phase
     /// reuses the allocations instead of growing fresh ones.
     fn reclaim(&mut self, rates: StepRates) {
-        self.scales_scratch = rates.scales;
-        self.map_post_scratch = rates.map_posts;
-        self.fetch_post_scratch = rates.fetch_posts;
+        self.scratch.scales = rates.scales;
+        self.scratch.map_posts = rates.map_posts;
+        self.scratch.fetch_posts = rates.fetch_posts;
     }
 
     fn run_to_completion(&mut self) -> Result<RunReport, SimError> {
         let finished = self.advance(None)?;
         debug_assert!(finished, "unbounded advance only returns on completion");
-        Ok(self.build_report())
+        Ok(self.st.report(self.policy))
     }
 
     /// Advance the run until every job finishes or the sim clock reaches
@@ -737,25 +660,27 @@ impl<'p> Sim<'p> {
     /// all into this loop, and that 33 KB function stepped 1024-node runs
     /// about 7 % slower.
     fn advance(&mut self, until: Option<SimTime>) -> Result<bool, SimError> {
-        if self.all_finished() {
+        if self.st.all_finished() {
             return Ok(true); // idle run: the sim clock stays frozen
         }
-        let fixed = self.cfg.tick.mode == SteppingMode::Fixed;
-        // adaptive series start at t=0 (already recorded when resuming
-        // from an in-loop capture)
-        if !fixed && !self.resumed {
-            self.sample();
-            self.resumed = true;
+        let fixed = self.st.config.tick.mode == SteppingMode::Fixed;
+        // the flag marks a run past its t=0 sample: adaptive mode takes
+        // that sample here, fixed mode at the start of its first step
+        if !self.st.initial_sample_done {
+            if !fixed {
+                self.sample();
+            }
+            self.st.initial_sample_done = true;
         }
         loop {
-            if until.is_some_and(|stop| self.now >= stop) {
+            if until.is_some_and(|stop| self.st.now >= stop) {
                 return Ok(false);
             }
             self.maybe_capture();
             let step_start = self.telem.clock_us();
-            let sim_ms = self.now.as_millis();
+            let sim_ms = self.st.now.as_millis();
             self.process_fault_transitions()?;
-            if self.now.is_multiple_of(self.cfg.heartbeat) {
+            if self.st.now.is_multiple_of(self.st.config.heartbeat) {
                 let t0 = self.telem.clock_us();
                 self.check_expired_trackers()?;
                 self.heartbeat_round();
@@ -763,8 +688,8 @@ impl<'p> Sim<'p> {
                     .record_span("engine", "heartbeat_round", t0, sim_ms);
             }
             let (rates, dt) = if fixed {
-                let rates = self.allocate_step(Some(self.cfg.tick.dt_secs()));
-                (rates, self.cfg.tick.tick)
+                let rates = self.allocate_step(Some(self.st.config.tick.dt_secs()));
+                (rates, self.st.config.tick.tick)
             } else {
                 let rates = self.allocate_step(None);
                 let t0 = self.telem.clock_us();
@@ -774,32 +699,28 @@ impl<'p> Sim<'p> {
             };
             self.integrate(dt.as_secs_f64(), dt.as_millis(), &rates);
             self.reclaim(rates);
-            if fixed && self.now.is_multiple_of(self.cfg.sample_period) {
+            if fixed && self.st.now.is_multiple_of(self.st.config.sample_period) {
                 self.timed_sample(sim_ms);
             }
-            self.steps += 1;
+            self.st.steps += 1;
             self.step_counter.inc();
             if telemetry::PROFILING_ENABLED {
                 let end = self.telem.clock_us();
                 self.step_duration_us.record(end.saturating_sub(step_start));
             }
-            self.now += dt;
+            self.st.now += dt;
             self.fold_step_hash();
-            let finished = self.all_finished();
-            if finished || (!fixed && self.now.is_multiple_of(self.cfg.sample_period)) {
+            let finished = self.st.all_finished();
+            if finished || (!fixed && self.st.now.is_multiple_of(self.st.config.sample_period)) {
                 self.timed_sample(sim_ms);
             }
             if finished {
                 return Ok(true);
             }
-            if self.now > self.cfg.tick.horizon {
+            if self.st.now > self.st.config.tick.horizon {
                 return Err(self.horizon_error());
             }
         }
-    }
-
-    fn all_finished(&self) -> bool {
-        self.jobs.iter().all(|j| j.is_finished())
     }
 
     /// [`Sim::sample`] inside a telemetry span stamped with the step's
@@ -818,8 +739,8 @@ impl<'p> Sim<'p> {
         let Some(every) = self.snap_every else {
             return;
         };
-        if self.now.is_multiple_of(every) {
-            let snap = self.capture_state();
+        if self.st.now.is_multiple_of(every) {
+            let snap = self.st.capture(self.policy);
             self.snapshots.push(snap);
         }
     }
@@ -837,15 +758,15 @@ impl<'p> Sim<'p> {
     /// folds over fields already resident.
     #[inline(never)]
     fn fold_step_hash(&mut self) {
-        let mut h = self.state_hash;
-        h = fold_hash(h, self.now.as_millis());
-        h = fold_hash(h, self.steps);
-        for w in self.rng.state_words() {
+        let mut h = self.st.state_hash;
+        h = fold_hash(h, self.st.now.as_millis());
+        h = fold_hash(h, self.st.steps);
+        for w in self.st.rng.state_words() {
             h = fold_hash(h, w);
         }
-        h = fold_hash(h, self.running_maps.len() as u64);
-        h = fold_hash(h, self.running_reduces.len() as u64);
-        for j in &self.jobs {
+        h = fold_hash(h, self.st.running_maps.len() as u64);
+        h = fold_hash(h, self.st.running_reduces.len() as u64);
+        for j in &self.st.jobs {
             h = fold_hash(
                 h,
                 (j.completed_maps as u64) ^ ((j.completed_reduces as u64) << 32),
@@ -855,35 +776,38 @@ impl<'p> Sim<'p> {
                 (j.running_maps as u64) ^ ((j.running_reduces as u64) << 32),
             );
         }
-        for t in self.running_maps.values() {
+        for t in self.st.running_maps.values() {
             h = fold_hash(h, t.work_remaining.to_bits());
         }
-        for t in self.running_reduces.values() {
+        for t in self.st.running_reduces.values() {
             h = fold_hash(h, t.fetched_mb.to_bits());
             h = fold_hash(h, t.phase_remaining.to_bits());
         }
-        h = fold_hash(h, self.cpu_granted_core_s.to_bits());
-        h = fold_hash(h, self.cpu_offered_core_s.to_bits());
-        h = fold_hash(h, self.network_mb.to_bits());
-        h = fold_hash(h, self.map_input_processed_mb.to_bits());
-        h = fold_hash(h, self.rerep_progress.to_bits());
-        h = fold_hash(h, self.slot_changes ^ self.heartbeat_round.rotate_left(32));
+        h = fold_hash(h, self.st.cpu_granted_core_s.to_bits());
+        h = fold_hash(h, self.st.cpu_offered_core_s.to_bits());
+        h = fold_hash(h, self.st.network_mb.to_bits());
+        h = fold_hash(h, self.st.map_input_processed_mb.to_bits());
+        h = fold_hash(h, self.st.rerep_progress.to_bits());
         h = fold_hash(
             h,
-            self.map_failures
-                ^ self.node_crashes.rotate_left(16)
-                ^ self.crash_task_kills.rotate_left(32)
-                ^ self.lost_map_outputs.rotate_left(48),
+            self.st.slot_changes ^ self.st.heartbeat_round.rotate_left(32),
         );
         h = fold_hash(
             h,
-            self.trackers_blacklisted
-                ^ self.speculative_attempts.rotate_left(21)
-                ^ self.speculative_wins.rotate_left(42),
+            self.st.map_failures
+                ^ self.st.node_crashes.rotate_left(16)
+                ^ self.st.crash_task_kills.rotate_left(32)
+                ^ self.st.lost_map_outputs.rotate_left(48),
         );
-        h = fold_hash(h, self.rerep_queue.len() as u64);
+        h = fold_hash(
+            h,
+            self.st.trackers_blacklisted
+                ^ self.st.speculative_attempts.rotate_left(21)
+                ^ self.st.speculative_wins.rotate_left(42),
+        );
+        h = fold_hash(h, self.st.rerep_queue.len() as u64);
         let mut mask = 0u64;
-        for (i, up) in self.node_up.iter().enumerate() {
+        for (i, up) in self.st.node_up.iter().enumerate() {
             if *up {
                 mask |= 1 << (i % 64);
             }
@@ -892,14 +816,14 @@ impl<'p> Sim<'p> {
                 mask = 0;
             }
         }
-        if !self.node_up.len().is_multiple_of(64) {
+        if !self.st.node_up.len().is_multiple_of(64) {
             h = fold_hash(h, mask);
         }
-        self.state_hash = h;
+        self.st.state_hash = h;
         if self.trace_hashes {
             self.hash_trace.push(HashPoint {
-                step: self.steps,
-                at_ms: self.now.as_millis(),
+                step: self.st.steps,
+                at_ms: self.st.now.as_millis(),
                 hash: h,
             });
         }
@@ -907,6 +831,7 @@ impl<'p> Sim<'p> {
 
     fn horizon_error(&self) -> SimError {
         let pending: Vec<String> = self
+            .st
             .jobs
             .iter()
             .filter(|j| !j.is_finished())
@@ -922,7 +847,7 @@ impl<'p> Sim<'p> {
             })
             .collect();
         SimError::HorizonExceeded {
-            horizon: self.cfg.tick.horizon,
+            horizon: self.st.config.tick.horizon,
             pending_work: pending.join("; "),
         }
     }
@@ -933,7 +858,7 @@ impl<'p> Sim<'p> {
 
     #[inline(never)]
     fn heartbeat_round(&mut self) {
-        let sim_ms = self.now.as_millis();
+        let sim_ms = self.st.now.as_millis();
         let t0 = self.telem.clock_us();
         let stats = self.aggregate_stats();
         self.telem
@@ -943,15 +868,16 @@ impl<'p> Sim<'p> {
         // (SMapReduce included) is fault-aware without its own crash logic.
         // The snapshot list is a recycled cluster-sized buffer, so the
         // heartbeat fan-in stops allocating once it has seen a full round.
-        let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
+        let mut snapshots = std::mem::take(&mut self.scratch.snapshots);
         snapshots.clear();
         snapshots.extend(
-            self.trackers
+            self.st
+                .trackers
                 .iter()
-                .filter(|t| self.node_up[t.node.0] && !t.blacklisted)
+                .filter(|t| self.st.node_up[t.node.0] && !t.blacklisted)
                 .map(|t| TrackerSnapshot {
                     node: t.node,
-                    cores: self.cfg.cluster.node_spec(t.node).cores,
+                    cores: self.st.config.cluster.node_spec(t.node).cores,
                     map_target: t.map_slots.target(),
                     map_occupied: t.map_slots.occupied(),
                     reduce_target: t.reduce_slots.target(),
@@ -959,27 +885,27 @@ impl<'p> Sim<'p> {
                 }),
         );
         let ctx = PolicyContext {
-            now: self.now,
+            now: self.st.now,
             stats: &stats,
             trackers: &snapshots,
-            init_map_slots: self.cfg.init_map_slots,
-            init_reduce_slots: self.cfg.init_reduce_slots,
+            init_map_slots: self.st.config.init_map_slots,
+            init_reduce_slots: self.st.config.init_reduce_slots,
         };
         let t0 = self.telem.clock_us();
         let directives = self.policy.decide(&ctx);
         self.telem
             .record_span("heartbeat", "policy_decide", t0, sim_ms);
-        self.snapshot_scratch = snapshots;
+        self.scratch.snapshots = snapshots;
         let overhead = self.policy.directive_overhead_ms();
         for d in directives {
-            let tr = &mut self.trackers[d.node.0];
+            let tr = &mut self.st.trackers[d.node.0];
             let mut changed = tr.map_slots.set_target(d.map_slots);
             changed |= tr.reduce_slots.set_target(d.reduce_slots);
             if changed {
-                self.slot_changes += 1;
+                self.st.slot_changes += 1;
                 tr.stall_ms += overhead;
-                self.events.push(Event::SlotTargetsChanged {
-                    at: self.now,
+                self.st.events.push(Event::SlotTargetsChanged {
+                    at: self.st.now,
                     node: d.node,
                     map_slots: d.map_slots,
                     reduce_slots: d.reduce_slots,
@@ -988,27 +914,27 @@ impl<'p> Sim<'p> {
         }
         let t0 = self.telem.clock_us();
         self.assign_tasks();
-        if self.cfg.speculative_maps {
+        if self.st.config.speculative_maps {
             self.launch_speculative_backups();
         }
         self.telem
             .record_span("heartbeat", "assign_tasks", t0, sim_ms);
-        self.heartbeat_round += 1;
+        self.st.heartbeat_round += 1;
         self.heartbeat_counter.inc();
     }
 
     /// Harvest every tracker's meters and aggregate active-job state.
     fn aggregate_stats(&mut self) -> ClusterStats {
         let mut s = ClusterStats {
-            now: self.now,
+            now: self.st.now,
             ..ClusterStats::default()
         };
-        for i in 0..self.trackers.len() {
-            let up = self.node_up[i];
-            let tr = &mut self.trackers[i];
+        for i in 0..self.st.trackers.len() {
+            let up = self.st.node_up[i];
+            let tr = &mut self.st.trackers[i];
             // harvest everyone (keeps meter windows aligned), but a dead
             // node's slots are not part of the cluster's configured capacity
-            let hb = tr.meters.harvest(self.now);
+            let hb = tr.meters.harvest(self.st.now);
             s.map_input_rate += hb.map_input_rate;
             s.map_output_rate += hb.map_output_rate;
             s.shuffle_rate += hb.shuffle_rate;
@@ -1017,20 +943,20 @@ impl<'p> Sim<'p> {
                 s.reduce_slot_target += tr.reduce_slots.target();
             }
         }
-        for (rid, r) in &self.running_reduces {
-            if r.phase == ReducePhase::Shuffle && self.jobs[rid.job.0].is_active(self.now) {
+        for (rid, r) in self.st.running_reduces.iter() {
+            if r.phase == ReducePhase::Shuffle && self.st.jobs[rid.job.0].is_active(self.st.now) {
                 s.shuffling_reduces += 1;
             }
         }
-        let now = self.now;
-        for job in self.jobs.iter().filter(|j| j.is_active(now)) {
+        let now = self.st.now;
+        for job in self.st.jobs.iter().filter(|j| j.is_active(now)) {
             s.total_maps += job.total_maps();
             s.pending_maps += job.pending_map_blocks.len();
             s.running_maps += job.running_maps;
             s.completed_maps += job.completed_maps;
             s.total_reduces += job.total_reduces();
             s.pending_reduces += job.pending_reduce_parts.len();
-            if job.reduces_eligible(self.cfg.reduce_slowstart) {
+            if job.reduces_eligible(self.st.config.reduce_slowstart) {
                 s.eligible_pending_reduces += job.pending_reduce_parts.len();
             }
             s.running_reduces += job.running_reduces;
@@ -1047,16 +973,16 @@ impl<'p> Sim<'p> {
     /// Offer free slots to the scheduler, rotating the starting tracker
     /// each round so assignment pressure spreads evenly.
     fn assign_tasks(&mut self) {
-        let workers = self.trackers.len();
-        let start = (self.heartbeat_round as usize) % workers;
+        let workers = self.st.trackers.len();
+        let start = (self.st.heartbeat_round as usize) % workers;
         for k in 0..workers {
             let i = (start + k) % workers;
-            if !self.node_up[i] || self.trackers[i].blacklisted {
+            if !self.st.node_up[i] || self.st.trackers[i].blacklisted {
                 continue; // dead or blacklisted trackers get no work
             }
-            let node = self.trackers[i].node;
-            while self.trackers[i].map_slots.free() > 0 {
-                let Some(a) = self.sched.pick_map(&mut self.jobs, node, self.now) else {
+            let node = self.st.trackers[i].node;
+            while self.st.trackers[i].map_slots.free() > 0 {
+                let Some(a) = self.st.sched.pick_map(&mut self.st.jobs, node, self.st.now) else {
                     break;
                 };
                 let jitter = self.draw_map_jitter();
@@ -1067,21 +993,21 @@ impl<'p> Sim<'p> {
                     a.input_mb,
                     a.remote_src,
                     jitter,
-                    self.now,
+                    self.st.now,
                 );
-                self.trackers[i].map_slots.launch();
-                self.events.push(Event::MapLaunched {
-                    at: self.now,
+                self.st.trackers[i].map_slots.launch();
+                self.st.events.push(Event::MapLaunched {
+                    at: self.st.now,
                     id: a.id,
                     node,
                     remote_read: a.remote_src.is_some(),
                 });
                 if a.remote_src.is_some() {
-                    self.jobs[a.id.job.0].remote_launches += 1;
+                    self.st.jobs[a.id.job.0].remote_launches += 1;
                 } else {
-                    self.jobs[a.id.job.0].local_launches += 1;
+                    self.st.jobs[a.id.job.0].local_launches += 1;
                 }
-                let c = &mut self.job_counters[a.id.job.0];
+                let c = &mut self.st.job_counters[a.id.job.0];
                 c.inc(Counter::TotalLaunchedMaps);
                 if a.remote_src.is_some() {
                     c.inc(Counter::RemoteMaps);
@@ -1090,29 +1016,29 @@ impl<'p> Sim<'p> {
                 }
                 let aid = MapAttemptId::original(a.id);
                 self.maybe_inject_failure(aid);
-                self.running_maps.insert(aid, task);
+                self.st.running_maps.insert(aid, task);
             }
-            while self.trackers[i].reduce_slots.free() > 0 {
-                let Some(rid) = self.sched.pick_reduce(&mut self.jobs, self.now) else {
+            while self.st.trackers[i].reduce_slots.free() > 0 {
+                let Some(rid) = self.st.sched.pick_reduce(&mut self.st.jobs, self.st.now) else {
                     break;
                 };
-                let jitter = self.rng.jitter(self.cfg.jitter_amp);
+                let jitter = self.st.rng.jitter(self.st.config.jitter_amp);
                 let task = ReduceTask::with_profile_overheads(
                     rid,
                     node,
                     workers,
                     &self.profiles[rid.job.0],
                     jitter,
-                    self.now,
+                    self.st.now,
                 );
-                self.trackers[i].reduce_slots.launch();
-                self.job_counters[rid.job.0].inc(Counter::TotalLaunchedReduces);
-                self.events.push(Event::ReduceLaunched {
-                    at: self.now,
+                self.st.trackers[i].reduce_slots.launch();
+                self.st.job_counters[rid.job.0].inc(Counter::TotalLaunchedReduces);
+                self.st.events.push(Event::ReduceLaunched {
+                    at: self.st.now,
                     id: rid,
                     node,
                 });
-                self.running_reduces.insert(rid, task);
+                self.st.running_reduces.insert(rid, task);
             }
         }
     }
@@ -1127,21 +1053,21 @@ impl<'p> Sim<'p> {
     /// and expresses pure rates — exhaustion becomes an event-horizon cut
     /// instead of a per-step demand cap.
     fn allocate_step(&mut self, fixed_dt: Option<f64>) -> StepRates {
-        let sim_ms = self.now.as_millis();
+        let sim_ms = self.st.now.as_millis();
         let t0 = self.telem.clock_us();
         let (scales, cpu_offered_rate, cpu_granted_rate) = self.allocate_nodes(fixed_dt.is_some());
         self.telem.record_span("step", "allocate_nodes", t0, sim_ms);
         let t0 = self.telem.clock_us();
-        let mut flows = std::mem::take(&mut self.flow_scratch);
-        let mut purposes = std::mem::take(&mut self.purpose_scratch);
-        let mut sources = std::mem::take(&mut self.source_scratch);
+        let mut flows = std::mem::take(&mut self.scratch.flows);
+        let mut purposes = std::mem::take(&mut self.scratch.purposes);
+        let mut sources = std::mem::take(&mut self.scratch.sources);
         flows.clear();
         purposes.clear();
         self.build_flows_into(fixed_dt, &scales, &mut flows, &mut purposes, &mut sources);
-        let mut grants = std::mem::take(&mut self.rate_scratch);
-        let workers = self.trackers.len();
+        let mut grants = std::mem::take(&mut self.scratch.rates);
+        let workers = self.st.trackers.len();
         self.fabric
-            .allocate_into(&flows, workers, &mut self.fabric_scratch, &mut grants);
+            .allocate_into(&flows, workers, &mut self.scratch.fabric, &mut grants);
         self.telem
             .record_span("step", "network_allocate", t0, sim_ms);
 
@@ -1149,16 +1075,16 @@ impl<'p> Sim<'p> {
         // got less than it asked for is *contended* — its depletion frees
         // fabric bandwidth others are waiting on, so it must be a horizon
         // event
-        let mut map_posts = std::mem::take(&mut self.map_post_scratch);
-        let mut fetch_posts = std::mem::take(&mut self.fetch_post_scratch);
+        let mut map_posts = std::mem::take(&mut self.scratch.map_posts);
+        let mut fetch_posts = std::mem::take(&mut self.scratch.fetch_posts);
         map_posts.clear();
         fetch_posts.clear();
-        self.nic_in.fill(0.0);
-        self.nic_out.fill(0.0);
+        self.scratch.nic_in.fill(0.0);
+        self.scratch.nic_out.fill(0.0);
         for ((flow, (fid, purpose)), &rate) in flows.iter().zip(&purposes).zip(&grants) {
             debug_assert_eq!(flow.id, *fid);
-            self.nic_out[flow.src.0] += rate;
-            self.nic_in[flow.dst.0] += rate;
+            self.scratch.nic_out[flow.src.0] += rate;
+            self.scratch.nic_in[flow.dst.0] += rate;
             match *purpose {
                 FlowPurpose::MapRead(id) => map_posts.push((id, rate)),
                 FlowPurpose::Fetch(rid, src) => fetch_posts.push(FetchPost {
@@ -1174,10 +1100,10 @@ impl<'p> Sim<'p> {
         // reduce but unsorted within a group (sources come backlog-first)
         debug_assert!(map_posts.windows(2).all(|w| w[0].0 < w[1].0));
         fetch_posts.sort_unstable_by_key(|p| (p.reduce, p.src));
-        self.flow_scratch = flows;
-        self.purpose_scratch = purposes;
-        self.source_scratch = sources;
-        self.rate_scratch = grants;
+        self.scratch.flows = flows;
+        self.scratch.purposes = purposes;
+        self.scratch.sources = sources;
+        self.scratch.rates = grants;
         StepRates {
             scales,
             map_posts,
@@ -1194,21 +1120,21 @@ impl<'p> Sim<'p> {
 
     #[inline(never)]
     fn integrate(&mut self, dt: f64, dt_ms: u64, rates: &StepRates) {
-        let sim_ms = self.now.as_millis();
+        let sim_ms = self.st.now.as_millis();
         // fold this step's grants into the utilization sampler before any
         // task completes and releases its slot: the rates were computed
         // against step-start occupancy, so that is what the step sustains.
         // Down nodes integrate nothing — their timelines gap over the
         // outage.
-        self.usage.accumulate_all(
+        self.st.usage.accumulate_all(
             dt,
-            &self.node_up,
-            &self.node_cpu,
-            &self.node_disk,
-            &self.nic_in,
-            &self.nic_out,
-            &self.occ_map,
-            &self.occ_reduce,
+            &self.st.node_up,
+            &self.scratch.node_cpu,
+            &self.scratch.node_disk,
+            &self.scratch.nic_in,
+            &self.scratch.nic_out,
+            &self.scratch.occ_map,
+            &self.scratch.occ_reduce,
         );
         let t0 = self.telem.clock_us();
         self.advance_maps(dt, &rates.scales, &rates.map_posts);
@@ -1218,11 +1144,11 @@ impl<'p> Sim<'p> {
         self.telem
             .record_span("step", "advance_reduces", t0, sim_ms);
 
-        self.cpu_offered_core_s += rates.cpu_offered_rate * dt;
-        self.cpu_granted_core_s += rates.cpu_granted_rate * dt;
+        self.st.cpu_offered_core_s += rates.cpu_offered_rate * dt;
+        self.st.cpu_granted_core_s += rates.cpu_granted_rate * dt;
 
         // decay management stalls
-        for tr in &mut self.trackers {
+        for tr in &mut self.st.trackers {
             tr.stall_ms = tr.stall_ms.saturating_sub(dt_ms);
         }
         self.advance_rereplication(dt);
@@ -1239,31 +1165,36 @@ impl<'p> Sim<'p> {
     /// Advancing by exactly this duration loses no intermediate state
     /// because every integrator is piecewise-constant in between.
     fn compute_horizon(&self, rates: &StepRates) -> SimDuration {
-        let mut horizon = EventHorizon::new(self.now.until_next_multiple_of(self.cfg.heartbeat));
+        let mut horizon =
+            EventHorizon::new(self.st.now.until_next_multiple_of(self.st.config.heartbeat));
         // cascades of task events within one tick-width merge into a single
         // step: the integrators clamp the overshoot, so adaptive stepping
         // is never *less* precise about an event time than the fixed grid
-        horizon.coalesce_events(self.cfg.tick.tick);
-        horizon.propose(self.now.until_next_multiple_of(self.cfg.sample_period));
+        horizon.coalesce_events(self.st.config.tick.tick);
+        horizon.propose(
+            self.st
+                .now
+                .until_next_multiple_of(self.st.config.sample_period),
+        );
         // crash/rejoin instants are exact events: the step lands on them
-        if let Some(t) = self.cfg.fault_plan.next_transition_after(self.now) {
-            horizon.propose(t.since(self.now));
+        if let Some(t) = self.st.config.fault_plan.next_transition_after(self.st.now) {
+            horizon.propose(t.since(self.st.now));
         }
 
-        for tr in &self.trackers {
+        for tr in &self.st.trackers {
             if tr.stall_ms > 0 {
                 horizon.propose(SimDuration::from_millis(tr.stall_ms));
             }
         }
-        for job in &self.jobs {
-            if job.spec.submit_at > self.now {
-                horizon.propose(job.spec.submit_at.since(self.now));
+        for job in &self.st.jobs {
+            if job.spec.submit_at > self.st.now {
+                horizon.propose(job.spec.submit_at.since(self.st.now));
             }
         }
 
         let mut map_cursor = 0usize;
         let mut scale_cursor = 0usize;
-        for (id, t) in &self.running_maps {
+        for (id, t) in self.st.running_maps.iter() {
             let profile = &self.profiles[id.task.job.0];
             let scale = posted(&rates.scales, &mut scale_cursor, TaskRef::Map(*id)).unwrap_or(0.0);
             let read_rate = posted(&rates.map_posts, &mut map_cursor, *id).unwrap_or(0.0);
@@ -1271,7 +1202,7 @@ impl<'p> Sim<'p> {
             if let Some(s) = t.time_to_completion(work_rate) {
                 horizon.propose_secs(s);
             }
-            if let Some(&fail_at) = self.failure_points.get(id) {
+            if let Some(&fail_at) = self.st.failure_points.get(id) {
                 if let Some(s) = t.time_to_progress(fail_at, work_rate) {
                     horizon.propose_secs(s);
                 }
@@ -1280,9 +1211,9 @@ impl<'p> Sim<'p> {
 
         let mut fetch_cursor = 0usize;
         let mut scale_cursor = 0usize;
-        for (rid, r) in &self.running_reduces {
+        for (rid, r) in self.st.running_reduces.iter() {
             let profile = &self.profiles[rid.job.0];
-            let job = &self.jobs[rid.job.0];
+            let job = &self.st.jobs[rid.job.0];
             let scale =
                 posted(&rates.scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
             match r.phase {
@@ -1302,7 +1233,10 @@ impl<'p> Sim<'p> {
                     let budget = profile.shuffle_merge_rate * scale * boost;
                     let local_rem = job.shuffle.remaining_from(r, r.node);
                     if endgame && local_rem > 0.0 {
-                        horizon.propose_depletion(local_rem, self.cfg.local_copy_rate.min(budget));
+                        horizon.propose_depletion(
+                            local_rem,
+                            self.st.config.local_copy_rate.min(budget),
+                        );
                     }
                     // the posts are sorted by (reduce, src) and reduces
                     // iterate ascending, so one forward cursor visits each
@@ -1341,12 +1275,12 @@ impl<'p> Sim<'p> {
     /// adaptive stepper freezes the node outright and lets the horizon cut
     /// the step at stall expiry instead.
     fn allocate_nodes(&mut self, fixed: bool) -> (Vec<(TaskRef, f64)>, f64, f64) {
-        let workers = self.trackers.len();
-        self.node_cpu.fill(0.0);
-        self.node_disk.fill(0.0);
+        let workers = self.st.trackers.len();
+        self.scratch.node_cpu.fill(0.0);
+        self.scratch.node_disk.fill(0.0);
         // recycle the per-node task lists: clear each inner list, keep the
         // backing allocations from previous steps (and previous cells)
-        let mut node_tasks = std::mem::take(&mut self.task_scratch);
+        let mut node_tasks = std::mem::take(&mut self.scratch.node_tasks);
         for tasks in &mut node_tasks {
             tasks.clear();
         }
@@ -1355,25 +1289,25 @@ impl<'p> Sim<'p> {
         // born in `TaskRef` order; each per-node entry keeps its task's
         // table index, and the node pass writes the scale in place (a task
         // on a down node keeps 0.0)
-        let mut out = std::mem::take(&mut self.scales_scratch);
+        let mut out = std::mem::take(&mut self.scratch.scales);
         out.clear();
-        for (id, t) in &self.running_maps {
+        for (id, t) in self.st.running_maps.iter() {
             let profile = &self.profiles[id.task.job.0];
             node_tasks[t.node.0].push((out.len(), profile.map_demand()));
             out.push((TaskRef::Map(*id), 0.0));
         }
-        for (id, t) in &self.running_reduces {
+        for (id, t) in self.st.running_reduces.iter() {
             let profile = &self.profiles[id.job.0];
             node_tasks[t.node.0].push((out.len(), t.demand(profile)));
             out.push((TaskRef::Reduce(*id), 0.0));
         }
         debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-        let tick_ms = self.cfg.tick.tick.as_millis() as f64;
-        let any_active = self.jobs.iter().any(|j| j.is_active(self.now));
+        let tick_ms = self.st.config.tick.tick.as_millis() as f64;
+        let any_active = self.st.jobs.iter().any(|j| j.is_active(self.st.now));
         let mut offered = 0.0;
         let mut granted = 0.0;
         for (n, tasks) in node_tasks.iter().enumerate() {
-            if !self.node_up[n] {
+            if !self.st.node_up[n] {
                 // a dead node offers no CPU; its tasks freeze at scale 0
                 // until the expiry interval declares them lost
                 continue;
@@ -1381,32 +1315,35 @@ impl<'p> Sim<'p> {
             // snapshot step-start slot occupancy for the usage sampler
             // here, where the tracker is already in cache; nothing changes
             // it before the integrate phase reads the snapshot
-            self.occ_map[n] = self.trackers[n].map_slots.occupied();
-            self.occ_reduce[n] = self.trackers[n].reduce_slots.occupied();
+            self.scratch.occ_map[n] = self.st.trackers[n].map_slots.occupied();
+            self.scratch.occ_reduce[n] = self.st.trackers[n].reduce_slots.occupied();
             if any_active {
-                offered += self.cfg.cluster.node_spec(NodeId(n)).cores;
+                offered += self.st.config.cluster.node_spec(NodeId(n)).cores;
             }
             if tasks.is_empty() {
                 continue;
             }
-            self.demand_scratch.clear();
-            self.demand_scratch.extend(tasks.iter().map(|t| t.1));
-            let scales = allocate_node(self.cfg.cluster.node_spec(NodeId(n)), &self.demand_scratch);
+            self.scratch.demands.clear();
+            self.scratch.demands.extend(tasks.iter().map(|t| t.1));
+            let scales = allocate_node(
+                self.st.config.cluster.node_spec(NodeId(n)),
+                &self.scratch.demands,
+            );
             let stall_factor = if fixed {
-                1.0 - self.trackers[n].stall_ms.min(tick_ms as u64) as f64 / tick_ms
-            } else if self.trackers[n].stall_ms > 0 {
+                1.0 - self.st.trackers[n].stall_ms.min(tick_ms as u64) as f64 / tick_ms
+            } else if self.st.trackers[n].stall_ms > 0 {
                 0.0
             } else {
                 1.0
             };
             for (&(ix, d), s) in tasks.iter().zip(scales) {
                 granted += d.cpu_cores * s * stall_factor;
-                self.node_cpu[n] += d.cpu_cores * s * stall_factor;
-                self.node_disk[n] += (d.disk_read + d.disk_write) * s * stall_factor;
+                self.scratch.node_cpu[n] += d.cpu_cores * s * stall_factor;
+                self.scratch.node_disk[n] += (d.disk_read + d.disk_write) * s * stall_factor;
                 out[ix].1 = s * stall_factor;
             }
         }
-        self.task_scratch = node_tasks;
+        self.scratch.node_tasks = node_tasks;
         (out, offered, granted)
     }
 
@@ -1424,12 +1361,12 @@ impl<'p> Sim<'p> {
         let mut next = 0u64;
 
         let mut scale_cursor = 0usize;
-        for (id, t) in &self.running_maps {
+        for (id, t) in self.st.running_maps.iter() {
             let Some(src) = t.remote_src else { continue };
             if t.input_remaining <= 1e-9 {
                 continue;
             }
-            if !self.node_up[src.0] || !self.node_up[t.node.0] {
+            if !self.st.node_up[src.0] || !self.st.node_up[t.node.0] {
                 continue; // either endpoint dead: nothing flows
             }
             let profile = &self.profiles[id.task.job.0];
@@ -1463,12 +1400,12 @@ impl<'p> Sim<'p> {
         }
 
         let mut scale_cursor = 0usize;
-        for (rid, r) in &self.running_reduces {
-            if r.phase != ReducePhase::Shuffle || !self.node_up[r.node.0] {
+        for (rid, r) in self.st.running_reduces.iter() {
+            if r.phase != ReducePhase::Shuffle || !self.st.node_up[r.node.0] {
                 continue;
             }
             let profile = &self.profiles[rid.job.0];
-            let job = &self.jobs[rid.job.0];
+            let job = &self.st.jobs[rid.job.0];
             let scale = posted(scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
             // merge-throughput budget for this tick, shared across sources;
             // T_r2 > T_r1: the cap rises once the barrier frees the sources
@@ -1482,14 +1419,14 @@ impl<'p> Sim<'p> {
             let local_rem = job.shuffle.remaining_from(r, r.node);
             if local_rem > 0.0 {
                 let local_rate = match fixed_dt {
-                    Some(dt) => (local_rem / dt).min(self.cfg.local_copy_rate),
-                    None => self.cfg.local_copy_rate,
+                    Some(dt) => (local_rem / dt).min(self.st.config.local_copy_rate),
+                    None => self.st.config.local_copy_rate,
                 };
                 budget -= local_rate.min(budget);
             }
             job.shuffle
                 .fetch_sources_into(r, profile.shuffle_fetchers as usize, sources);
-            sources.retain(|&(src, _)| src != r.node && self.node_up[src.0]);
+            sources.retain(|&(src, _)| src != r.node && self.st.node_up[src.0]);
             // adaptive mode splits the budget proportionally to each
             // source's remaining data, so every granted source depletes at
             // the *same* instant — one horizon event per drain instead of
@@ -1531,16 +1468,16 @@ impl<'p> Sim<'p> {
     ) {
         let mut done = Vec::new();
         let mut failed = Vec::new();
-        let Sim {
+        let profiles = &self.profiles;
+        let EngineState {
             running_maps,
-            profiles,
             trackers,
             failure_points,
             network_mb,
             map_input_processed_mb,
             job_counters,
             ..
-        } = self;
+        } = &mut *self.st;
         let mut cursor = 0usize;
         let mut scale_cursor = 0usize;
         for (id, t) in running_maps.iter_mut() {
@@ -1588,10 +1525,10 @@ impl<'p> Sim<'p> {
     /// Kill a failed attempt and re-queue its block (Hadoop task retry).
     fn fail_map(&mut self, aid: MapAttemptId) {
         let task = self.remove_map_attempt(aid);
-        self.map_failures += 1;
-        self.job_counters[aid.task.job.0].inc(Counter::FailedMaps);
-        self.events.push(Event::MapFailed {
-            at: self.now,
+        self.st.map_failures += 1;
+        self.st.job_counters[aid.task.job.0].inc(Counter::FailedMaps);
+        self.st.events.push(Event::MapFailed {
+            at: self.st.now,
             id: aid.task,
             node: task.node,
         });
@@ -1603,18 +1540,19 @@ impl<'p> Sim<'p> {
     /// node-crash paths.
     fn remove_map_attempt(&mut self, aid: MapAttemptId) -> MapTask {
         let task = self
+            .st
             .running_maps
             .remove(&aid)
             .expect("removing unknown map attempt");
-        self.failure_points.remove(&aid);
-        self.trackers[task.node.0].map_slots.release();
-        let job = &mut self.jobs[aid.task.job.0];
+        self.st.failure_points.remove(&aid);
+        self.st.trackers[task.node.0].map_slots.release();
+        let job = &mut self.st.jobs[aid.task.job.0];
         job.running_maps -= 1;
         let sibling = MapAttemptId {
             task: aid.task,
             attempt: 1 - aid.attempt,
         };
-        if !job.completed_blocks[aid.task.index] && !self.running_maps.contains_key(&sibling) {
+        if !job.completed_blocks[aid.task.index] && !self.st.running_maps.contains_key(&sibling) {
             job.pending_map_blocks.push(aid.task.index);
         }
         task
@@ -1624,51 +1562,57 @@ impl<'p> Sim<'p> {
     /// the tracker blacklisted (Hadoop's `mapred.max.tracker.failures`).
     /// Crash kills are not charged — the tracker is already dead.
     fn charge_tracker_failure(&mut self, node: NodeId) {
-        let tr = &mut self.trackers[node.0];
+        let tr = &mut self.st.trackers[node.0];
         tr.attempt_failures += 1;
-        if !tr.blacklisted && tr.attempt_failures >= self.cfg.blacklist_threshold {
+        if !tr.blacklisted && tr.attempt_failures >= self.st.config.blacklist_threshold {
             tr.blacklisted = true;
-            self.trackers_blacklisted += 1;
-            self.events
-                .push(Event::TrackerBlacklisted { at: self.now, node });
+            self.st.trackers_blacklisted += 1;
+            self.st.events.push(Event::TrackerBlacklisted {
+                at: self.st.now,
+                node,
+            });
         }
     }
 
     /// Service-time factor for a new map attempt: base jitter, possibly
     /// multiplied by the degraded-path slowdown.
     fn draw_map_jitter(&mut self) -> f64 {
-        let mut j = self.rng.jitter(self.cfg.jitter_amp);
-        if self.cfg.straggler_rate > 0.0 && self.rng.unit() < self.cfg.straggler_rate {
-            j *= self.cfg.straggler_slowdown;
+        let mut j = self.st.rng.jitter(self.st.config.jitter_amp);
+        if self.st.config.straggler_rate > 0.0 && self.st.rng.unit() < self.st.config.straggler_rate
+        {
+            j *= self.st.config.straggler_slowdown;
         }
         j
     }
 
     /// Roll the dice for an attempt's injected failure.
     fn maybe_inject_failure(&mut self, aid: MapAttemptId) {
-        if self.cfg.map_failure_rate > 0.0 && self.rng.unit() < self.cfg.map_failure_rate {
+        if self.st.config.map_failure_rate > 0.0
+            && self.st.rng.unit() < self.st.config.map_failure_rate
+        {
             // die somewhere in the middle of the run
-            let fail_at = 0.1 + 0.8 * self.rng.unit();
-            self.failure_points.insert(aid, fail_at);
+            let fail_at = 0.1 + 0.8 * self.st.rng.unit();
+            self.st.failure_points.insert(aid, fail_at);
         }
     }
 
     fn complete_map(&mut self, aid: MapAttemptId) {
         let task = self
+            .st
             .running_maps
             .remove(&aid)
             .expect("completing unknown map attempt");
-        self.failure_points.remove(&aid);
+        self.st.failure_points.remove(&aid);
         let id = aid.task;
-        let job = &mut self.jobs[id.job.0];
-        self.trackers[task.node.0].map_slots.release();
+        let job = &mut self.st.jobs[id.job.0];
+        self.st.trackers[task.node.0].map_slots.release();
         job.running_maps -= 1;
         if job.completed_blocks[id.index] {
             // a sibling attempt already delivered this block; this one
             // raced to the end and its work is discarded
-            self.job_counters[id.job.0].inc(Counter::DiscardedMaps);
-            self.events.push(Event::MapDiscarded {
-                at: self.now,
+            self.st.job_counters[id.job.0].inc(Counter::DiscardedMaps);
+            self.st.events.push(Event::MapDiscarded {
+                at: self.st.now,
                 id,
                 node: task.node,
             });
@@ -1676,7 +1620,7 @@ impl<'p> Sim<'p> {
         }
         job.completed_blocks[id.index] = true;
         if aid.attempt > 0 {
-            self.speculative_wins += 1;
+            self.st.speculative_wins += 1;
         }
         // §IV-B: the MapTask records its output size upon completion; both
         // the meter and the shuffle availability are credited here. (The
@@ -1684,12 +1628,12 @@ impl<'p> Sim<'p> {
         // window — crediting production *continuously* instead would make
         // R_m lead R_s by a full task duration after every slot increase
         // and fake a shuffle lag.)
-        self.trackers[task.node.0]
+        self.st.trackers[task.node.0]
             .meters
             .map_output
             .record(task.output_mb);
         job.shuffle.on_map_complete(task.node, task.output_mb);
-        let c = &mut self.job_counters[id.job.0];
+        let c = &mut self.st.job_counters[id.job.0];
         c.add(Counter::MapOutputMb, task.output_mb);
         c.add(Counter::SpilledRecords, task.output_mb);
         // remember where the output landed: if that node crashes while a
@@ -1697,9 +1641,9 @@ impl<'p> Sim<'p> {
         job.block_output_node[id.index] = Some(task.node);
         job.completed_maps += 1;
         job.map_durations
-            .push(self.now.since(task.started_at).as_secs_f64());
-        self.events.push(Event::MapCompleted {
-            at: self.now,
+            .push(self.st.now.since(task.started_at).as_secs_f64());
+        self.st.events.push(Event::MapCompleted {
+            at: self.st.now,
             id,
             node: task.node,
             output_mb: task.output_mb,
@@ -1709,22 +1653,22 @@ impl<'p> Sim<'p> {
             task: id,
             attempt: 1 - aid.attempt,
         };
-        if let Some(loser) = self.running_maps.remove(&sibling) {
-            self.trackers[loser.node.0].map_slots.release();
-            self.jobs[id.job.0].running_maps -= 1;
-            self.job_counters[id.job.0].inc(Counter::KilledAttempts);
-            self.events.push(Event::MapKilled {
-                at: self.now,
+        if let Some(loser) = self.st.running_maps.remove(&sibling) {
+            self.st.trackers[loser.node.0].map_slots.release();
+            self.st.jobs[id.job.0].running_maps -= 1;
+            self.st.job_counters[id.job.0].inc(Counter::KilledAttempts);
+            self.st.events.push(Event::MapKilled {
+                at: self.st.now,
                 id,
                 node: loser.node,
             });
         }
-        let job = &mut self.jobs[id.job.0];
+        let job = &mut self.st.jobs[id.job.0];
         if job.all_maps_done() {
-            job.maps_done_at.get_or_insert(self.now);
+            job.maps_done_at.get_or_insert(self.st.now);
             job.shuffle.set_maps_all_done();
-            self.events.push(Event::BarrierCrossed {
-                at: self.now,
+            self.st.events.push(Event::BarrierCrossed {
+                at: self.st.now,
                 job: id.job,
             });
         }
@@ -1733,10 +1677,10 @@ impl<'p> Sim<'p> {
     /// Hadoop-style speculative execution: once a job has no pending maps,
     /// idle map slots may run backup attempts of its slowest running maps.
     fn launch_speculative_backups(&mut self) {
-        let now = self.now;
-        let min_rt = self.cfg.speculation_min_runtime;
-        for j in 0..self.jobs.len() {
-            let job = &self.jobs[j];
+        let now = self.st.now;
+        let min_rt = self.st.config.speculation_min_runtime;
+        for j in 0..self.st.jobs.len() {
+            let job = &self.st.jobs[j];
             if !job.is_active(now) || !job.pending_map_blocks.is_empty() || job.all_maps_done() {
                 continue;
             }
@@ -1751,8 +1695,9 @@ impl<'p> Sim<'p> {
             }
             let mean_dur: f64 =
                 job.map_durations.iter().sum::<f64>() / job.map_durations.len() as f64;
-            let overdue = mean_dur * (1.0 + self.cfg.speculation_gap);
+            let overdue = mean_dur * (1.0 + self.st.config.speculation_gap);
             let mut stragglers: Vec<(MapAttemptId, f64)> = self
+                .st
                 .running_maps
                 .iter()
                 .filter(|(a, t)| {
@@ -1762,31 +1707,32 @@ impl<'p> Sim<'p> {
                         && now.since(t.started_at).as_secs_f64() > overdue
                         && t.progress() < 0.95
                         && !self
+                            .st
                             .running_maps
                             .contains_key(&MapAttemptId::backup(a.task))
-                        && !self.jobs[j].completed_blocks[a.task.index]
+                        && !self.st.jobs[j].completed_blocks[a.task.index]
                 })
                 .map(|(a, t)| (*a, t.progress()))
                 .collect();
             stragglers.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite progress"));
             for (aid, _) in stragglers {
-                let origin = self.running_maps[&aid].node;
+                let origin = self.st.running_maps[&aid].node;
                 // pick the tracker with the most free map slots, avoiding
                 // the straggler's own (possibly overloaded) node
-                let Some(i) = (0..self.trackers.len())
+                let Some(i) = (0..self.st.trackers.len())
                     .filter(|&i| {
-                        self.node_up[i]
-                            && !self.trackers[i].blacklisted
-                            && self.trackers[i].map_slots.free() > 0
+                        self.st.node_up[i]
+                            && !self.st.trackers[i].blacklisted
+                            && self.st.trackers[i].map_slots.free() > 0
                             && NodeId(i) != origin
                     })
-                    .max_by_key(|&i| self.trackers[i].map_slots.free())
+                    .max_by_key(|&i| self.st.trackers[i].map_slots.free())
                 else {
                     break; // no free slots anywhere else
                 };
-                let node = self.trackers[i].node;
+                let node = self.st.trackers[i].node;
                 let (block_mb, remote_src) = {
-                    let block = &self.jobs[j].layout.blocks[aid.task.index];
+                    let block = &self.st.jobs[j].layout.blocks[aid.task.index];
                     let src = if block.is_local_to(node) {
                         None
                     } else {
@@ -1809,10 +1755,10 @@ impl<'p> Sim<'p> {
                     jitter,
                     now,
                 );
-                self.trackers[i].map_slots.launch();
-                self.jobs[j].running_maps += 1;
-                self.speculative_attempts += 1;
-                let c = &mut self.job_counters[j];
+                self.st.trackers[i].map_slots.launch();
+                self.st.jobs[j].running_maps += 1;
+                self.st.speculative_attempts += 1;
+                let c = &mut self.st.job_counters[j];
                 c.inc(Counter::SpeculativeMaps);
                 c.inc(Counter::TotalLaunchedMaps);
                 if remote_src.is_some() {
@@ -1820,7 +1766,7 @@ impl<'p> Sim<'p> {
                 } else {
                     c.inc(Counter::DataLocalMaps);
                 }
-                self.events.push(Event::MapLaunched {
+                self.st.events.push(Event::MapLaunched {
                     at: now,
                     id: aid.task,
                     node,
@@ -1828,25 +1774,25 @@ impl<'p> Sim<'p> {
                 });
                 let bid = MapAttemptId::backup(aid.task);
                 self.maybe_inject_failure(bid);
-                self.running_maps.insert(bid, backup);
+                self.st.running_maps.insert(bid, backup);
             }
         }
     }
 
     fn advance_reduces(&mut self, dt: f64, scales: &[(TaskRef, f64)], fetch_posts: &[FetchPost]) {
         let mut done = Vec::new();
-        let Sim {
+        let profiles = &self.profiles;
+        let EngineState {
             running_reduces,
             jobs,
-            profiles,
             trackers,
-            cfg,
+            config: cfg,
             now,
             events,
             network_mb,
             job_counters,
             ..
-        } = self;
+        } = &mut *self.st;
         let mut fetch_cursor = 0usize;
         let mut scale_cursor = 0usize;
         for (rid, r) in running_reduces.iter_mut() {
@@ -1940,24 +1886,25 @@ impl<'p> Sim<'p> {
 
     fn complete_reduce(&mut self, rid: ReduceTaskId) {
         let task = self
+            .st
             .running_reduces
             .remove(&rid)
             .expect("completing unknown reduce");
-        let job = &mut self.jobs[rid.job.0];
-        self.trackers[task.node.0].reduce_slots.release();
+        let job = &mut self.st.jobs[rid.job.0];
+        self.st.trackers[task.node.0].reduce_slots.release();
         job.running_reduces -= 1;
         job.completed_reduces += 1;
         job.reduce_durations
-            .push(self.now.since(task.started_at).as_secs_f64());
-        self.events.push(Event::ReduceCompleted {
-            at: self.now,
+            .push(self.st.now.since(task.started_at).as_secs_f64());
+        self.st.events.push(Event::ReduceCompleted {
+            at: self.st.now,
             id: rid,
             node: task.node,
         });
         if job.completed_reduces == job.total_reduces() && job.all_maps_done() {
-            job.finished_at.get_or_insert(self.now);
-            self.events.push(Event::JobFinished {
-                at: self.now,
+            job.finished_at.get_or_insert(self.st.now);
+            self.st.events.push(Event::JobFinished {
+                at: self.st.now,
                 job: rid.job,
             });
         }
@@ -1974,21 +1921,21 @@ impl<'p> Sim<'p> {
     /// rejoins at the same instant so a zero-gap schedule still cycles.
     #[inline(never)]
     fn process_fault_transitions(&mut self) -> Result<(), SimError> {
-        if self.cfg.fault_plan.is_empty() {
+        if self.st.config.fault_plan.is_empty() {
             return Ok(());
         }
         let mut transitions: Vec<(SimTime, bool, NodeId)> = Vec::new();
-        for f in self.cfg.fault_plan.faults() {
-            if f.at > self.faults_done_until && f.at <= self.now {
+        for f in self.st.config.fault_plan.faults() {
+            if f.at > self.st.faults_done_until && f.at <= self.st.now {
                 transitions.push((f.at, false, f.node));
             }
             if let Some(r) = f.rejoin_at() {
-                if r > self.faults_done_until && r <= self.now {
+                if r > self.st.faults_done_until && r <= self.st.now {
                     transitions.push((r, true, f.node));
                 }
             }
         }
-        self.faults_done_until = self.now;
+        self.st.faults_done_until = self.st.now;
         transitions.sort_by_key(|&(t, rejoin, n)| (t, rejoin, n.0));
         for (_, rejoin, node) in transitions {
             if rejoin {
@@ -2006,20 +1953,21 @@ impl<'p> Sim<'p> {
     /// immediately, and its DFS replicas are gone. The *scheduler's*
     /// reaction waits for heartbeat-timeout detection or re-registration.
     fn crash_node(&mut self, d: NodeId) {
-        if !self.node_up[d.0] {
+        if !self.st.node_up[d.0] {
             return; // overlapping faults: already down
         }
-        self.node_up[d.0] = false;
-        self.node_crashes += 1;
+        self.st.node_up[d.0] = false;
+        self.st.node_crashes += 1;
         self.node_crash_counter.inc();
-        let tr = &mut self.trackers[d.0];
-        tr.down_since = Some(self.now);
+        let tr = &mut self.st.trackers[d.0];
+        tr.down_since = Some(self.st.now);
         tr.lost_handled = false;
-        self.events.push(Event::NodeCrashed {
-            at: self.now,
+        self.st.events.push(Event::NodeCrashed {
+            at: self.st.now,
             node: d,
         });
         let readers: Vec<MapAttemptId> = self
+            .st
             .running_maps
             .iter()
             .filter(|(_, t)| t.node != d && t.remote_src == Some(d) && t.input_remaining > 1e-9)
@@ -2027,10 +1975,10 @@ impl<'p> Sim<'p> {
             .collect();
         for aid in readers {
             let task = self.remove_map_attempt(aid);
-            self.crash_task_kills += 1;
-            self.job_counters[aid.task.job.0].inc(Counter::KilledAttempts);
-            self.events.push(Event::MapKilled {
-                at: self.now,
+            self.st.crash_task_kills += 1;
+            self.st.job_counters[aid.task.job.0].inc(Counter::KilledAttempts);
+            self.st.events.push(Event::MapKilled {
+                at: self.st.now,
                 id: aid.task,
                 node: task.node,
             });
@@ -2043,8 +1991,8 @@ impl<'p> Sim<'p> {
     /// The per-node postings say exactly which blocks held a replica on
     /// `d`, so the scan is O(blocks on d), not O(all blocks × replicas).
     fn lose_replicas(&mut self, d: NodeId) {
-        let live = self.node_up.iter().filter(|&&u| u).count();
-        for (ji, job) in self.jobs.iter_mut().enumerate() {
+        let live = self.st.node_up.iter().filter(|&&u| u).count();
+        for (ji, job) in self.st.jobs.iter_mut().enumerate() {
             let mut posted = std::mem::take(&mut self.replica_postings[ji][d.0]);
             if job.is_finished() {
                 continue; // stale postings of a finished job are never read
@@ -2058,13 +2006,13 @@ impl<'p> Sim<'p> {
                 let before = block.replicas.len();
                 block.replicas.retain(|&n| n != d);
                 debug_assert!(block.replicas.len() < before, "posting without replica");
-                let desired = self.replication.min(live);
-                if self.cfg.rereplication_rate > 0.0
+                let desired = self.st.replication.min(live);
+                if self.st.config.rereplication_rate > 0.0
                     && !block.replicas.is_empty()
                     && block.replicas.len() < desired
-                    && !self.rerep_queue.contains(&(ji, bi))
+                    && !self.st.rerep_queue.contains(&(ji, bi))
                 {
-                    self.rerep_queue.push_back((ji, bi));
+                    self.st.rerep_queue.push_back((ji, bi));
                 }
             }
         }
@@ -2075,23 +2023,23 @@ impl<'p> Sim<'p> {
     /// replicas, clean failure record. If it returns before the expiry
     /// interval fired, re-registration itself reveals the loss.
     fn rejoin_node(&mut self, d: NodeId) -> Result<(), SimError> {
-        if !self.cfg.fault_plan.is_up(d, self.now) {
+        if !self.st.config.fault_plan.is_up(d, self.st.now) {
             return Ok(()); // another overlapping fault still holds it down
         }
-        if !self.trackers[d.0].lost_handled {
+        if !self.st.trackers[d.0].lost_handled {
             self.handle_node_loss(d)?;
         }
-        let tr = &mut self.trackers[d.0];
+        let tr = &mut self.st.trackers[d.0];
         tr.down_since = None;
         tr.stall_ms = 0;
         tr.attempt_failures = 0;
         tr.blacklisted = false;
-        tr.map_slots = SlotSet::new(self.cfg.init_map_slots);
-        tr.reduce_slots = SlotSet::new(self.cfg.init_reduce_slots);
-        tr.meters = TrackerMeters::new(self.now);
-        self.node_up[d.0] = true;
-        self.events.push(Event::NodeRejoined {
-            at: self.now,
+        tr.map_slots = SlotSet::new(self.st.config.init_map_slots);
+        tr.reduce_slots = SlotSet::new(self.st.config.init_reduce_slots);
+        tr.meters = TrackerMeters::new(self.st.now);
+        self.st.node_up[d.0] = true;
+        self.st.events.push(Event::NodeRejoined {
+            at: self.st.now,
             node: d,
         });
         Ok(())
@@ -2102,17 +2050,17 @@ impl<'p> Sim<'p> {
     /// heartbeat boundaries only, so fixed and adaptive stepping detect on
     /// identical instants.
     fn check_expired_trackers(&mut self) -> Result<(), SimError> {
-        if self.cfg.fault_plan.is_empty() {
+        if self.st.config.fault_plan.is_empty() {
             return Ok(());
         }
-        for i in 0..self.trackers.len() {
-            let Some(since) = self.trackers[i].down_since else {
+        for i in 0..self.st.trackers.len() {
+            let Some(since) = self.st.trackers[i].down_since else {
                 continue;
             };
-            if self.trackers[i].lost_handled {
+            if self.st.trackers[i].lost_handled {
                 continue;
             }
-            if self.now.since(since) >= self.cfg.heartbeat_timeout {
+            if self.st.now.since(since) >= self.st.config.heartbeat_timeout {
                 self.handle_node_loss(NodeId(i))?;
             }
         }
@@ -2126,31 +2074,33 @@ impl<'p> Sim<'p> {
     /// recovery disabled, stranded work surfaces [`SimError::NodeLost`]
     /// instead (before any state is mutated).
     fn handle_node_loss(&mut self, d: NodeId) -> Result<(), SimError> {
-        self.trackers[d.0].lost_handled = true;
+        self.st.trackers[d.0].lost_handled = true;
         let map_victims: Vec<MapAttemptId> = self
+            .st
             .running_maps
             .iter()
             .filter(|(_, t)| t.node == d)
             .map(|(a, _)| *a)
             .collect();
         let reduce_victims: Vec<ReduceTaskId> = self
+            .st
             .running_reduces
             .iter()
             .filter(|(_, t)| t.node == d)
             .map(|(r, _)| *r)
             .collect();
-        if !self.cfg.fault_recovery {
-            let needed: usize = (0..self.jobs.len())
-                .filter(|&ji| !self.jobs[ji].is_finished() && self.job_needs_map_output(ji))
+        if !self.st.config.fault_recovery {
+            let needed: usize = (0..self.st.jobs.len())
+                .filter(|&ji| !self.st.jobs[ji].is_finished() && self.job_needs_map_output(ji))
                 .map(|ji| {
-                    let job = &self.jobs[ji];
+                    let job = &self.st.jobs[ji];
                     job.block_output_node
                         .iter()
                         .filter(|&&n| n == Some(d))
                         .count()
                 })
                 .sum();
-            let lost_inputs = self.jobs.iter().any(|j| {
+            let lost_inputs = self.st.jobs.iter().any(|j| {
                 !j.is_finished()
                     && j.pending_map_blocks
                         .iter()
@@ -2159,7 +2109,7 @@ impl<'p> Sim<'p> {
             if !map_victims.is_empty() || !reduce_victims.is_empty() || needed > 0 || lost_inputs {
                 return Err(SimError::NodeLost {
                     node: d,
-                    at: self.trackers[d.0].down_since.unwrap_or(self.now),
+                    at: self.st.trackers[d.0].down_since.unwrap_or(self.st.now),
                     pending_work: format!(
                         "{} running maps, {} running reduces, {} completed map outputs \
                          (fault recovery disabled)",
@@ -2172,41 +2122,41 @@ impl<'p> Sim<'p> {
         }
         for aid in map_victims {
             self.remove_map_attempt(aid);
-            self.crash_task_kills += 1;
-            self.job_counters[aid.task.job.0].inc(Counter::KilledAttempts);
-            self.events.push(Event::MapKilled {
-                at: self.now,
+            self.st.crash_task_kills += 1;
+            self.st.job_counters[aid.task.job.0].inc(Counter::KilledAttempts);
+            self.st.events.push(Event::MapKilled {
+                at: self.st.now,
                 id: aid.task,
                 node: d,
             });
         }
         for rid in reduce_victims {
-            self.running_reduces.remove(&rid);
-            self.trackers[d.0].reduce_slots.release();
-            let job = &mut self.jobs[rid.job.0];
+            self.st.running_reduces.remove(&rid);
+            self.st.trackers[d.0].reduce_slots.release();
+            let job = &mut self.st.jobs[rid.job.0];
             job.running_reduces -= 1;
             job.pending_reduce_parts.push(rid.partition);
             job.pending_reduce_parts.sort_unstable();
-            self.crash_task_kills += 1;
-            let c = &mut self.job_counters[rid.job.0];
+            self.st.crash_task_kills += 1;
+            let c = &mut self.st.job_counters[rid.job.0];
             c.inc(Counter::KilledAttempts);
             c.inc(Counter::KilledReduces);
-            self.events.push(Event::ReduceKilled {
-                at: self.now,
+            self.st.events.push(Event::ReduceKilled {
+                at: self.st.now,
                 id: rid,
                 node: d,
             });
         }
         // lost map output: drain the dead node's availability from every
         // shuffle; maps whose output reducers still need are re-executed
-        for ji in 0..self.jobs.len() {
-            if self.jobs[ji].is_finished() {
+        for ji in 0..self.st.jobs.len() {
+            if self.st.jobs[ji].is_finished() {
                 continue;
             }
             let needs = self.job_needs_map_output(ji);
-            let job = &mut self.jobs[ji];
+            let job = &mut self.st.jobs[ji];
             let lost_mb = job.shuffle.on_node_lost(d);
-            self.job_counters[ji].add(Counter::LostMapOutputMb, lost_mb);
+            self.st.job_counters[ji].add(Counter::LostMapOutputMb, lost_mb);
             let lost: Vec<usize> = (0..job.block_output_node.len())
                 .filter(|&b| job.block_output_node[b] == Some(d))
                 .collect();
@@ -2222,11 +2172,11 @@ impl<'p> Sim<'p> {
                 job.completed_blocks[b] = false;
                 job.completed_maps -= 1;
                 job.pending_map_blocks.push(b);
-                self.lost_map_outputs += 1;
+                self.st.lost_map_outputs += 1;
                 self.lost_output_counter.inc();
-                self.job_counters[ji].inc(Counter::ReexecutedMaps);
-                self.events.push(Event::MapOutputLost {
-                    at: self.now,
+                self.st.job_counters[ji].inc(Counter::ReexecutedMaps);
+                self.st.events.push(Event::MapOutputLost {
+                    at: self.st.now,
                     id: MapTaskId {
                         job: job.spec.id,
                         index: b,
@@ -2244,7 +2194,7 @@ impl<'p> Sim<'p> {
         }
         // unrecoverable data loss: a pending block with no replica left
         // anywhere can never be scheduled again
-        for job in &self.jobs {
+        for job in &self.st.jobs {
             if job.is_finished() {
                 continue;
             }
@@ -2255,7 +2205,7 @@ impl<'p> Sim<'p> {
             {
                 return Err(SimError::NodeLost {
                     node: d,
-                    at: self.now,
+                    at: self.st.now,
                     pending_work: format!(
                         "input block {} of job '{}' lost its last replica",
                         b, job.spec.profile.name
@@ -2270,8 +2220,9 @@ impl<'p> Sim<'p> {
     /// pending (will start a fresh shuffle), or running and still in its
     /// shuffle phase?
     fn job_needs_map_output(&self, ji: usize) -> bool {
-        !self.jobs[ji].pending_reduce_parts.is_empty()
+        !self.st.jobs[ji].pending_reduce_parts.is_empty()
             || self
+                .st
                 .running_reduces
                 .iter()
                 .any(|(r, t)| r.job.0 == ji && t.phase == ReducePhase::Shuffle)
@@ -2283,48 +2234,48 @@ impl<'p> Sim<'p> {
     /// identical amounts between heartbeat boundaries (where replica
     /// state is next read).
     fn advance_rereplication(&mut self, dt: f64) {
-        if self.cfg.rereplication_rate <= 0.0 || self.rerep_queue.is_empty() {
+        if self.st.config.rereplication_rate <= 0.0 || self.st.rerep_queue.is_empty() {
             return;
         }
-        self.rerep_progress += self.cfg.rereplication_rate * dt;
-        while let Some(&(ji, bi)) = self.rerep_queue.front() {
-            let live = self.node_up.iter().filter(|&&u| u).count();
-            let desired = self.replication.min(live);
+        self.st.rerep_progress += self.st.config.rereplication_rate * dt;
+        while let Some(&(ji, bi)) = self.st.rerep_queue.front() {
+            let live = self.st.node_up.iter().filter(|&&u| u).count();
+            let desired = self.st.replication.min(live);
             let (finished, nreps, size) = {
-                let job = &self.jobs[ji];
+                let job = &self.st.jobs[ji];
                 let b = &job.layout.blocks[bi];
                 (job.is_finished(), b.replicas.len(), b.size_mb)
             };
             // stale entries cost no budget: job done, source lost, or
             // already back at the desired replica count
             if finished || nreps == 0 || nreps >= desired {
-                self.rerep_queue.pop_front();
+                self.st.rerep_queue.pop_front();
                 continue;
             }
-            if self.rerep_progress < size {
+            if self.st.rerep_progress < size {
                 return;
             }
             let target = {
-                let reps = &self.jobs[ji].layout.blocks[bi].replicas;
-                (0..self.node_up.len())
+                let reps = &self.st.jobs[ji].layout.blocks[bi].replicas;
+                (0..self.st.node_up.len())
                     .map(NodeId)
-                    .find(|n| self.node_up[n.0] && !reps.contains(n))
+                    .find(|n| self.st.node_up[n.0] && !reps.contains(n))
             };
             let Some(target) = target else {
-                self.rerep_queue.pop_front();
+                self.st.rerep_queue.pop_front();
                 continue;
             };
-            self.rerep_progress -= size;
-            self.network_mb += size;
-            self.jobs[ji].layout.blocks[bi].replicas.push(target);
+            self.st.rerep_progress -= size;
+            self.st.network_mb += size;
+            self.st.jobs[ji].layout.blocks[bi].replicas.push(target);
             self.replica_postings[ji][target.0].push(bi as u32);
-            self.rerep_queue.pop_front();
+            self.st.rerep_queue.pop_front();
             if nreps + 1 < desired {
-                self.rerep_queue.push_back((ji, bi));
+                self.st.rerep_queue.push_back((ji, bi));
             }
         }
-        if self.rerep_queue.is_empty() {
-            self.rerep_progress = 0.0;
+        if self.st.rerep_queue.is_empty() {
+            self.st.rerep_progress = 0.0;
         }
     }
 
@@ -2334,30 +2285,38 @@ impl<'p> Sim<'p> {
 
     fn sample(&mut self) {
         let map_slots: usize = self
+            .st
             .trackers
             .iter()
-            .filter(|t| self.node_up[t.node.0])
+            .filter(|t| self.st.node_up[t.node.0])
             .map(|t| t.map_slots.target())
             .sum();
         let reduce_slots: usize = self
+            .st
             .trackers
             .iter()
-            .filter(|t| self.node_up[t.node.0])
+            .filter(|t| self.st.node_up[t.node.0])
             .map(|t| t.reduce_slots.target())
             .sum();
-        self.map_slot_series.push(self.now, map_slots as f64);
-        self.reduce_slot_series.push(self.now, reduce_slots as f64);
-        self.usage.sample(self.now);
+        let now = self.st.now;
+        self.st.map_slot_series.push(now, map_slots as f64);
+        self.st.reduce_slot_series.push(now, reduce_slots as f64);
+        let sim_ms = now.as_millis();
+        self.telem
+            .counter_sample("map_slot_target", sim_ms, map_slots as f64);
+        self.telem
+            .counter_sample("reduce_slot_target", sim_ms, reduce_slots as f64);
+        self.st.usage.sample(now);
 
         // per-job progress: map% + reduce% in [0, 200]
-        let mut map_progress = vec![0.0_f64; self.jobs.len()];
-        let mut reduce_progress = vec![0.0_f64; self.jobs.len()];
+        let mut map_progress = vec![0.0_f64; self.st.jobs.len()];
+        let mut reduce_progress = vec![0.0_f64; self.st.jobs.len()];
         // with speculation two attempts of one task may run; count the
         // task's best attempt, not the sum. `running_maps` is keyed by
         // (task, attempt), so a task's attempts are adjacent: fold each
         // run of them and add it in ascending task order (a fixed float
         // summation order, so the sums repeat bit for bit)
-        let mut attempts = self.running_maps.iter().peekable();
+        let mut attempts = self.st.running_maps.iter().peekable();
         while let Some((id, t)) = attempts.next() {
             let mut best = 0.0_f64.max(t.progress());
             while let Some((_, t)) = attempts.next_if(|(next, _)| next.task == id.task) {
@@ -2365,11 +2324,10 @@ impl<'p> Sim<'p> {
             }
             map_progress[id.task.job.0] += best;
         }
-        for (id, t) in &self.running_reduces {
+        for (id, t) in self.st.running_reduces.iter() {
             reduce_progress[id.job.0] += t.progress();
         }
-        let now = self.now;
-        for (i, job) in self.jobs.iter_mut().enumerate() {
+        for (i, job) in self.st.jobs.iter_mut().enumerate() {
             if !job.is_submitted(now) {
                 continue;
             }
@@ -2383,8 +2341,182 @@ impl<'p> Sim<'p> {
             job.progress.push(now, (mp + rp) * 100.0);
         }
     }
+}
 
-    fn build_report(&self) -> RunReport {
+/// A `BTreeMap` that travels as its sorted `[key, value]` pair list: the
+/// JSON object form only admits string-ish keys, and the pair list is the
+/// exact encoding capsules have always used for struct-keyed maps.
+#[derive(Debug, Clone)]
+pub(crate) struct PairMap<K, V>(BTreeMap<K, V>);
+
+impl<K, V> Default for PairMap<K, V> {
+    fn default() -> Self {
+        PairMap(BTreeMap::new())
+    }
+}
+
+impl<K, V> std::ops::Deref for PairMap<K, V> {
+    type Target = BTreeMap<K, V>;
+    fn deref(&self) -> &BTreeMap<K, V> {
+        &self.0
+    }
+}
+
+impl<K, V> std::ops::DerefMut for PairMap<K, V> {
+    fn deref_mut(&mut self) -> &mut BTreeMap<K, V> {
+        &mut self.0
+    }
+}
+
+impl<K: Serialize, V: Serialize> Serialize for PairMap<K, V> {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Array(
+            self.0
+                .iter()
+                .map(|(k, v)| serde::Value::Array(vec![k.to_value(), v.to_value()]))
+                .collect(),
+        )
+    }
+}
+
+impl<K: Deserialize + Ord, V: Deserialize> Deserialize for PairMap<K, V> {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let pairs: Vec<(K, V)> = Deserialize::deserialize(v)?;
+        Ok(PairMap(pairs.into_iter().collect()))
+    }
+}
+
+/// The complete mutable state of one run at one simulated instant — the
+/// run's only representation. A stepping call borrows it and advances it
+/// in place ([`Run`], [`Engine::advance_until_in`]); a checkpoint capsule
+/// is a clone of it with `policy_state` refreshed from the driving policy.
+///
+/// Captured at the top of the step loop (before that instant's fault
+/// transitions and heartbeat), at instants that are multiples of the
+/// sample period, so both stepping modes stop there and a restored run
+/// replays the remainder bit-identically. Deliberately excluded, because
+/// they are live handles, derivable, or strictly observational: telemetry
+/// sinks and counters, the fabric (a pure function of the config), per-job
+/// profile copies (present inside each job's spec), and the allocate-phase
+/// scratch arrays (rewritten from scratch every step).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct EngineState {
+    config: EngineConfig,
+    now: SimTime,
+    policy_name: String,
+    /// Opaque policy run state ([`SlotPolicy::snapshot_state`]); `Null`
+    /// for stateless policies and for capsules taken before the first
+    /// decision. While a policy is bound to the state, the policy holds
+    /// the live value and this one is `Null` until a capture refreshes it.
+    policy_state: serde::Value,
+    /// The run has taken its t=0 sample (adaptive mode) or entered its
+    /// step loop (fixed mode, which samples at step starts instead).
+    initial_sample_done: bool,
+    jobs: Vec<JobInProgress>,
+    trackers: Vec<Tracker>,
+    running_maps: PairMap<MapAttemptId, MapTask>,
+    running_reduces: PairMap<ReduceTaskId, ReduceTask>,
+    sched: FifoScheduler,
+    rng: SimRng,
+    map_slot_series: simgrid::metrics::TimeSeries,
+    reduce_slot_series: simgrid::metrics::TimeSeries,
+    slot_changes: u64,
+    heartbeat_round: u64,
+    events: EventLog,
+    steps: u64,
+    speculative_attempts: u64,
+    speculative_wins: u64,
+    /// Injected failure points: attempt → progress fraction at which it
+    /// dies. Decided at launch so runs stay deterministic.
+    failure_points: PairMap<MapAttemptId, f64>,
+    map_failures: u64,
+    /// Integral of granted CPU (core·s) across the run.
+    cpu_granted_core_s: f64,
+    /// Integral of offered CPU capacity (core·s) while any job was active.
+    cpu_offered_core_s: f64,
+    /// Total bytes moved over the fabric (shuffle fetches + remote reads).
+    network_mb: f64,
+    /// Per-node up/down state driven by the fault plan.
+    node_up: Vec<bool>,
+    /// Every fault-plan transition at or before this instant has been
+    /// applied (lets fixed mode pick up off-grid instants on the next tick).
+    faults_done_until: SimTime,
+    /// Desired replica count, from the DFS placement policy — the
+    /// re-replication target.
+    replication: usize,
+    /// Under-replicated `(job, block)` pairs awaiting re-replication,
+    /// restored in FIFO order.
+    rerep_queue: VecDeque<(usize, usize)>,
+    /// Accumulated re-replication budget (MB) not yet spent on a block.
+    rerep_progress: f64,
+    node_crashes: u64,
+    /// In-flight attempts killed by crashes (on the dead node or streaming
+    /// input from it).
+    crash_task_kills: u64,
+    /// Completed maps re-executed because their output died with a node.
+    lost_map_outputs: u64,
+    trackers_blacklisted: u64,
+    /// Total map input MB consumed across all attempts (work conservation:
+    /// never less than the sum of job inputs on a successful run).
+    map_input_processed_mb: f64,
+    /// Hadoop-style job counters, one ledger per job (kept off
+    /// `JobInProgress` so the integrate-phase destructuring splits
+    /// cleanly).
+    job_counters: Vec<CounterLedger>,
+    /// Per-node resource-grant integrals between sample boundaries.
+    usage: NodeUsageSampler,
+    /// Rolling per-step digest (see [`fold_hash`]): seeded from the run's
+    /// seed and folded once per completed step, so a resumed run's digests
+    /// line up with the straight run's. `#[serde(default)]`: format-v1
+    /// capsules predate the digest and restore it as 0 — their resumed
+    /// hash traces then simply start from a different basis, still
+    /// internally consistent.
+    #[serde(default)]
+    state_hash: u64,
+}
+
+impl EngineState {
+    /// Bind this state to the policy that will step it: validate the
+    /// config, check the policy is the one the state was captured under,
+    /// and hand it the captured policy state. Every stepping call binds
+    /// first, so no state steps under a policy that never saw its state.
+    fn bind(&mut self, policy: &mut dyn SlotPolicy) -> Result<(), SimError> {
+        self.config.validate()?;
+        if policy.name() != self.policy_name {
+            return Err(SimError::InvalidConfig(format!(
+                "capsule was captured under policy {} but resume got {}",
+                self.policy_name,
+                policy.name()
+            )));
+        }
+        let workers = self.config.cluster.workers;
+        if self.trackers.len() != workers || self.node_up.len() != workers {
+            return Err(SimError::InvalidConfig(format!(
+                "capsule cluster size mismatch: {} trackers / {} node states for {workers} workers",
+                self.trackers.len(),
+                self.node_up.len()
+            )));
+        }
+        let captured = std::mem::replace(&mut self.policy_state, serde::Value::Null);
+        policy
+            .restore_state(&captured)
+            .map_err(|e| SimError::InvalidConfig(format!("capsule policy state: {e}")))
+    }
+
+    fn all_finished(&self) -> bool {
+        self.jobs.iter().all(|j| j.is_finished())
+    }
+
+    /// A capsule of this state as driven by `policy`: a clone with the
+    /// policy's current run state.
+    fn capture(&self, policy: &dyn SlotPolicy) -> EngineState {
+        let mut capsule = self.clone();
+        capsule.policy_state = policy.snapshot_state();
+        capsule
+    }
+
+    /// The run report as of this instant, under the policy driving it.
+    fn report(&self, policy: &dyn SlotPolicy) -> RunReport {
         let jobs = self
             .jobs
             .iter()
@@ -2416,10 +2548,10 @@ impl<'p> Sim<'p> {
             })
             .collect();
         RunReport {
-            policy: self.policy.name().to_string(),
+            policy: policy.name().to_string(),
             jobs,
-            map_slot_series: self.map_slot_series.series().clone(),
-            reduce_slot_series: self.reduce_slot_series.series().clone(),
+            map_slot_series: self.map_slot_series.clone(),
+            reduce_slot_series: self.reduce_slot_series.clone(),
             slot_changes: self.slot_changes,
             events: self.events.clone(),
             speculative_attempts: self.speculative_attempts,
@@ -2445,252 +2577,10 @@ impl<'p> Sim<'p> {
                 all
             },
             node_utilization: self.usage.clone().into_report(),
-            decisions: self.policy.decision_records(),
+            decisions: policy.decision_records(),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Checkpointing: capture / restore the complete run state
-    // ------------------------------------------------------------------
-
-    /// Capture everything a resumed run needs. Captures are taken inside
-    /// or after the step loop, so the adaptive pre-loop sample at t=0 is
-    /// already recorded; only [`Engine::prepare`] builds a state without it.
-    fn capture_state(&self) -> EngineState {
-        let mut failure_points: Vec<(MapAttemptId, f64)> =
-            self.failure_points.iter().map(|(k, v)| (*k, *v)).collect();
-        failure_points.sort_by_key(|&(k, _)| k);
-        EngineState {
-            config: self.cfg.clone(),
-            now: self.now,
-            policy_name: self.policy.name().to_string(),
-            policy_state: self.policy.snapshot_state(),
-            initial_sample_done: true,
-            jobs: self.jobs.clone(),
-            trackers: self.trackers.clone(),
-            running_maps: self
-                .running_maps
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            running_reduces: self
-                .running_reduces
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            sched: self.sched,
-            rng: self.rng.clone(),
-            map_slot_series: self.map_slot_series.series().clone(),
-            reduce_slot_series: self.reduce_slot_series.series().clone(),
-            slot_changes: self.slot_changes,
-            heartbeat_round: self.heartbeat_round,
-            events: self.events.clone(),
-            steps: self.steps,
-            speculative_attempts: self.speculative_attempts,
-            speculative_wins: self.speculative_wins,
-            failure_points,
-            map_failures: self.map_failures,
-            cpu_granted_core_s: self.cpu_granted_core_s,
-            cpu_offered_core_s: self.cpu_offered_core_s,
-            network_mb: self.network_mb,
-            node_up: self.node_up.clone(),
-            faults_done_until: self.faults_done_until,
-            replication: self.replication,
-            rerep_queue: self.rerep_queue.clone(),
-            rerep_progress: self.rerep_progress,
-            node_crashes: self.node_crashes,
-            crash_task_kills: self.crash_task_kills,
-            lost_map_outputs: self.lost_map_outputs,
-            trackers_blacklisted: self.trackers_blacklisted,
-            map_input_processed_mb: self.map_input_processed_mb,
-            job_counters: self.job_counters.clone(),
-            usage: self.usage.clone(),
-            state_hash: self.state_hash,
-        }
-    }
-
-    /// Rebuild a live run from a captured state — the only way a run is
-    /// constructed. The policy must match the captured `policy_name`; its
-    /// run state is restored before the loop re-enters. Live handles
-    /// (telemetry, event sinks) are attached fresh, `scratch` (reset for
-    /// the state's cluster size, as [`EngineArena::checkout`] guarantees)
-    /// becomes the per-step scratch, and everything derivable from the
-    /// config or the jobs (profiles, fabric, replica postings) is
-    /// reconstructed.
-    fn from_state_in(
-        state: EngineState,
-        policy: &'p mut dyn SlotPolicy,
-        telem: Telemetry,
-        scratch: Scratch,
-    ) -> Result<Sim<'p>, SimError> {
-        let cfg = state.config.clone();
-        cfg.validate()?;
-        if policy.name() != state.policy_name {
-            return Err(SimError::InvalidConfig(format!(
-                "capsule was captured under policy {} but resume got {}",
-                state.policy_name,
-                policy.name()
-            )));
-        }
-        let workers = cfg.cluster.workers;
-        if state.trackers.len() != workers || state.node_up.len() != workers {
-            return Err(SimError::InvalidConfig(format!(
-                "capsule cluster size mismatch: {} trackers / {} node states for {workers} workers",
-                state.trackers.len(),
-                state.node_up.len()
-            )));
-        }
-        policy
-            .restore_state(&state.policy_state)
-            .map_err(|e| SimError::InvalidConfig(format!("capsule policy state: {e}")))?;
-        let profiles = state.jobs.iter().map(|j| j.spec.profile.clone()).collect();
-        // derived, deliberately absent from the capsule: rebuild the dense
-        // replica postings from the restored layouts
-        let replica_postings = build_replica_postings(&state.jobs, workers);
-        let mut events = state.events;
-        events.set_sink(telem.clone());
-        Ok(Sim {
-            sched: state.sched,
-            fabric: Fabric::new(cfg.fabric),
-            rng: state.rng,
-            cfg,
-            policy,
-            jobs: state.jobs,
-            profiles,
-            trackers: state.trackers,
-            running_maps: state.running_maps.into_iter().collect(),
-            running_reduces: state.running_reduces.into_iter().collect(),
-            now: state.now,
-            map_slot_series: RecordedSeries::from_series(
-                "map_slot_target",
-                state.map_slot_series,
-                telem.clone(),
-            ),
-            reduce_slot_series: RecordedSeries::from_series(
-                "reduce_slot_target",
-                state.reduce_slot_series,
-                telem.clone(),
-            ),
-            slot_changes: state.slot_changes,
-            heartbeat_round: state.heartbeat_round,
-            events,
-            steps: state.steps,
-            step_counter: telem.counter("engine.steps"),
-            heartbeat_counter: telem.counter("engine.heartbeat_rounds"),
-            step_duration_us: telem.histogram("engine.step_duration_us"),
-            node_crash_counter: telem.counter("engine.node_crashes"),
-            lost_output_counter: telem.counter("engine.lost_map_outputs"),
-            telem,
-            speculative_attempts: state.speculative_attempts,
-            speculative_wins: state.speculative_wins,
-            failure_points: state.failure_points.into_iter().collect(),
-            map_failures: state.map_failures,
-            cpu_granted_core_s: state.cpu_granted_core_s,
-            cpu_offered_core_s: state.cpu_offered_core_s,
-            network_mb: state.network_mb,
-            node_up: state.node_up,
-            faults_done_until: state.faults_done_until,
-            replication: state.replication,
-            rerep_queue: state.rerep_queue,
-            rerep_progress: state.rerep_progress,
-            node_crashes: state.node_crashes,
-            crash_task_kills: state.crash_task_kills,
-            lost_map_outputs: state.lost_map_outputs,
-            trackers_blacklisted: state.trackers_blacklisted,
-            map_input_processed_mb: state.map_input_processed_mb,
-            job_counters: state.job_counters,
-            usage: state.usage,
-            node_cpu: scratch.node_cpu,
-            node_disk: scratch.node_disk,
-            nic_in: scratch.nic_in,
-            nic_out: scratch.nic_out,
-            occ_map: scratch.occ_map,
-            occ_reduce: scratch.occ_reduce,
-            task_scratch: scratch.node_tasks,
-            demand_scratch: scratch.demands,
-            flow_scratch: scratch.flows,
-            purpose_scratch: scratch.purposes,
-            fabric_scratch: scratch.fabric,
-            rate_scratch: scratch.rates,
-            scales_scratch: scratch.scales,
-            map_post_scratch: scratch.map_posts,
-            fetch_post_scratch: scratch.fetch_posts,
-            source_scratch: scratch.sources,
-            snapshot_scratch: scratch.snapshots,
-            replica_postings,
-            snap_every: None,
-            snapshots: Vec::new(),
-            resumed: state.initial_sample_done,
-            state_hash: state.state_hash,
-            trace_hashes: false,
-            hash_trace: Vec::new(),
-        })
-    }
-}
-
-/// The complete mutable state of one run at one simulated instant — the
-/// payload of a checkpoint capsule.
-///
-/// Captured at the top of the step loop (before that instant's fault
-/// transitions and heartbeat), at instants that are multiples of the
-/// sample period, so both stepping modes stop there and a restored run
-/// replays the remainder bit-identically. Deliberately excluded, because
-/// they are live handles, derivable, or strictly observational: telemetry
-/// sinks and counters, the fabric (a pure function of the config), per-job
-/// profile copies (present inside each job's spec), and the allocate-phase
-/// scratch arrays (rewritten from scratch every step).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EngineState {
-    config: EngineConfig,
-    now: SimTime,
-    policy_name: String,
-    /// Opaque policy run state ([`SlotPolicy::snapshot_state`]); `Null`
-    /// for stateless policies and for capsules taken before the first
-    /// decision.
-    policy_state: serde::Value,
-    initial_sample_done: bool,
-    jobs: Vec<JobInProgress>,
-    trackers: Vec<Tracker>,
-    /// Struct-keyed maps travel as sorted pairs (the JSON object form
-    /// only admits string-ish keys).
-    running_maps: Vec<(MapAttemptId, MapTask)>,
-    running_reduces: Vec<(ReduceTaskId, ReduceTask)>,
-    sched: FifoScheduler,
-    rng: SimRng,
-    map_slot_series: simgrid::metrics::TimeSeries,
-    reduce_slot_series: simgrid::metrics::TimeSeries,
-    slot_changes: u64,
-    heartbeat_round: u64,
-    events: EventLog,
-    steps: u64,
-    speculative_attempts: u64,
-    speculative_wins: u64,
-    failure_points: Vec<(MapAttemptId, f64)>,
-    map_failures: u64,
-    cpu_granted_core_s: f64,
-    cpu_offered_core_s: f64,
-    network_mb: f64,
-    node_up: Vec<bool>,
-    faults_done_until: SimTime,
-    replication: usize,
-    rerep_queue: VecDeque<(usize, usize)>,
-    rerep_progress: f64,
-    node_crashes: u64,
-    crash_task_kills: u64,
-    lost_map_outputs: u64,
-    trackers_blacklisted: u64,
-    map_input_processed_mb: f64,
-    job_counters: Vec<CounterLedger>,
-    usage: NodeUsageSampler,
-    /// Rolling per-step digest as of the capture instant (see
-    /// [`fold_hash`]). `#[serde(default)]`: format-v1 capsules predate the
-    /// digest and restore it as 0 — their resumed hash traces then simply
-    /// start from a different basis, still internally consistent.
-    #[serde(default)]
-    state_hash: u64,
-}
-
-impl EngineState {
     /// The simulated instant the capture was taken at.
     pub fn at(&self) -> SimTime {
         self.now
@@ -2746,16 +2636,7 @@ impl EngineState {
         input_mb: f64,
         num_reduces: usize,
     ) -> Result<JobId, SimError> {
-        if input_mb.is_nan() || input_mb <= 0.0 {
-            return Err(SimError::InvalidConfig(
-                "injected job input must be positive".into(),
-            ));
-        }
-        if num_reduces == 0 {
-            return Err(SimError::InvalidConfig(
-                "injected job needs at least one reduce".into(),
-            ));
-        }
+        JobSpec::check_shape(input_mb, num_reduces)?;
         let workers = self.config.cluster.workers;
         let root = SimRng::new(self.config.seed);
         let placement = dfs::PlacementPolicy::default();
@@ -2875,7 +2756,7 @@ impl EngineState {
             state_hash: self.state_hash,
             heartbeat_rounds: self.heartbeat_round,
             slot_changes: self.slot_changes,
-            all_finished: self.jobs.iter().all(|j| j.is_finished()),
+            all_finished: self.all_finished(),
             jobs,
             nodes,
         }
@@ -2884,7 +2765,7 @@ impl EngineState {
 
 /// A read-only projection of one [`EngineState`] for live observers (the
 /// realtime service's observation frames are built from these).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EngineObservation {
     /// Sim clock of the projected instant (ms).
     pub at_ms: u64,
@@ -2932,8 +2813,9 @@ pub struct NodeObservation {
 /// Outcome of one bounded [`Engine::advance_until_in`] advance.
 #[derive(Debug)]
 pub struct Advanced {
-    /// The run re-captured at the stop instant (or at the finish instant
-    /// with the clock frozen, once every job has completed).
+    /// The run at the stop instant (or at the finish instant with the
+    /// clock frozen, once every job has completed), moved back out with
+    /// its `policy_state` refreshed.
     pub state: EngineState,
     /// Every job has finished; further advances are no-ops.
     pub finished: bool,
@@ -3018,8 +2900,8 @@ impl Engine {
             job_counters: vec![CounterLedger::new(); booted.len()],
             jobs: booted,
             trackers,
-            running_maps: Vec::new(),
-            running_reduces: Vec::new(),
+            running_maps: PairMap::default(),
+            running_reduces: PairMap::default(),
             sched: FifoScheduler {
                 reduce_slowstart: cfg.reduce_slowstart,
                 kind: cfg.scheduler,
@@ -3033,7 +2915,7 @@ impl Engine {
             steps: 0,
             speculative_attempts: 0,
             speculative_wins: 0,
-            failure_points: Vec::new(),
+            failure_points: PairMap::default(),
             map_failures: 0,
             cpu_granted_core_s: 0.0,
             cpu_offered_core_s: 0.0,
@@ -3053,25 +2935,6 @@ impl Engine {
         })
     }
 
-    /// Restore `state` under `policy` with scratch checked out of `arena`,
-    /// drive it, and check the scratch back in whatever the outcome. A
-    /// restore error drops the scratch; the arena simply re-allocates (and
-    /// counts a growth event) on its next checkout.
-    fn drive<'p, T>(
-        state: EngineState,
-        policy: &'p mut dyn SlotPolicy,
-        telem: &Telemetry,
-        arena: &mut EngineArena,
-        drive: impl FnOnce(&mut Sim<'p>) -> Result<T, SimError>,
-    ) -> Result<T, SimError> {
-        policy.attach_telemetry(telem);
-        let scratch = arena.checkout(state.config.cluster.workers);
-        let mut sim = Sim::from_state_in(state, policy, telem.clone(), scratch)?;
-        let out = drive(&mut sim);
-        arena.check_in(sim.take_scratch());
-        out
-    }
-
     /// Run a state to completion. The configuration comes from the
     /// capsule; `policy` must be a fresh instance of the bound policy
     /// (matched by name) and is handed the captured policy state. Scratch
@@ -3080,18 +2943,23 @@ impl Engine {
     /// strictly observational — the report is bit-identical whether it is
     /// enabled, disabled, or shared.
     pub fn resume_in(
-        state: EngineState,
+        mut state: EngineState,
         policy: &mut dyn SlotPolicy,
         telem: &Telemetry,
         arena: &mut EngineArena,
     ) -> Result<RunReport, SimError> {
-        Engine::drive(state, policy, telem, arena, Sim::run_to_completion)
+        state.bind(policy)?;
+        step_in(&mut state, policy, telem, arena, |sim| {
+            sim.run_to_completion()
+        })
     }
 
     /// Advance a captured run until its sim clock reaches `target` (or
-    /// every job finishes, whichever comes first) and re-capture it — the
-    /// incremental stepping primitive behind the realtime service's tick
-    /// loop. Scratch is drawn from (and returned to) `arena`.
+    /// every job finishes, whichever comes first) and hand it back — the
+    /// capsule-in, capsule-out form of [`Run::advance_until`]: the state
+    /// moves in, `policy` is handed its captured state, the run steps in
+    /// place, and the state moves out with `policy_state` refreshed.
+    /// Nothing is cloned. Scratch is drawn from (and returned to) `arena`.
     ///
     /// The stop lands at the top of the step loop, exactly where periodic
     /// captures land, so chaining bounded advances replays the identical
@@ -3101,21 +2969,24 @@ impl Engine {
     /// Once every job has finished the sim clock freezes (further
     /// advances return immediately) and the full [`RunReport`] is built.
     pub fn advance_until_in(
-        state: EngineState,
+        mut state: EngineState,
         policy: &mut dyn SlotPolicy,
         target: SimTime,
         telem: &Telemetry,
         arena: &mut EngineArena,
     ) -> Result<Advanced, SimError> {
-        Engine::drive(state, policy, telem, arena, |sim| {
-            let steps_before = sim.steps;
-            let finished = sim.advance(Some(target))?;
-            Ok(Advanced {
-                state: sim.capture_state(),
-                finished,
-                steps_run: sim.steps - steps_before,
-                report: finished.then(|| sim.build_report()),
-            })
+        state.bind(policy)?;
+        let steps_before = state.steps;
+        let finished = step_in(&mut state, policy, telem, arena, |sim| {
+            sim.advance(Some(target))
+        })?;
+        let report = finished.then(|| state.report(policy));
+        state.policy_state = policy.snapshot_state();
+        Ok(Advanced {
+            steps_run: state.steps - steps_before,
+            state,
+            finished,
+            report,
         })
     }
 
@@ -3126,7 +2997,7 @@ impl Engine {
     /// land on). Recording is strictly observational: the report is
     /// identical to [`Engine::resume_in`]'s.
     pub fn record(
-        state: EngineState,
+        mut state: EngineState,
         policy: &mut dyn SlotPolicy,
         every: Option<SimDuration>,
     ) -> Result<Recording, SimError> {
@@ -3145,8 +3016,9 @@ impl Engine {
                 )));
             }
         }
+        state.bind(policy)?;
         let telem = Telemetry::disabled();
-        Engine::drive(state, policy, &telem, &mut EngineArena::new(), |sim| {
+        step_in(&mut state, policy, &telem, &mut EngineArena::new(), |sim| {
             sim.snap_every = every;
             sim.trace_hashes = true;
             let report = sim.run_to_completion()?;
@@ -3156,6 +3028,104 @@ impl Engine {
                 hash_trace: std::mem::take(&mut sim.hash_trace),
             })
         })
+    }
+}
+
+/// The one stepping path: build a [`Sim`] over a bound state with scratch
+/// checked out of `arena`, drive it, and check the scratch back in
+/// whatever the outcome.
+fn step_in<T>(
+    st: &mut EngineState,
+    policy: &mut dyn SlotPolicy,
+    telem: &Telemetry,
+    arena: &mut EngineArena,
+    drive: impl FnOnce(&mut Sim<'_>) -> Result<T, SimError>,
+) -> Result<T, SimError> {
+    let scratch = arena.checkout(st.config.cluster.workers);
+    let mut sim = Sim::over(st, policy, telem, scratch);
+    let out = drive(&mut sim);
+    arena.check_in(sim.finish());
+    out
+}
+
+/// A run held resident between stepping calls: its [`EngineState`] plus
+/// the policy bound to it, the way the paper's job tracker keeps job state
+/// and slot manager live across heartbeats.
+///
+/// [`Run::bind`] is the only way to build one, and it hands the policy
+/// the state's captured run state — so a mid-run state never steps under
+/// a policy that has not seen it. [`Run::advance_until`] then steps the
+/// state in place; nothing is cloned or encoded until [`Run::capture`]
+/// asks for a capsule.
+pub struct Run {
+    state: EngineState,
+    policy: Box<dyn SlotPolicy>,
+}
+
+impl Run {
+    /// Bind `state` to `policy`: validate the config, check the policy is
+    /// the one the state was captured under, and restore its run state.
+    pub fn bind(mut state: EngineState, mut policy: Box<dyn SlotPolicy>) -> Result<Run, SimError> {
+        state.bind(policy.as_mut())?;
+        Ok(Run { state, policy })
+    }
+
+    /// Step until the sim clock reaches `target` or every job finishes,
+    /// whichever comes first, with the stop semantics of
+    /// [`Engine::advance_until_in`]. Returns `true` once every job has
+    /// finished. A run that returned an error must not be stepped again.
+    pub fn advance_until(
+        &mut self,
+        target: SimTime,
+        telem: &Telemetry,
+        arena: &mut EngineArena,
+    ) -> Result<bool, SimError> {
+        step_in(&mut self.state, self.policy.as_mut(), telem, arena, |sim| {
+            sim.advance(Some(target))
+        })
+    }
+
+    /// A capsule of the run as it stands: a clone of its state carrying
+    /// the policy's current run state.
+    pub fn capture(&self) -> EngineState {
+        self.state.capture(self.policy.as_ref())
+    }
+
+    /// The full run report, once every job has finished.
+    pub fn report(&self) -> Option<RunReport> {
+        self.state
+            .all_finished()
+            .then(|| self.state.report(self.policy.as_ref()))
+    }
+
+    /// The run's sim clock.
+    pub fn at(&self) -> SimTime {
+        self.state.at()
+    }
+
+    /// The rolling per-step state digest.
+    pub fn state_hash(&self) -> u64 {
+        self.state.state_hash()
+    }
+
+    /// See [`EngineState::observe`].
+    pub fn observe(&self) -> EngineObservation {
+        self.state.observe()
+    }
+
+    /// See [`EngineState::inject_job`].
+    pub fn inject_job(
+        &mut self,
+        profile: JobProfile,
+        input_mb: f64,
+        num_reduces: usize,
+    ) -> Result<JobId, SimError> {
+        self.state.inject_job(profile, input_mb, num_reduces)
+    }
+
+    /// See [`EngineState::inject_fault`].
+    pub fn inject_fault(&mut self, fault: simgrid::fault::NodeFault) -> Result<(), SimError> {
+        self.state.inject_fault(fault)
     }
 }
 
@@ -3275,6 +3245,116 @@ mod tests {
             assert!(adv.finished);
             assert_eq!(adv.steps_run, 0);
             assert_eq!(adv.state.at(), at);
+        }
+    }
+
+    /// Every slot-series sample is mirrored to its telemetry counter track
+    /// (`map_slot_target` / `reduce_slot_target`), value for value.
+    #[test]
+    fn slot_series_mirror_to_telemetry_counter_tracks() {
+        let job = JobSpec::new(
+            0,
+            JobProfile::synthetic_map_heavy(),
+            1024.0,
+            8,
+            SimTime::ZERO,
+        );
+        let engine = Engine::new(EngineConfig::small_test(4, 3));
+        let telem = Telemetry::with_capacity(1 << 10, 1 << 12);
+        let report = Engine::resume_in(
+            bound(&engine, vec![job]),
+            &mut StaticSlotPolicy,
+            &telem,
+            &mut EngineArena::new(),
+        )
+        .unwrap();
+        let trace: serde::Value = serde_json::from_str(&telem.chrome_trace().unwrap()).unwrap();
+        let events = trace.get("traceEvents").unwrap().as_array().unwrap();
+        for (track, series) in [
+            ("map_slot_target", &report.map_slot_series),
+            ("reduce_slot_target", &report.reduce_slot_series),
+        ] {
+            let mirrored: Vec<(u64, f64)> = events
+                .iter()
+                .filter(|e| {
+                    e.get("ph").and_then(|p| p.as_str()) == Some("C")
+                        && e.get("name").and_then(|n| n.as_str()) == Some(track)
+                })
+                .map(|e| {
+                    let args = e.get("args").unwrap();
+                    let sim_ms = args.get("sim_ms").unwrap().as_u64().unwrap();
+                    (sim_ms, args.get("value").unwrap().as_f64().unwrap())
+                })
+                .collect();
+            let recorded: Vec<(u64, f64)> = series
+                .points()
+                .iter()
+                .map(|&(t, v)| (t.as_millis(), v))
+                .collect();
+            assert!(!recorded.is_empty(), "{track}: no samples");
+            assert_eq!(mirrored, recorded, "{track}");
+        }
+    }
+
+    /// A resident [`Run`] stepped quantum by quantum ends on the straight
+    /// run's report and on the state the capsule-in/capsule-out chunks
+    /// reach, and a capture taken mid-run resumes like the run itself.
+    #[test]
+    fn resident_run_matches_capsule_stepping_in_both_modes() {
+        for mode in [SteppingMode::Adaptive, SteppingMode::Fixed] {
+            let mut cfg = EngineConfig::small_test(4, 31);
+            cfg.tick.mode = mode;
+            cfg.map_failure_rate = 0.05;
+            let job = JobSpec::new(
+                0,
+                JobProfile::synthetic_reduce_heavy(),
+                1024.0,
+                8,
+                SimTime::ZERO,
+            );
+            let engine = Engine::new(cfg);
+            let straight =
+                resume(bound(&engine, vec![job.clone()]), &mut StaticSlotPolicy).unwrap();
+
+            let telem = Telemetry::disabled();
+            let mut arena = EngineArena::new();
+            let mut run = Run::bind(
+                bound(&engine, vec![job.clone()]),
+                Box::new(StaticSlotPolicy),
+            )
+            .unwrap();
+            let mut state = bound(&engine, vec![job]);
+            let mut mid = None;
+            loop {
+                let target = run.at() + SimDuration::from_secs(4);
+                let finished = run.advance_until(target, &telem, &mut arena).unwrap();
+                let adv = Engine::advance_until_in(
+                    state,
+                    &mut StaticSlotPolicy,
+                    target,
+                    &telem,
+                    &mut arena,
+                )
+                .unwrap();
+                state = adv.state;
+                assert_eq!(finished, adv.finished, "{mode:?}");
+                assert_eq!(run.state_hash(), state.state_hash(), "{mode:?}");
+                if mid.is_none() && run.at() >= SimTime::from_secs(20) {
+                    mid = Some(run.capture());
+                }
+                if finished {
+                    break;
+                }
+            }
+            let json = |r: &RunReport| serde_json::to_string(r).unwrap();
+            assert_eq!(json(&run.report().unwrap()), json(&straight), "{mode:?}");
+            assert_eq!(
+                serde_json::to_string(&run.capture()).unwrap(),
+                serde_json::to_string(&state).unwrap(),
+                "{mode:?}: resident capture differs from the by-value state"
+            );
+            let resumed = resume(mid.expect("mid-run capture"), &mut StaticSlotPolicy).unwrap();
+            assert_eq!(json(&resumed), json(&straight), "{mode:?}");
         }
     }
 
@@ -4185,24 +4265,24 @@ mod tests {
             8,
             SimTime::ZERO,
         );
-        let state = bound(&Engine::new(cfg.clone()), vec![job]);
+        let mut state = bound(&Engine::new(cfg.clone()), vec![job]);
         let mut policy = StaticSlotPolicy;
+        state.bind(&mut policy).unwrap();
         let scratch = EngineArena::new().checkout(cfg.cluster.workers);
-        let mut sim =
-            Sim::from_state_in(state, &mut policy, Telemetry::disabled(), scratch).unwrap();
+        let mut sim = Sim::over(&mut state, &mut policy, &Telemetry::disabled(), scratch);
         for _ in 0..cfg.blacklist_threshold {
             sim.charge_tracker_failure(NodeId(0));
         }
-        assert!(sim.trackers[0].blacklisted);
-        assert_eq!(sim.trackers_blacklisted, 1);
+        assert!(sim.st.trackers[0].blacklisted);
+        assert_eq!(sim.st.trackers_blacklisted, 1);
         // further failures never double-count the tracker
         sim.charge_tracker_failure(NodeId(0));
-        assert_eq!(sim.trackers_blacklisted, 1);
+        assert_eq!(sim.st.trackers_blacklisted, 1);
         // and it is skipped at assignment time
         sim.heartbeat_round();
-        assert!(!sim.running_maps.is_empty(), "healthy trackers got work");
+        assert!(!sim.st.running_maps.is_empty(), "healthy trackers got work");
         assert!(
-            sim.running_maps.values().all(|t| t.node != NodeId(0)),
+            sim.st.running_maps.values().all(|t| t.node != NodeId(0)),
             "blacklisted tracker must receive no work"
         );
     }

@@ -7,6 +7,7 @@
 //! here.
 
 use serde::{Deserialize, Serialize};
+use simgrid::error::SimError;
 use simgrid::node::TaskDemand;
 use simgrid::time::SimTime;
 
@@ -325,8 +326,9 @@ impl JobSpec {
         num_reduces: usize,
         submit_at: SimTime,
     ) -> JobSpec {
-        assert!(input_mb > 0.0, "job input must be positive");
-        assert!(num_reduces > 0, "need at least one reduce task");
+        if let Err(e) = JobSpec::check_shape(input_mb, num_reduces) {
+            panic!("{e}");
+        }
         JobSpec {
             id: JobId(id),
             profile,
@@ -334,6 +336,23 @@ impl JobSpec {
             num_reduces,
             submit_at,
         }
+    }
+
+    /// Check an input size and reduce count as [`JobSpec::new`] does, but
+    /// return the rejection instead of panicking: the check every
+    /// submission from outside the program passes first.
+    pub fn check_shape(input_mb: f64, num_reduces: usize) -> Result<(), SimError> {
+        if input_mb.is_nan() || input_mb <= 0.0 {
+            return Err(SimError::InvalidConfig(format!(
+                "job input must be positive, got {input_mb} MB"
+            )));
+        }
+        if num_reduces == 0 {
+            return Err(SimError::InvalidConfig(
+                "need at least one reduce task".into(),
+            ));
+        }
+        Ok(())
     }
 
     /// Expected total map-output (= shuffle) volume in MB.

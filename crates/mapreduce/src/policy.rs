@@ -72,8 +72,10 @@ pub struct PolicyDecisionRecord {
     pub rm: f64,
 }
 
-/// A slot-management policy.
-pub trait SlotPolicy {
+/// A slot-management policy. Policies are `Send`: a resident
+/// [`crate::Run`] carries its bound policy to whichever pool worker steps
+/// it next.
+pub trait SlotPolicy: Send {
     /// Stable display name ("HadoopV1", "YARN", "SMapReduce").
     fn name(&self) -> &'static str;
 

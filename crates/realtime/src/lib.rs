@@ -29,12 +29,13 @@
 //!   next tick) — and reclaims the previous frame's buffers through
 //!   `Arc::try_unwrap` into a free pool once the last reader drops it.
 //!
-//! Tenants are **capsules between ticks**: each advance resumes an
-//! [`mapreduce::EngineState`] via the checkpoint machinery, steps it to a
-//! bounded sim target ([`mapreduce::Engine::advance_until_in`]), and
-//! re-captures. Snapshot/restore through the ingress queue and the rolling
-//! per-step state hash come for free, and an advance never holds locks the
-//! egress side could contend on.
+//! Tenants are **resident runs**: each holds a [`mapreduce::Run`] — its
+//! state plus the policy bound to it once at boot — and every tick steps
+//! it in place to a bounded sim target ([`mapreduce::Run::advance_until`]).
+//! Nothing is cloned or encoded per tick; only the `snapshot` command
+//! captures a capsule ([`mapreduce::Run::capture`]), which resumes under
+//! the checkpoint machinery. An advance never holds locks the egress side
+//! could contend on.
 
 pub mod egress;
 pub mod ingress;

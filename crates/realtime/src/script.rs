@@ -130,41 +130,19 @@ impl IngressScript {
                         touched.push(true);
                         Ok(())
                     }
-                    Command::SubmitJob {
-                        tenant,
-                        bench,
-                        input_mb,
-                        num_reduces,
-                    } => replay_on(&mut tenants, &mut touched, *tenant, |t| {
-                        t.submit_job(*tenant, bench, *input_mb, *num_reduces)
-                            .map(|_| ())
-                    }),
-                    Command::InjectFault {
-                        tenant,
-                        node,
-                        after_ms,
-                        downtime_ms,
-                    } => replay_on(&mut tenants, &mut touched, *tenant, |t| {
-                        t.inject_fault(*tenant, *node, *after_ms, *downtime_ms)
-                            .map(|_| ())
-                    }),
-                    Command::Pause { tenant } => {
-                        replay_on(&mut tenants, &mut touched, *tenant, |t| {
-                            t.paused = true;
-                            Ok(())
-                        })
-                    }
-                    Command::Resume { tenant } => {
-                        replay_on(&mut tenants, &mut touched, *tenant, |t| {
-                            t.paused = false;
-                            Ok(())
-                        })
-                    }
-                    // state no-op in replay: a live snapshot only reads
-                    Command::Snapshot { tenant, .. } => {
-                        replay_on(&mut tenants, &mut touched, *tenant, |_| Ok(()))
-                    }
                     Command::Shutdown => Ok(()),
+                    // state no-op in replay: a live snapshot only reads
+                    Command::Snapshot { tenant, .. } if *tenant < tenants.len() => {
+                        touched[*tenant] = true;
+                        Ok(())
+                    }
+                    _ => match cmd
+                        .tenant()
+                        .and_then(|id| Some(id).zip(tenants.get_mut(id)))
+                    {
+                        Some((id, t)) => t.apply(id, cmd).map(|_| touched[id] = true),
+                        None => Err("no such tenant".into()),
+                    },
                 };
                 if let Err(e) = applied {
                     mismatches.push(format!(
@@ -218,7 +196,7 @@ impl IngressScript {
                     ));
                 }
             }
-            let final_hash = tenant.state.as_ref().map(|s| s.state_hash()).unwrap_or(0);
+            let final_hash = tenant.final_hash();
             points_checked += 1;
             if final_hash != recorded.final_hash {
                 mismatches.push(format!(
@@ -249,21 +227,4 @@ impl IngressScript {
             mismatches,
         }
     }
-}
-
-fn replay_on<F>(
-    tenants: &mut [TenantCore],
-    touched: &mut [bool],
-    id: usize,
-    f: F,
-) -> Result<(), String>
-where
-    F: FnOnce(&mut TenantCore) -> Result<(), String>,
-{
-    let tenant = tenants
-        .get_mut(id)
-        .ok_or_else(|| format!("no tenant {id}"))?;
-    f(tenant)?;
-    touched[id] = true;
-    Ok(())
 }

@@ -14,7 +14,7 @@ use crate::egress::{FrameCell, FramePool, ObservationFrame, ObservationPool};
 use crate::ingress::{Command, Envelope, Reply, TenantId};
 use crate::script::{IngressScript, ScriptedCommand, TenantTrace, TickHash};
 use checkpoint::{capsule_file_name, CapsuleFormat, SimSnapshot};
-use mapreduce::{Engine, EngineArena, EngineConfig, EngineState, RunReport};
+use mapreduce::{Engine, EngineArena, EngineConfig, JobSpec, Run};
 use simgrid::cluster::NodeId;
 use simgrid::fault::NodeFault;
 use simgrid::time::{SimDuration, SimTime};
@@ -80,26 +80,25 @@ impl ServiceConfig {
     }
 }
 
-/// The policy-independent core of one tenant: everything both the live
-/// tick thread and the offline script replay mutate. Keeping this shared
-/// is what makes "replay = live" a structural property instead of two
-/// hand-synchronised code paths.
-#[derive(Debug)]
+/// The core of one tenant: everything both the live tick thread and the
+/// offline script replay mutate. Keeping this shared is what makes
+/// "replay = live" a structural property instead of two hand-synchronised
+/// code paths.
 pub(crate) struct TenantCore {
     pub name: String,
     pub system: String,
     pub workers: usize,
     pub seed: u64,
     pub sim_horizon: SimDuration,
-    /// `None` until the first `SubmitJob` boots the cluster (and again,
-    /// permanently, if the run dies with an error).
-    pub state: Option<EngineState>,
+    /// The tenant's resident run, bound to its policy once at boot and
+    /// stepped in place every tick. `None` until the first `SubmitJob`
+    /// boots the cluster (and again, permanently, if the run dies with an
+    /// error).
+    pub run: Option<Run>,
     pub paused: bool,
     pub finished: bool,
     pub error: Option<String>,
     pub jobs_submitted: u64,
-    /// Report of the most recent all-jobs-finished instant.
-    pub report: Option<RunReport>,
 }
 
 impl TenantCore {
@@ -116,12 +115,11 @@ impl TenantCore {
             workers,
             seed,
             sim_horizon,
-            state: None,
+            run: None,
             paused: false,
             finished: false,
             error: None,
             jobs_submitted: 0,
-            report: None,
         }
     }
 
@@ -134,7 +132,7 @@ impl TenantCore {
 
     /// The tenant advances this tick.
     pub(crate) fn ready(&self) -> bool {
-        self.state.is_some() && !self.paused && !self.finished && self.error.is_none()
+        self.run.is_some() && !self.paused && !self.finished && self.error.is_none()
     }
 
     pub(crate) fn submit_job(
@@ -149,21 +147,14 @@ impl TenantCore {
         }
         let bench =
             Puma::from_name(bench).ok_or_else(|| format!("unknown PUMA benchmark {bench:?}"))?;
-        let job = match &mut self.state {
+        JobSpec::check_shape(input_mb, num_reduces).map_err(|e| e.to_string())?;
+        let job = match &mut self.run {
             None => {
-                let spec = bench.job(0, input_mb, num_reduces, SimTime::ZERO);
-                let mut state = Engine::new(self.base_config())
-                    .prepare(vec![spec])
-                    .map_err(|e| e.to_string())?;
-                state
-                    .override_policy(&self.system)
-                    .map_err(|e| e.to_string())?;
-                self.state = Some(state);
+                self.run = Some(self.boot(bench.job(0, input_mb, num_reduces, SimTime::ZERO))?);
                 0
             }
-            Some(state) => {
-                state
-                    .inject_job(bench.profile(), input_mb, num_reduces)
+            Some(run) => {
+                run.inject_job(bench.profile(), input_mb, num_reduces)
                     .map_err(|e| e.to_string())?
                     .0
             }
@@ -173,6 +164,52 @@ impl TenantCore {
         Ok(Reply::JobSubmitted { tenant: id, job })
     }
 
+    /// Apply one command addressed to this tenant (`id`) — the dispatch
+    /// the live tick thread and the offline replay share.
+    pub(crate) fn apply(&mut self, id: TenantId, cmd: &Command) -> Result<Reply, String> {
+        match cmd {
+            Command::SubmitJob {
+                bench,
+                input_mb,
+                num_reduces,
+                ..
+            } => self.submit_job(id, bench, *input_mb, *num_reduces),
+            Command::InjectFault {
+                node,
+                after_ms,
+                downtime_ms,
+                ..
+            } => self.inject_fault(id, *node, *after_ms, *downtime_ms),
+            Command::Pause { .. } => {
+                self.paused = true;
+                Ok(Reply::Paused { tenant: id })
+            }
+            Command::Resume { .. } => {
+                self.paused = false;
+                Ok(Reply::Resumed { tenant: id })
+            }
+            Command::Snapshot { dir, .. } => self.snapshot(id, Path::new(dir)),
+            Command::CreateTenant { .. } | Command::Shutdown => {
+                Err(format!("{cmd:?} addresses no tenant"))
+            }
+        }
+    }
+
+    /// Boot the tenant's cluster around its first job and bind the run to
+    /// a fresh instance of the tenant's policy — the only `policy_for` a
+    /// tenant ever makes.
+    fn boot(&self, job: JobSpec) -> Result<Run, String> {
+        let mut state = Engine::new(self.base_config())
+            .prepare(vec![job])
+            .map_err(|e| e.to_string())?;
+        state
+            .override_policy(&self.system)
+            .map_err(|e| e.to_string())?;
+        let policy = crate::policy_for(&self.system)
+            .ok_or_else(|| format!("unknown system label {:?}", self.system))?;
+        Run::bind(state, policy).map_err(|e| e.to_string())
+    }
+
     pub(crate) fn inject_fault(
         &mut self,
         id: TenantId,
@@ -180,74 +217,65 @@ impl TenantCore {
         after_ms: u64,
         downtime_ms: Option<u64>,
     ) -> Result<Reply, String> {
-        let state = self
-            .state
+        let run = self
+            .run
             .as_mut()
             .ok_or_else(|| format!("tenant {id} has no running cluster yet"))?;
         if after_ms == 0 {
             return Err("fault must be strictly in the future (after_ms > 0)".into());
         }
-        let at = state.at() + SimDuration::from_millis(after_ms);
+        let at = run.at() + SimDuration::from_millis(after_ms);
         let fault = match downtime_ms {
             Some(d) => NodeFault::transient(NodeId(node), at, SimDuration::from_millis(d)),
             None => NodeFault::permanent(NodeId(node), at),
         };
-        state.inject_fault(fault).map_err(|e| e.to_string())?;
+        run.inject_fault(fault).map_err(|e| e.to_string())?;
         Ok(Reply::FaultInjected {
             tenant: id,
             at_ms: at.as_millis(),
         })
     }
 
-    /// Write the current capsule under `dir` (binary encoding). Replay
+    /// Capture the resident run and write it under `dir` (binary
+    /// encoding) — the only place a tenant's state is cloned. Replay
     /// treats snapshots as no-ops — they never mutate tenant state.
     pub(crate) fn snapshot(&self, id: TenantId, dir: &Path) -> Result<Reply, String> {
-        let state = self
-            .state
+        let run = self
+            .run
             .as_ref()
             .ok_or_else(|| format!("tenant {id} has no running cluster yet"))?;
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
         let file = format!(
             "tenant{:04}-{}",
             id,
-            capsule_file_name(state.at(), CapsuleFormat::Binary)
+            capsule_file_name(run.at(), CapsuleFormat::Binary)
         );
         let path = dir.join(file);
-        checkpoint::save(&path, &SimSnapshot::new(state.clone())).map_err(|e| e.to_string())?;
+        checkpoint::save(&path, &SimSnapshot::new(run.capture())).map_err(|e| e.to_string())?;
         Ok(Reply::Snapshotted {
             tenant: id,
             path: path.display().to_string(),
         })
     }
 
-    /// Advance one fixed quantum. Returns `true` if the tenant's state
-    /// changed (it stepped, finished, or died) — exactly the ticks whose
-    /// hash the trace records.
+    /// Step the resident run one fixed quantum in place. Returns `true`
+    /// if the tenant's state changed (it stepped, finished, or died) —
+    /// exactly the ticks whose hash the trace records.
     pub(crate) fn advance(
         &mut self,
         quantum_ms: u64,
         telem: &Telemetry,
         arena: &mut EngineArena,
     ) -> bool {
-        let Some(state) = self.state.take() else {
+        let Some(run) = self.run.as_mut() else {
             return false;
         };
-        let target = state.at() + SimDuration::from_millis(quantum_ms);
-        let Some(mut policy) = crate::policy_for(&self.system) else {
-            // unreachable: the label was validated at CreateTenant
-            self.error = Some(format!("unknown system label {:?}", self.system));
-            return true;
-        };
-        match Engine::advance_until_in(state, policy.as_mut(), target, telem, arena) {
-            Ok(adv) => {
-                self.finished = adv.finished;
-                if adv.finished {
-                    self.report = adv.report;
-                }
-                self.state = Some(adv.state);
-            }
+        let target = run.at() + SimDuration::from_millis(quantum_ms);
+        match run.advance_until(target, telem, arena) {
+            Ok(finished) => self.finished = finished,
             Err(e) => {
                 self.error = Some(e.to_string());
+                self.run = None;
             }
         }
         true
@@ -255,11 +283,16 @@ impl TenantCore {
 
     /// The tenant's current `(sim clock, rolling hash)`, if it has state.
     pub(crate) fn hash_point(&self, tick: u64) -> Option<TickHash> {
-        self.state.as_ref().map(|s| TickHash {
+        self.run.as_ref().map(|r| TickHash {
             tick,
-            at_ms: s.at().as_millis(),
-            hash: s.state_hash(),
+            at_ms: r.at().as_millis(),
+            hash: r.state_hash(),
         })
+    }
+
+    /// The rolling hash a trace ends on (0 without a live run).
+    pub(crate) fn final_hash(&self) -> u64 {
+        self.run.as_ref().map(Run::state_hash).unwrap_or(0)
     }
 }
 
@@ -697,7 +730,7 @@ fn tick_loop(cfg: ServiceConfig, rx: Receiver<Envelope>, shared: Arc<Shared>) ->
     let tenant_summaries: Vec<TenantSummary> = tenants
         .iter()
         .map(|t| {
-            let obs = t.core.state.as_ref().map(|s| s.observe());
+            let obs = t.core.run.as_ref().map(Run::observe);
             TenantSummary {
                 id: t.id,
                 name: t.core.name.clone(),
@@ -728,7 +761,7 @@ fn tick_loop(cfg: ServiceConfig, rx: Receiver<Envelope>, shared: Arc<Shared>) ->
             .map(|(i, t)| TenantTrace {
                 tenant: i,
                 error: t.core.error.clone(),
-                final_hash: t.core.state.as_ref().map(|s| s.state_hash()).unwrap_or(0),
+                final_hash: t.core.final_hash(),
                 hashes: t.trace.clone(),
             })
             .collect(),
@@ -798,51 +831,15 @@ fn apply_command(
             touched.push(true);
             Ok(Reply::TenantCreated { tenant: id })
         }
-        Command::SubmitJob {
-            tenant,
-            bench,
-            input_mb,
-            num_reduces,
-        } => {
-            let t = tenant_mut(tenants, *tenant)?;
-            let reply = t.core.submit_job(*tenant, bench, *input_mb, *num_reduces)?;
-            touched[*tenant] = true;
-            Ok(reply)
-        }
-        Command::InjectFault {
-            tenant,
-            node,
-            after_ms,
-            downtime_ms,
-        } => {
-            let t = tenant_mut(tenants, *tenant)?;
-            let reply = t
-                .core
-                .inject_fault(*tenant, *node, *after_ms, *downtime_ms)?;
-            touched[*tenant] = true;
-            Ok(reply)
-        }
-        Command::Pause { tenant } => {
-            let t = tenant_mut(tenants, *tenant)?;
-            t.core.paused = true;
-            touched[*tenant] = true;
-            Ok(Reply::Paused { tenant: *tenant })
-        }
-        Command::Resume { tenant } => {
-            let t = tenant_mut(tenants, *tenant)?;
-            t.core.paused = false;
-            touched[*tenant] = true;
-            Ok(Reply::Resumed { tenant: *tenant })
-        }
-        Command::Snapshot { tenant, dir } => {
-            let t = tenant_mut(tenants, *tenant)?;
-            let reply = t.core.snapshot(*tenant, Path::new(dir))?;
-            touched[*tenant] = true;
-            Ok(reply)
-        }
         Command::Shutdown => {
             *stopping = true;
             Ok(Reply::ShuttingDown)
+        }
+        _ => {
+            let id = cmd.tenant().ok_or("command addresses no tenant")?;
+            let reply = tenant_mut(tenants, id)?.core.apply(id, cmd)?;
+            touched[id] = true;
+            Ok(reply)
         }
     }
 }
@@ -866,21 +863,12 @@ fn publish_frame(tenant: &mut Tenant, tick: u64, pool: &mut FramePool) -> bool {
     frame.tick = tick;
     frame.paused = tenant.core.paused;
     frame.error = tenant.core.error.clone();
-    match tenant.core.state.as_ref() {
-        Some(state) => frame.obs = state.observe(),
-        None => {
-            frame.obs = mapreduce::EngineObservation {
-                at_ms: 0,
-                steps: 0,
-                state_hash: 0,
-                heartbeat_rounds: 0,
-                slot_changes: 0,
-                all_finished: false,
-                jobs: Vec::new(),
-                nodes: Vec::new(),
-            }
-        }
-    }
+    frame.obs = tenant
+        .core
+        .run
+        .as_ref()
+        .map(Run::observe)
+        .unwrap_or_default();
     // the policy's recent decisions, as slot-target diffs since the last
     // published frame
     const MAX_DECISIONS: usize = 16;
@@ -916,6 +904,53 @@ fn publish_frame(tenant: &mut Tenant, tick: u64, pool: &mut FramePool) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapreduce::auditor::fingerprint;
+
+    /// A tenant's resident run, stepped quantum by quantum, ends where a
+    /// straight [`Engine::resume_in`] of its boot state ends, and where
+    /// the by-value [`Engine::advance_until_in`] chunks with a fresh policy
+    /// per call end — for every system label.
+    #[test]
+    fn resident_tenant_matches_capsule_stepping_for_every_system() {
+        const QUANTUM_MS: u64 = 4000;
+        let telem = Telemetry::disabled();
+        let mut arena = EngineArena::new();
+        for (i, label) in crate::SYSTEM_LABELS.into_iter().enumerate() {
+            let horizon = ServiceConfig::default().sim_horizon;
+            let mut core = TenantCore::new(label.into(), label.into(), 8, 60 + i as u64, horizon);
+            core.submit_job(0, "terasort", 1024.0, 4).unwrap();
+            core.submit_job(0, "grep", 512.0, 2).unwrap();
+            core.inject_fault(0, 3, 9_000, Some(30_000)).unwrap();
+            let boot = core.run.as_ref().unwrap().capture();
+
+            let mut policy = crate::policy_for(label).unwrap();
+            let straight =
+                Engine::resume_in(boot.clone(), policy.as_mut(), &telem, &mut arena).unwrap();
+
+            let mut state = boot;
+            let chunked = loop {
+                let target = state.at() + SimDuration::from_millis(QUANTUM_MS);
+                let mut policy = crate::policy_for(label).unwrap();
+                let adv =
+                    Engine::advance_until_in(state, policy.as_mut(), target, &telem, &mut arena)
+                        .unwrap();
+                state = adv.state;
+                if let Some(report) = adv.report {
+                    break report;
+                }
+            };
+
+            while !core.finished {
+                assert!(core.advance(QUANTUM_MS, &telem, &mut arena));
+                assert!(core.error.is_none(), "{label}: {:?}", core.error);
+            }
+            let resident = core.run.as_ref().unwrap();
+            assert_eq!(resident.state_hash(), state.state_hash(), "{label}");
+            let report = resident.report().unwrap();
+            assert_eq!(fingerprint(&report), fingerprint(&straight), "{label}");
+            assert_eq!(fingerprint(&report), fingerprint(&chunked), "{label}");
+        }
+    }
 
     #[test]
     fn skipped_final_publish_is_retried_until_it_lands() {

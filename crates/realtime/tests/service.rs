@@ -192,6 +192,11 @@ fn commands_validate_and_errors_do_not_kill_the_service() {
     let t = handle.create_tenant("x", 8, 1, "SMapReduce").unwrap();
     // unknown benchmark
     assert!(handle.submit_job(t, "not-a-bench", 1024.0, 4).is_err());
+    // job shapes no cluster can run, sent while the tenant has no cluster
+    // yet, so each would be its boot job
+    assert!(handle.submit_job(t, "grep", 0.0, 4).is_err());
+    assert!(handle.submit_job(t, "grep", -1.0, 4).is_err());
+    assert!(handle.submit_job(t, "grep", 512.0, 0).is_err());
     // fault before any job booted the cluster
     assert!(handle.inject_fault(t, 0, 1000, None).is_err());
     // fault must be strictly in the future
@@ -222,16 +227,34 @@ fn snapshot_through_ingress_restores_under_checkpoint() {
     let handle = RealtimeService::spawn(fast_config());
     let t = handle.create_tenant("snap", 8, 7, "SMapReduce").unwrap();
     handle.submit_job(t, "terasort", 2048.0, 4).unwrap();
+    // a few heartbeats in, so the slot manager has run state to carry
     wait_for("some progress", || {
-        handle.frame(t).is_some_and(|f| f.obs.at_ms > 0)
+        handle.frame(t).is_some_and(|f| f.obs.at_ms >= 20_000)
     });
     let path = handle.snapshot(t, dir.to_str().unwrap()).unwrap();
+    wait_for("the tenant to finish", || {
+        handle.frame(t).is_some_and(|f| f.obs.all_finished)
+    });
     let summary = handle.shutdown().unwrap();
-    assert!(summary.tenants[0].error.is_none());
+    let live = &summary.tenants[0];
+    assert!(live.error.is_none());
 
-    // the capsule loads under the checkpoint crate and carries a valid
-    // rolling hash chain
+    // the capsule loads under the checkpoint crate and, resumed offline
+    // under a fresh policy, lands on the live tenant's final hash — which
+    // it cannot if the capsule carried a stale policy state
     let snap = checkpoint::load(std::path::Path::new(&path)).expect("capsule loads");
-    assert!(snap.state.at().as_millis() > 0);
+    assert!(snap.state.at().as_millis() >= 20_000);
+    let mut policy = realtime::policy_for("SMapReduce").unwrap();
+    let resumed = mapreduce::Engine::advance_until_in(
+        snap.state,
+        policy.as_mut(),
+        simgrid::time::SimTime::from_millis(live.sim_now_ms),
+        &telemetry::Telemetry::disabled(),
+        &mut mapreduce::EngineArena::new(),
+    )
+    .expect("capsule resumes");
+    assert!(resumed.finished);
+    assert_eq!(resumed.state.at().as_millis(), live.sim_now_ms);
+    assert_eq!(resumed.state.state_hash(), live.state_hash);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -78,56 +78,6 @@ impl TimeSeries {
     }
 }
 
-/// A [`TimeSeries`] that mirrors every sample to a telemetry counter
-/// track, so recorded curves (slot counts, progress) show up in Chrome
-/// traces without changing any series consumer. With a disabled sink this
-/// is exactly a `TimeSeries` plus one branch per push.
-#[derive(Debug, Clone)]
-pub struct RecordedSeries {
-    name: &'static str,
-    series: TimeSeries,
-    sink: telemetry::Telemetry,
-}
-
-impl RecordedSeries {
-    pub fn new(name: &'static str, sink: telemetry::Telemetry) -> RecordedSeries {
-        RecordedSeries {
-            name,
-            series: TimeSeries::new(),
-            sink,
-        }
-    }
-
-    /// Rebuild a recorder around a previously captured series — the restore
-    /// half of checkpointing. The sink is supplied fresh (telemetry handles
-    /// are deliberately not part of a capsule).
-    pub fn from_series(
-        name: &'static str,
-        series: TimeSeries,
-        sink: telemetry::Telemetry,
-    ) -> RecordedSeries {
-        RecordedSeries { name, series, sink }
-    }
-
-    /// Append a sample, mirroring it to the sink's counter track.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.series.push(t, v);
-        self.sink.counter_sample(self.name, t.as_millis(), v);
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-
-    pub fn into_series(self) -> TimeSeries {
-        self.series
-    }
-}
-
 /// A meter that accumulates a byte/record count and yields the mean rate per
 /// sampling window — the exact quantity task trackers piggy-back on
 /// heartbeats ("the map input processing rate, the shuffle rate and the map
@@ -325,22 +275,6 @@ mod tests {
         let mut short = TimeSeries::new();
         short.push(t(0), 1.0);
         assert_eq!(short.thinned(50).len(), 1);
-    }
-
-    #[test]
-    fn recorded_series_mirrors_to_sink() {
-        let sink = telemetry::Telemetry::with_capacity(8, 8);
-        let mut rs = RecordedSeries::new("map_slots", sink.clone());
-        rs.push(t(1), 12.0);
-        rs.push(t(2), 16.0);
-        assert_eq!(rs.series().len(), 2);
-        assert_eq!(rs.name(), "map_slots");
-        let json = sink.chrome_trace().unwrap();
-        assert!(json.contains("map_slots"));
-        // disabled sink: plain TimeSeries behaviour
-        let mut quiet = RecordedSeries::new("x", telemetry::Telemetry::disabled());
-        quiet.push(t(1), 1.0);
-        assert_eq!(quiet.into_series().len(), 1);
     }
 
     #[test]

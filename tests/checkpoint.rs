@@ -10,7 +10,10 @@ use checkpoint::{
 use harness::dashboard::representative;
 use harness::runner::{boot, record_once, resume_once};
 use harness::{Scale, System};
-use mapreduce::{EngineConfig, EngineState, JobProfile, JobSpec, RunReport};
+use mapreduce::{
+    fold_hash, initial_state_hash, Engine, EngineConfig, EngineState, JobProfile, JobSpec,
+    RunReport,
+};
 use proptest::proptest;
 use simgrid::cluster::NodeId;
 use simgrid::time::{SimDuration, SimTime, SteppingMode};
@@ -133,6 +136,115 @@ proptest! {
                 from,
             );
         }
+    }
+}
+
+/// `fold_hash` over a byte string: its length, then every 8-byte
+/// little-endian word (the last one zero-padded).
+fn bytes_digest(bytes: &[u8]) -> u64 {
+    let basis = fold_hash(initial_state_hash(0), bytes.len() as u64);
+    bytes.chunks(8).fold(basis, |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        fold_hash(h, u64::from_le_bytes(word))
+    })
+}
+
+/// The capsules [`Engine::record`] takes every 10 s of a 16-node
+/// SMapReduce run with injected map failures and one transient crash, so
+/// the policy state, the failure points and the re-replication queue all
+/// travel non-empty in some capsule.
+fn pinned_capsules(mode: SteppingMode) -> Vec<EngineState> {
+    let mut cfg = EngineConfig::paper_default();
+    cfg.seed = 29;
+    cfg.tick.mode = mode;
+    cfg.map_failure_rate = 0.1;
+    cfg.fault_plan = FaultPlan::new(vec![NodeFault::transient(
+        NodeId(5),
+        SimTime::from_secs(21),
+        SimDuration::from_secs(60),
+    )]);
+    let job = JobSpec::new(
+        0,
+        JobProfile::synthetic_map_heavy(),
+        8192.0,
+        16,
+        SimTime::ZERO,
+    );
+    let mut state = Engine::new(cfg).prepare(vec![job]).expect("prepared");
+    state.override_policy("SMapReduce").expect("bound");
+    let mut policy = System::SMapReduce.make_policy();
+    Engine::record(state, policy.as_mut(), Some(SimDuration::from_secs(10)))
+        .expect("recorded run completes")
+        .capsules
+}
+
+/// `(capture instant ms, binary capsule digest, JSON capsule digest)` of
+/// every capsule [`pinned_capsules`] takes, recorded when the engine still
+/// copied its state into a separate step-loop struct and back out.
+const ADAPTIVE_CAPSULE_PINS: &[(u64, u64, u64)] = &[
+    (0, 0x73c496eee367e2a5, 0x4c884e7977b658db),
+    (10000, 0x7b9961b80e46361a, 0x46819bab64ae6913),
+    (20000, 0x517903acfdce4ae6, 0x34dc6feed8797b62),
+    (30000, 0x262ab4aec525bc35, 0x33aa9e9a9115f624),
+    (40000, 0xb79146169601d18b, 0x2392118cfa795715),
+    (50000, 0x4432102662b97f21, 0xbfccdee205e3c941),
+    (60000, 0xa48d5fd973f2674e, 0xb37518ff061747bd),
+];
+const FIXED_CAPSULE_PINS: &[(u64, u64, u64)] = &[
+    (0, 0x9f4a48313a7078f3, 0x0295ad8b5468ca72),
+    (10000, 0x6338187df3502766, 0xa87f60c1ecbb7d8e),
+    (20000, 0x2363a5962fa9f066, 0x38c6698168b905f6),
+    (30000, 0xbedbd3a65ff2dc51, 0xa120603dc8bbde35),
+    (40000, 0x33f905e0d0ffa09a, 0x43eba4ac2259c6b6),
+    (50000, 0x9d8cfd2df6cc5431, 0x748741c3a2ce8316),
+    (60000, 0x89ed21234e86f669, 0xfdb825a0dc1a212f),
+];
+
+/// Capsule bytes are pinned across commits: the decoding fixtures only
+/// prove old capsules still load, so this catches a state that serialises
+/// differently — a reordered field, a map travelling in another order, a
+/// stale policy state or a flag a capture used to force.
+#[test]
+fn recorded_capsule_bytes_are_pinned() {
+    for (mode, pins) in [
+        (SteppingMode::Adaptive, ADAPTIVE_CAPSULE_PINS),
+        (SteppingMode::Fixed, FIXED_CAPSULE_PINS),
+    ] {
+        let capsules = pinned_capsules(mode);
+        let non_empty = |field: &str| {
+            capsules.iter().any(|c| {
+                let v = serde_json::to_value(c).unwrap();
+                v.get(field)
+                    .is_some_and(|f| f.as_array().is_some_and(|a| !a.is_empty()))
+            })
+        };
+        assert!(non_empty("failure_points"), "{mode:?}: no failure point");
+        assert!(non_empty("rerep_queue"), "{mode:?}: no re-replication");
+        assert!(
+            capsules.iter().any(|c| {
+                let v = serde_json::to_value(c).unwrap();
+                v.get("policy_state").is_some_and(|p| !p.is_null())
+            }),
+            "{mode:?}: no policy state"
+        );
+        let got: Vec<(u64, u64, u64)> = capsules
+            .iter()
+            .map(|c| {
+                let snap = SimSnapshot::new(c.clone());
+                (
+                    c.at().as_millis(),
+                    bytes_digest(&checkpoint::to_bytes(&snap, CapsuleFormat::Binary)),
+                    bytes_digest(&checkpoint::to_bytes(&snap, CapsuleFormat::Json)),
+                )
+            })
+            .collect();
+        if got.as_slice() != pins {
+            for (at, bin, json) in &got {
+                println!("    ({at}, {bin:#018x}, {json:#018x}),");
+            }
+        }
+        assert_eq!(got.as_slice(), pins, "{mode:?}: capsule bytes changed");
     }
 }
 
