@@ -31,7 +31,7 @@ use crate::events::{Event, EventLog};
 use crate::job::{JobId, JobProfile, JobSpec};
 use crate::policy::{PolicyContext, SlotPolicy, TrackerSnapshot};
 use crate::report::{JobReport, RunReport};
-use crate::scheduler::{FifoScheduler, JobInProgress};
+use crate::scheduler::{FifoScheduler, JobInProgress, MapCache};
 use crate::slots::SlotSet;
 use crate::stats::{ClusterStats, TrackerMeters};
 use crate::task::{MapAttemptId, MapTask, MapTaskId, ReducePhase, ReduceTask, ReduceTaskId};
@@ -451,14 +451,48 @@ fn posted<K: Ord + Copy, V: Copy>(posts: &[(K, V)], cursor: &mut usize, key: K) 
     (*cursor < posts.len() && posts[*cursor].0 == key).then(|| posts[*cursor].1)
 }
 
-/// Invert every job's block→replica lists into per-node block postings
-/// (`result[job][node]` = block indices with a replica on `node`). Derived
-/// state: rebuilt here on construction and on capsule resume, so the
-/// serialized [`EngineState`] stays exactly the pre-dense format.
-fn build_replica_postings(jobs: &[JobInProgress], workers: usize) -> Vec<Vec<Vec<u32>>> {
-    jobs.iter()
-        .map(|job| job.layout.node_postings(workers))
-        .collect()
+/// What a stepping call derives from an [`EngineState`] instead of
+/// reading it: per-job profile copies, the fabric, the per-node replica
+/// postings and the scheduler's map cache. Never serialized. A [`Run`]
+/// derives it once at bind and extends it when a job is injected, so a
+/// resident run's stepping call costs nothing per job; the by-value
+/// drivers derive it per call.
+struct Derived {
+    /// Immutable per-job profile copies (avoids borrow tangles).
+    profiles: Vec<JobProfile>,
+    fabric: Fabric,
+    /// Per-job, per-node replica postings: `replica_postings[job][node]`
+    /// lists the block indices of `job` holding a replica on `node`, so a
+    /// crash prunes exactly the affected blocks instead of scanning every
+    /// block of every job.
+    replica_postings: Vec<Vec<Vec<u32>>>,
+    /// Per-job, per-node pending local blocks (Hadoop's
+    /// `nonRunningMapCache`), read by every map pick.
+    map_cache: MapCache,
+}
+
+impl Derived {
+    fn of(st: &EngineState) -> Derived {
+        let mut derived = Derived {
+            profiles: Vec::with_capacity(st.jobs.len()),
+            fabric: Fabric::new(st.config.fabric),
+            replica_postings: Vec::with_capacity(st.jobs.len()),
+            map_cache: MapCache::default(),
+        };
+        derived.extend(st);
+        derived
+    }
+
+    /// Derive the entries of the jobs submitted since the last call.
+    fn extend(&mut self, st: &EngineState) {
+        let workers = st.config.cluster.workers;
+        for job in &st.jobs[self.profiles.len()..] {
+            self.profiles.push(job.spec.profile.clone());
+            self.replica_postings
+                .push(job.layout.node_postings(workers));
+        }
+        self.map_cache.extend(&st.jobs, workers);
+    }
 }
 
 /// The engine. Construct with a config, then [`Engine::run`] a workload
@@ -536,8 +570,8 @@ pub struct HashPoint {
 
 /// One stepping call over a run: the [`EngineState`] it steps in place,
 /// plus only what is not state — the bound policy, live telemetry handles,
-/// the arena's scratch family, the structures derived from the state
-/// (profiles, fabric, replica postings) and what a recording keeps.
+/// the arena's scratch family, the structures [`Derived`] from the state
+/// and what a recording keeps.
 struct Sim<'r> {
     st: &'r mut EngineState,
     policy: &'r mut dyn SlotPolicy,
@@ -552,15 +586,8 @@ struct Sim<'r> {
     /// Per-step buffers checked out of an [`EngineArena`]; every allocate
     /// phase rewrites them, so the step loop allocates nothing.
     scratch: Scratch,
-    /// Immutable per-job profile copies (avoids borrow tangles).
-    profiles: Vec<JobProfile>,
-    fabric: Fabric,
-    /// Per-job, per-node replica postings: `replica_postings[job][node]`
-    /// lists the block indices of `job` holding a replica on `node`, so a
-    /// crash prunes exactly the affected blocks instead of scanning every
-    /// block of every job. Derived from the layouts when the sim is built,
-    /// never serialized.
-    replica_postings: Vec<Vec<Vec<u32>>>,
+    /// Kept in step with the state as the run moves.
+    derived: &'r mut Derived,
     /// Capture an [`EngineState`] capsule at every multiple of this period
     /// (must itself be a multiple of the sample period, so captures land on
     /// instants both stepping modes already stop at).
@@ -576,20 +603,18 @@ struct Sim<'r> {
 
 impl<'r> Sim<'r> {
     /// Build a sim over `st`, which [`EngineState::bind`] has bound to
-    /// `policy`. Live handles are attached fresh and everything derivable
-    /// from the state (profiles, fabric, replica postings) is rebuilt.
+    /// `policy`, with `derived` derived from it. Live handles are attached
+    /// fresh.
     fn over(
         st: &'r mut EngineState,
         policy: &'r mut dyn SlotPolicy,
+        derived: &'r mut Derived,
         telem: &Telemetry,
         scratch: Scratch,
     ) -> Sim<'r> {
         policy.attach_telemetry(telem);
         st.events.set_sink(telem.clone());
-        let profiles = st.jobs.iter().map(|j| j.spec.profile.clone()).collect();
-        let replica_postings = build_replica_postings(&st.jobs, st.config.cluster.workers);
         Sim {
-            fabric: Fabric::new(st.config.fabric),
             st,
             policy,
             telem: telem.clone(),
@@ -599,8 +624,7 @@ impl<'r> Sim<'r> {
             node_crash_counter: telem.counter("engine.node_crashes"),
             lost_output_counter: telem.counter("engine.lost_map_outputs"),
             scratch,
-            profiles,
-            replica_postings,
+            derived,
             snap_every: None,
             snapshots: Vec::new(),
             trace_hashes: false,
@@ -982,14 +1006,19 @@ impl<'r> Sim<'r> {
             }
             let node = self.st.trackers[i].node;
             while self.st.trackers[i].map_slots.free() > 0 {
-                let Some(a) = self.st.sched.pick_map(&mut self.st.jobs, node, self.st.now) else {
+                let Some(a) = self.st.sched.pick_map(
+                    &mut self.st.jobs,
+                    &mut self.derived.map_cache,
+                    node,
+                    self.st.now,
+                ) else {
                     break;
                 };
                 let jitter = self.draw_map_jitter();
                 let task = MapTask::new(
                     a.id,
                     node,
-                    &self.profiles[a.id.job.0],
+                    &self.derived.profiles[a.id.job.0],
                     a.input_mb,
                     a.remote_src,
                     jitter,
@@ -1027,7 +1056,7 @@ impl<'r> Sim<'r> {
                     rid,
                     node,
                     workers,
-                    &self.profiles[rid.job.0],
+                    &self.derived.profiles[rid.job.0],
                     jitter,
                     self.st.now,
                 );
@@ -1066,7 +1095,8 @@ impl<'r> Sim<'r> {
         self.build_flows_into(fixed_dt, &scales, &mut flows, &mut purposes, &mut sources);
         let mut grants = std::mem::take(&mut self.scratch.rates);
         let workers = self.st.trackers.len();
-        self.fabric
+        self.derived
+            .fabric
             .allocate_into(&flows, workers, &mut self.scratch.fabric, &mut grants);
         self.telem
             .record_span("step", "network_allocate", t0, sim_ms);
@@ -1195,7 +1225,7 @@ impl<'r> Sim<'r> {
         let mut map_cursor = 0usize;
         let mut scale_cursor = 0usize;
         for (id, t) in self.st.running_maps.iter() {
-            let profile = &self.profiles[id.task.job.0];
+            let profile = &self.derived.profiles[id.task.job.0];
             let scale = posted(&rates.scales, &mut scale_cursor, TaskRef::Map(*id)).unwrap_or(0.0);
             let read_rate = posted(&rates.map_posts, &mut map_cursor, *id).unwrap_or(0.0);
             let work_rate = t.effective_work_rate(profile, scale, read_rate);
@@ -1212,7 +1242,7 @@ impl<'r> Sim<'r> {
         let mut fetch_cursor = 0usize;
         let mut scale_cursor = 0usize;
         for (rid, r) in self.st.running_reduces.iter() {
-            let profile = &self.profiles[rid.job.0];
+            let profile = &self.derived.profiles[rid.job.0];
             let job = &self.st.jobs[rid.job.0];
             let scale =
                 posted(&rates.scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
@@ -1292,12 +1322,12 @@ impl<'r> Sim<'r> {
         let mut out = std::mem::take(&mut self.scratch.scales);
         out.clear();
         for (id, t) in self.st.running_maps.iter() {
-            let profile = &self.profiles[id.task.job.0];
+            let profile = &self.derived.profiles[id.task.job.0];
             node_tasks[t.node.0].push((out.len(), profile.map_demand()));
             out.push((TaskRef::Map(*id), 0.0));
         }
         for (id, t) in self.st.running_reduces.iter() {
-            let profile = &self.profiles[id.job.0];
+            let profile = &self.derived.profiles[id.job.0];
             node_tasks[t.node.0].push((out.len(), t.demand(profile)));
             out.push((TaskRef::Reduce(*id), 0.0));
         }
@@ -1369,7 +1399,7 @@ impl<'r> Sim<'r> {
             if !self.st.node_up[src.0] || !self.st.node_up[t.node.0] {
                 continue; // either endpoint dead: nothing flows
             }
-            let profile = &self.profiles[id.task.job.0];
+            let profile = &self.derived.profiles[id.task.job.0];
             let scale = posted(scales, &mut scale_cursor, TaskRef::Map(*id)).unwrap_or(0.0);
             // input consumption rate implied by the granted work rate
             let work_rate = profile.map_rate * scale;
@@ -1404,7 +1434,7 @@ impl<'r> Sim<'r> {
             if r.phase != ReducePhase::Shuffle || !self.st.node_up[r.node.0] {
                 continue;
             }
-            let profile = &self.profiles[rid.job.0];
+            let profile = &self.derived.profiles[rid.job.0];
             let job = &self.st.jobs[rid.job.0];
             let scale = posted(scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
             // merge-throughput budget for this tick, shared across sources;
@@ -1468,7 +1498,7 @@ impl<'r> Sim<'r> {
     ) {
         let mut done = Vec::new();
         let mut failed = Vec::new();
-        let profiles = &self.profiles;
+        let profiles = &self.derived.profiles;
         let EngineState {
             running_maps,
             trackers,
@@ -1546,14 +1576,15 @@ impl<'r> Sim<'r> {
             .expect("removing unknown map attempt");
         self.st.failure_points.remove(&aid);
         self.st.trackers[task.node.0].map_slots.release();
-        let job = &mut self.st.jobs[aid.task.job.0];
+        let ji = aid.task.job.0;
+        let job = &mut self.st.jobs[ji];
         job.running_maps -= 1;
         let sibling = MapAttemptId {
             task: aid.task,
             attempt: 1 - aid.attempt,
         };
         if !job.completed_blocks[aid.task.index] && !self.st.running_maps.contains_key(&sibling) {
-            job.pending_map_blocks.push(aid.task.index);
+            self.derived.map_cache.requeue(ji, job, aid.task.index);
         }
         task
     }
@@ -1749,7 +1780,7 @@ impl<'r> Sim<'r> {
                 let backup = MapTask::new(
                     aid.task,
                     node,
-                    &self.profiles[j],
+                    &self.derived.profiles[j],
                     block_mb,
                     remote_src,
                     jitter,
@@ -1781,7 +1812,7 @@ impl<'r> Sim<'r> {
 
     fn advance_reduces(&mut self, dt: f64, scales: &[(TaskRef, f64)], fetch_posts: &[FetchPost]) {
         let mut done = Vec::new();
-        let profiles = &self.profiles;
+        let profiles = &self.derived.profiles;
         let EngineState {
             running_reduces,
             jobs,
@@ -1993,7 +2024,7 @@ impl<'r> Sim<'r> {
     fn lose_replicas(&mut self, d: NodeId) {
         let live = self.st.node_up.iter().filter(|&&u| u).count();
         for (ji, job) in self.st.jobs.iter_mut().enumerate() {
-            let mut posted = std::mem::take(&mut self.replica_postings[ji][d.0]);
+            let mut posted = std::mem::take(&mut self.derived.replica_postings[ji][d.0]);
             if job.is_finished() {
                 continue; // stale postings of a finished job are never read
             }
@@ -2104,7 +2135,7 @@ impl<'r> Sim<'r> {
                 !j.is_finished()
                     && j.pending_map_blocks
                         .iter()
-                        .any(|&b| j.layout.blocks[b].replicas.is_empty())
+                        .any(|b| j.layout.blocks[b].replicas.is_empty())
             });
             if !map_victims.is_empty() || !reduce_victims.is_empty() || needed > 0 || lost_inputs {
                 return Err(SimError::NodeLost {
@@ -2184,7 +2215,8 @@ impl<'r> Sim<'r> {
                     node: d,
                 });
             }
-            job.pending_map_blocks.sort_unstable();
+            // the sort re-keys the queue: the cache rebuilds the job's lists
+            self.derived.map_cache.resort(ji, job);
             if reopen {
                 // the barrier reopens; complete_map re-stamps it when the
                 // re-executed maps land
@@ -2198,10 +2230,10 @@ impl<'r> Sim<'r> {
             if job.is_finished() {
                 continue;
             }
-            if let Some(&b) = job
+            if let Some(b) = job
                 .pending_map_blocks
                 .iter()
-                .find(|&&b| job.layout.blocks[b].replicas.is_empty())
+                .find(|&b| job.layout.blocks[b].replicas.is_empty())
             {
                 return Err(SimError::NodeLost {
                     node: d,
@@ -2268,7 +2300,8 @@ impl<'r> Sim<'r> {
             self.st.rerep_progress -= size;
             self.st.network_mb += size;
             self.st.jobs[ji].layout.blocks[bi].replicas.push(target);
-            self.replica_postings[ji][target.0].push(bi as u32);
+            self.derived.replica_postings[ji][target.0].push(bi as u32);
+            self.derived.map_cache.replica_gained(ji, bi, target);
             self.st.rerep_queue.pop_front();
             if nreps + 1 < desired {
                 self.st.rerep_queue.push_back((ji, bi));
@@ -2490,11 +2523,26 @@ impl EngineState {
             )));
         }
         let workers = self.config.cluster.workers;
-        if self.trackers.len() != workers || self.node_up.len() != workers {
+        if self.trackers.len() != workers
+            || self.node_up.len() != workers
+            || self.usage.nodes() != workers
+        {
             return Err(SimError::InvalidConfig(format!(
-                "capsule cluster size mismatch: {} trackers / {} node states for {workers} workers",
+                "capsule cluster size mismatch: {} trackers / {} node states / {} sampled \
+                 nodes for {workers} workers",
                 self.trackers.len(),
-                self.node_up.len()
+                self.node_up.len(),
+                self.usage.nodes()
+            )));
+        }
+        if let Some(job) = self
+            .jobs
+            .iter()
+            .find(|j| j.pending_map_blocks.iter().any(|b| b >= j.total_maps()))
+        {
+            return Err(SimError::InvalidConfig(format!(
+                "capsule queues a block job {} does not have",
+                job.spec.id.0
             )));
         }
         let captured = std::mem::replace(&mut self.policy_state, serde::Value::Null);
@@ -2576,7 +2624,7 @@ impl EngineState {
                 }
                 all
             },
-            node_utilization: self.usage.clone().into_report(),
+            node_utilization: self.usage.report(),
             decisions: policy.decision_records(),
         }
     }
@@ -2636,7 +2684,7 @@ impl EngineState {
         input_mb: f64,
         num_reduces: usize,
     ) -> Result<JobId, SimError> {
-        JobSpec::check_shape(input_mb, num_reduces)?;
+        JobSpec::check_layout(input_mb, num_reduces, self.config.block_mb)?;
         let workers = self.config.cluster.workers;
         let root = SimRng::new(self.config.seed);
         let placement = dfs::PlacementPolicy::default();
@@ -2868,6 +2916,7 @@ impl Engine {
                     spec.id.0
                 )));
             }
+            JobSpec::check_layout(spec.input_mb, spec.num_reduces, cfg.block_mb)?;
             let layout = namenode.create_file(spec.input_mb);
             booted.push(JobInProgress::new(spec, layout, workers));
         }
@@ -2949,7 +2998,8 @@ impl Engine {
         arena: &mut EngineArena,
     ) -> Result<RunReport, SimError> {
         state.bind(policy)?;
-        step_in(&mut state, policy, telem, arena, |sim| {
+        let mut derived = Derived::of(&state);
+        step_in(&mut state, policy, &mut derived, telem, arena, |sim| {
             sim.run_to_completion()
         })
     }
@@ -2977,7 +3027,8 @@ impl Engine {
     ) -> Result<Advanced, SimError> {
         state.bind(policy)?;
         let steps_before = state.steps;
-        let finished = step_in(&mut state, policy, telem, arena, |sim| {
+        let mut derived = Derived::of(&state);
+        let finished = step_in(&mut state, policy, &mut derived, telem, arena, |sim| {
             sim.advance(Some(target))
         })?;
         let report = finished.then(|| state.report(policy));
@@ -3018,31 +3069,41 @@ impl Engine {
         }
         state.bind(policy)?;
         let telem = Telemetry::disabled();
-        step_in(&mut state, policy, &telem, &mut EngineArena::new(), |sim| {
-            sim.snap_every = every;
-            sim.trace_hashes = true;
-            let report = sim.run_to_completion()?;
-            Ok(Recording {
-                report,
-                capsules: std::mem::take(&mut sim.snapshots),
-                hash_trace: std::mem::take(&mut sim.hash_trace),
-            })
-        })
+        let mut derived = Derived::of(&state);
+        let mut arena = EngineArena::new();
+        step_in(
+            &mut state,
+            policy,
+            &mut derived,
+            &telem,
+            &mut arena,
+            |sim| {
+                sim.snap_every = every;
+                sim.trace_hashes = true;
+                let report = sim.run_to_completion()?;
+                Ok(Recording {
+                    report,
+                    capsules: std::mem::take(&mut sim.snapshots),
+                    hash_trace: std::mem::take(&mut sim.hash_trace),
+                })
+            },
+        )
     }
 }
 
-/// The one stepping path: build a [`Sim`] over a bound state with scratch
-/// checked out of `arena`, drive it, and check the scratch back in
-/// whatever the outcome.
+/// The one stepping path: build a [`Sim`] over a bound state and what is
+/// derived from it, with scratch checked out of `arena`, drive it, and
+/// check the scratch back in whatever the outcome.
 fn step_in<T>(
     st: &mut EngineState,
     policy: &mut dyn SlotPolicy,
+    derived: &mut Derived,
     telem: &Telemetry,
     arena: &mut EngineArena,
     drive: impl FnOnce(&mut Sim<'_>) -> Result<T, SimError>,
 ) -> Result<T, SimError> {
     let scratch = arena.checkout(st.config.cluster.workers);
-    let mut sim = Sim::over(st, policy, telem, scratch);
+    let mut sim = Sim::over(st, policy, derived, telem, scratch);
     let out = drive(&mut sim);
     arena.check_in(sim.finish());
     out
@@ -3056,10 +3117,12 @@ fn step_in<T>(
 /// the state's captured run state — so a mid-run state never steps under
 /// a policy that has not seen it. [`Run::advance_until`] then steps the
 /// state in place; nothing is cloned or encoded until [`Run::capture`]
-/// asks for a capsule.
+/// asks for a capsule, and nothing is re-derived: the [`Derived`]
+/// indexes stay resident beside the state.
 pub struct Run {
     state: EngineState,
     policy: Box<dyn SlotPolicy>,
+    derived: Derived,
 }
 
 impl Run {
@@ -3067,7 +3130,12 @@ impl Run {
     /// the one the state was captured under, and restore its run state.
     pub fn bind(mut state: EngineState, mut policy: Box<dyn SlotPolicy>) -> Result<Run, SimError> {
         state.bind(policy.as_mut())?;
-        Ok(Run { state, policy })
+        let derived = Derived::of(&state);
+        Ok(Run {
+            state,
+            policy,
+            derived,
+        })
     }
 
     /// Step until the sim clock reaches `target` or every job finishes,
@@ -3080,9 +3148,14 @@ impl Run {
         telem: &Telemetry,
         arena: &mut EngineArena,
     ) -> Result<bool, SimError> {
-        step_in(&mut self.state, self.policy.as_mut(), telem, arena, |sim| {
-            sim.advance(Some(target))
-        })
+        step_in(
+            &mut self.state,
+            self.policy.as_mut(),
+            &mut self.derived,
+            telem,
+            arena,
+            |sim| sim.advance(Some(target)),
+        )
     }
 
     /// A capsule of the run as it stands: a clone of its state carrying
@@ -3120,7 +3193,9 @@ impl Run {
         input_mb: f64,
         num_reduces: usize,
     ) -> Result<JobId, SimError> {
-        self.state.inject_job(profile, input_mb, num_reduces)
+        let id = self.state.inject_job(profile, input_mb, num_reduces)?;
+        self.derived.extend(&self.state);
+        Ok(id)
     }
 
     /// See [`EngineState::inject_fault`].
@@ -3299,12 +3374,30 @@ mod tests {
     /// A resident [`Run`] stepped quantum by quantum ends on the straight
     /// run's report and on the state the capsule-in/capsule-out chunks
     /// reach, and a capture taken mid-run resumes like the run itself.
+    /// The run crosses chunk boundaries through every change to the
+    /// resident indexes: failed and killed attempts re-queue, a rejoin
+    /// before expiry and a crash found by expiry re-sort lost outputs,
+    /// re-replication restores replicas, and a job is injected while a
+    /// node is down.
     #[test]
     fn resident_run_matches_capsule_stepping_in_both_modes() {
+        use simgrid::fault::NodeFault;
+        let inject_at = SimTime::from_secs(8);
+        let injected = || (JobProfile::synthetic_map_heavy(), 768.0, 4);
         for mode in [SteppingMode::Adaptive, SteppingMode::Fixed] {
             let mut cfg = EngineConfig::small_test(4, 31);
             cfg.tick.mode = mode;
             cfg.map_failure_rate = 0.05;
+            cfg.rereplication_rate = 50.0;
+            cfg.fault_plan = simgrid::FaultPlan::new(vec![
+                NodeFault::transient(NodeId(3), SimTime::from_secs(6), SimDuration::from_secs(4)),
+                NodeFault::transient(
+                    NodeId(2),
+                    SimTime::from_secs(20),
+                    SimDuration::from_secs(12),
+                ),
+                NodeFault::permanent(NodeId(1), SimTime::from_secs(25)),
+            ]);
             let job = JobSpec::new(
                 0,
                 JobProfile::synthetic_reduce_heavy(),
@@ -3313,11 +3406,29 @@ mod tests {
                 SimTime::ZERO,
             );
             let engine = Engine::new(cfg);
-            let straight =
-                resume(bound(&engine, vec![job.clone()]), &mut StaticSlotPolicy).unwrap();
-
             let telem = Telemetry::disabled();
             let mut arena = EngineArena::new();
+            let straight = {
+                let mut head = Engine::advance_until_in(
+                    bound(&engine, vec![job.clone()]),
+                    &mut StaticSlotPolicy,
+                    inject_at,
+                    &telem,
+                    &mut arena,
+                )
+                .unwrap()
+                .state;
+                let (profile, mb, reduces) = injected();
+                head.inject_job(profile, mb, reduces).unwrap();
+                resume(head, &mut StaticSlotPolicy).unwrap()
+            };
+            assert!(
+                straight.node_crashes == 3
+                    && straight.lost_map_outputs > 0
+                    && straight.map_failures > 0,
+                "{mode:?}: every recovery path ran"
+            );
+
             let mut run = Run::bind(
                 bound(&engine, vec![job.clone()]),
                 Box::new(StaticSlotPolicy),
@@ -3326,6 +3437,11 @@ mod tests {
             let mut state = bound(&engine, vec![job]);
             let mut mid = None;
             loop {
+                if run.at() == inject_at {
+                    let (profile, mb, reduces) = injected();
+                    run.inject_job(profile.clone(), mb, reduces).unwrap();
+                    state.inject_job(profile, mb, reduces).unwrap();
+                }
                 let target = run.at() + SimDuration::from_secs(4);
                 let finished = run.advance_until(target, &telem, &mut arena).unwrap();
                 let adv = Engine::advance_until_in(
@@ -4269,7 +4385,14 @@ mod tests {
         let mut policy = StaticSlotPolicy;
         state.bind(&mut policy).unwrap();
         let scratch = EngineArena::new().checkout(cfg.cluster.workers);
-        let mut sim = Sim::over(&mut state, &mut policy, &Telemetry::disabled(), scratch);
+        let mut derived = Derived::of(&state);
+        let mut sim = Sim::over(
+            &mut state,
+            &mut policy,
+            &mut derived,
+            &Telemetry::disabled(),
+            scratch,
+        );
         for _ in 0..cfg.blacklist_threshold {
             sim.charge_tracker_failure(NodeId(0));
         }

@@ -304,6 +304,18 @@ builder_setters! {
     shuffle_barrier_boost: f64,
 }
 
+/// Most input blocks (map tasks) one job may have: 2^18, 128× the 2,048
+/// of the largest committed workload (Grep at 1024 nodes). A block costs
+/// the job tracker on the order of 150 bytes of layout, queue and index
+/// state, so this caps one job's at tens of megabytes; the bound is what
+/// stops a huge `input_mb` from exhausting memory (or, from 2^61 MB up,
+/// never finishing) in [`dfs::NameNode::create_file`].
+pub const MAX_MAP_BLOCKS: usize = 1 << 18;
+
+/// Most reduce tasks one job may have: 2^16, 2,048× the 32 of the
+/// largest committed workload. The pending-partition list is sized by it.
+pub const MAX_REDUCES: usize = 1 << 16;
+
 /// One job to run: a profile, an input size, a reduce count and a submit
 /// time.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -340,17 +352,39 @@ impl JobSpec {
 
     /// Check an input size and reduce count as [`JobSpec::new`] does, but
     /// return the rejection instead of panicking: the check every
-    /// submission from outside the program passes first.
+    /// submission from outside the program passes first. The input must
+    /// be positive and finite, and there must be 1..=[`MAX_REDUCES`]
+    /// reduces.
     pub fn check_shape(input_mb: f64, num_reduces: usize) -> Result<(), SimError> {
-        if input_mb.is_nan() || input_mb <= 0.0 {
+        if !input_mb.is_finite() || input_mb <= 0.0 {
             return Err(SimError::InvalidConfig(format!(
-                "job input must be positive, got {input_mb} MB"
+                "job input must be positive and finite, got {input_mb} MB"
             )));
         }
         if num_reduces == 0 {
             return Err(SimError::InvalidConfig(
                 "need at least one reduce task".into(),
             ));
+        }
+        if num_reduces > MAX_REDUCES {
+            return Err(SimError::InvalidConfig(format!(
+                "{num_reduces} reduce tasks exceed the limit of {MAX_REDUCES}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// [`JobSpec::check_shape`], plus the block count the input splits
+    /// into at `block_mb` per block: at most [`MAX_MAP_BLOCKS`]. Every
+    /// path that lays out a job's input checks this first.
+    pub fn check_layout(input_mb: f64, num_reduces: usize, block_mb: f64) -> Result<(), SimError> {
+        JobSpec::check_shape(input_mb, num_reduces)?;
+        let blocks = (input_mb / block_mb).ceil();
+        if blocks.is_nan() || blocks > MAX_MAP_BLOCKS as f64 {
+            return Err(SimError::InvalidConfig(format!(
+                "{input_mb} MB splits into {blocks} blocks of {block_mb} MB, above the limit \
+                 of {MAX_MAP_BLOCKS}"
+            )));
         }
         Ok(())
     }

@@ -128,7 +128,8 @@ fn dispatch(req: &Value, handle: &ServiceHandle, stop: &Arc<AtomicBool>) -> Valu
             };
             let bench = str_field(req, "bench").unwrap_or("grep");
             let input_mb = f64_field(req, "input_mb").unwrap_or(1024.0);
-            let num_reduces = u64_field(req, "num_reduces").unwrap_or(4) as usize;
+            let num_reduces = u64_field(req, "num_reduces")
+                .map_or(4, |n| usize::try_from(n).unwrap_or(usize::MAX));
             reply_json(handle.send(Command::SubmitJob {
                 tenant,
                 bench: bench.to_string(),

@@ -197,11 +197,22 @@ fn commands_validate_and_errors_do_not_kill_the_service() {
     assert!(handle.submit_job(t, "grep", 0.0, 4).is_err());
     assert!(handle.submit_job(t, "grep", -1.0, 4).is_err());
     assert!(handle.submit_job(t, "grep", 512.0, 0).is_err());
+    // sizes that would hang or exhaust the tick thread: a finite input
+    // that splits into billions of blocks, an infinite one, and more
+    // reduces than a job may have
+    let hostile = [(1e12, 4), (f64::INFINITY, 4), (512.0, 1_000_000_000_000)];
+    for (input_mb, reduces) in hostile {
+        assert!(handle.submit_job(t, "grep", input_mb, reduces).is_err());
+    }
     // fault before any job booted the cluster
     assert!(handle.inject_fault(t, 0, 1000, None).is_err());
     // fault must be strictly in the future
     handle.submit_job(t, "grep", 512.0, 2).unwrap();
     assert!(handle.inject_fault(t, 0, 0, None).is_err());
+    // the same sizes injected into the running cluster
+    for (input_mb, reduces) in hostile {
+        assert!(handle.submit_job(t, "grep", input_mb, reduces).is_err());
+    }
     // the service is still healthy after all those rejections
     wait_for("tenant to finish", || {
         handle.frame(t).is_some_and(|f| f.obs.all_finished)

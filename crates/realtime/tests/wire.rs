@@ -102,6 +102,18 @@ fn ndjson_protocol_end_to_end() {
     let bad =
         c.call(r#"{"cmd":"submit_job","tenant":99,"bench":"grep","input_mb":1,"num_reduces":1}"#);
     assert_eq!(bad.get("ok").and_then(Value::as_bool), Some(false));
+    // hostile job sizes are refused before anything is laid out
+    for hostile in [
+        r#"{"cmd":"submit_job","tenant":0,"bench":"grep","input_mb":1e300,"num_reduces":2}"#,
+        r#"{"cmd":"submit_job","tenant":0,"bench":"grep","input_mb":512,"num_reduces":1000000000000}"#,
+    ] {
+        let bad = c.call(hostile);
+        assert_eq!(
+            bad.get("ok").and_then(Value::as_bool),
+            Some(false),
+            "{hostile}"
+        );
+    }
     let bad = c.call(r#"{"cmd":"definitely-not-a-command"}"#);
     assert_eq!(bad.get("ok").and_then(Value::as_bool), Some(false));
     let bad = c.call(r#"{"cmd":"create_tenant","name":"huge","workers":1000000000000}"#);

@@ -19,6 +19,12 @@ impl TimeSeries {
         TimeSeries::default()
     }
 
+    pub fn with_capacity(points: usize) -> TimeSeries {
+        TimeSeries {
+            points: Vec::with_capacity(points),
+        }
+    }
+
     /// Append a sample. Samples must arrive in non-decreasing time order
     /// (enforced in debug builds).
     pub fn push(&mut self, t: SimTime, v: f64) {
@@ -64,17 +70,29 @@ impl TimeSeries {
             .map(|&(t, _)| t)
     }
 
-    /// Downsample to at most `max_points` (for compact figure output).
+    /// Downsample to at most `max_points` (for compact figure output):
+    /// every [`thinning_stride`]-th point, plus the last.
     pub fn thinned(&self, max_points: usize) -> Vec<(SimTime, f64)> {
-        if max_points == 0 || self.points.len() <= max_points {
+        let stride = thinning_stride(self.points.len(), max_points);
+        if stride == 1 {
             return self.points.clone();
         }
-        let stride = self.points.len().div_ceil(max_points);
         let mut out: Vec<(SimTime, f64)> = self.points.iter().step_by(stride).copied().collect();
         if out.last() != self.points.last() {
             out.push(*self.points.last().expect("non-empty"));
         }
         out
+    }
+}
+
+/// The stride [`TimeSeries::thinned`] keeps every point of to bring `len`
+/// points down to at most `max_points` (plus the last point); 1 when the
+/// series is kept whole (`max_points == 0` means no bound).
+pub fn thinning_stride(len: usize, max_points: usize) -> usize {
+    if max_points == 0 || len <= max_points {
+        1
+    } else {
+        len.div_ceil(max_points)
     }
 }
 

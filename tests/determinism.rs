@@ -183,3 +183,188 @@ fn wide_cluster_runs_are_pinned_exactly() {
         );
     }
 }
+
+/// A 256-node Grep that runs every recovery path at scale: node 40
+/// crashes for good at 20 s and is found by heartbeat expiry, node 90
+/// drops out at 19 s and re-registers at 29 s (before expiry, so the
+/// rejoin itself reveals the loss), re-replication restores the lost
+/// replicas, and 2 % of map attempts fail and re-queue.
+fn faulted_wide_grep(mode: simgrid::time::SteppingMode) -> mapreduce::RunReport {
+    use harness::Scale;
+    use mapreduce::Engine;
+    use simgrid::cluster::NodeId;
+    use simgrid::time::{SimDuration, SimTime};
+    use simgrid::{FaultPlan, NodeFault};
+    let nodes = 256;
+    let mut cfg = Scale::Full.engine(nodes);
+    cfg.seed = 7;
+    cfg.tick.mode = mode;
+    cfg.map_failure_rate = 0.02;
+    cfg.rereplication_rate = 50.0;
+    cfg.fault_plan = FaultPlan::new(vec![
+        NodeFault::permanent(NodeId(40), SimTime::from_secs(20)),
+        NodeFault::transient(
+            NodeId(90),
+            SimTime::from_secs(19),
+            SimDuration::from_secs(10),
+        ),
+    ]);
+    let input_mb = nodes as f64 * 2.0 * cfg.block_mb;
+    let job = Puma::Grep.job(0, input_mb, 32, SimTime::ZERO);
+    let mut policy = System::SMapReduce.make_policy();
+    Engine::new(cfg).run(vec![job], policy.as_mut()).unwrap()
+}
+
+/// Every `(time, value-bits)` point of every node's utilization series,
+/// folded in node order and channel order.
+fn utilization_digest(report: &mapreduce::RunReport) -> u64 {
+    let mut h = mapreduce::initial_state_hash(0);
+    for u in &report.node_utilization {
+        h = mapreduce::fold_hash(h, u.node as u64);
+        for ts in [&u.cpu, &u.disk, &u.nic, &u.map_occupied, &u.reduce_occupied] {
+            h = mapreduce::fold_hash(h, ts.len() as u64);
+            for &(t, v) in ts.points() {
+                h = mapreduce::fold_hash(mapreduce::fold_hash(h, t.as_millis()), v.to_bits());
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn faulted_wide_cluster_runs_are_pinned_exactly() {
+    // the 64/256-node pins above are fault-free; this one makes the
+    // scheduler re-queue killed and failed attempts at the back of the
+    // queue, re-sort it after lost outputs and restore lost replicas,
+    // all with hundreds of nodes to choose among
+    use mapreduce::auditor::fingerprint;
+    use simgrid::time::SteppingMode;
+    let pins = [
+        (
+            SteppingMode::Adaptive,
+            0x26b8_530a_3e30_3fcd_u64,
+            213,
+            74_182,
+            0x46c1_c1ae_a049_84b1_u64,
+        ),
+        (
+            SteppingMode::Fixed,
+            0xe21c_17d4_c45b_7fe9,
+            743,
+            74_200,
+            0x3958_2d49_e42c_c6fb,
+        ),
+    ];
+    for (mode, print, steps, finished_ms, usage) in pins {
+        let report = faulted_wide_grep(mode);
+        assert_eq!(report.node_crashes, 2, "{mode:?}: both faults fired");
+        assert!(report.lost_map_outputs > 0, "{mode:?}: outputs re-executed");
+        assert!(report.map_failures > 0, "{mode:?}: attempts failed");
+        let got = (
+            fingerprint(&report),
+            report.steps,
+            report.jobs[0].finished_at.as_millis(),
+            utilization_digest(&report),
+        );
+        assert_eq!(
+            got,
+            (print, steps, finished_ms, usage),
+            "{mode:?}: got {:#018x}/{}/{}/{:#018x}",
+            got.0,
+            got.1,
+            got.2,
+            got.3
+        );
+    }
+}
+
+#[test]
+fn node_utilization_timelines_are_pinned_exactly() {
+    // nothing else pins the per-node utilization report: the fingerprint
+    // folds counters only. A 16-node Terasort runs more than 512 samples,
+    // so every series is thinned (the faulted 256-node pins above cover
+    // a timeline with gaps where nodes were down)
+    use simgrid::time::SimTime;
+    let cfg = EngineConfig::paper_default();
+    let job = Puma::Terasort.job(0, Puma::Terasort.default_input_mb(), 30, SimTime::ZERO);
+    let report = run_once(&cfg, vec![job], &System::SMapReduce, 7).unwrap();
+    let longest = report
+        .node_utilization
+        .iter()
+        .map(|u| u.cpu.len())
+        .max()
+        .unwrap();
+    assert!(
+        longest > 256 && report.jobs[0].finished_at.as_millis() > 512_000,
+        "the Terasort run is long enough to be thinned"
+    );
+    let digest = utilization_digest(&report);
+    assert_eq!(
+        digest, 0xcb39_e62b_e3b6_acaf,
+        "16-node Terasort: got {digest:#018x}"
+    );
+}
+
+#[test]
+fn rereplicated_queued_blocks_are_pinned_exactly() {
+    // a 480-block Grep runs ten map waves on the testbed, and fast
+    // re-replication restores node 3's lost replicas onto other nodes
+    // while many of those blocks are still queued: a heartbeat must see
+    // the restored copy as local from the next pick on. The counters
+    // alone barely notice which local block a tracker takes, so the
+    // pins add a digest of the event log, which names every launch
+    use mapreduce::auditor::fingerprint;
+    use mapreduce::Engine;
+    use simgrid::cluster::NodeId;
+    use simgrid::time::{SimTime, SteppingMode};
+    use simgrid::{FaultPlan, NodeFault};
+    let pins = [
+        (
+            SteppingMode::Adaptive,
+            0xccac_8b5d_f0b7_71c5_u64,
+            664,
+            145_000,
+            0x7bd4_ca3f_2c34_9f94_u64,
+        ),
+        (
+            SteppingMode::Fixed,
+            0x90ab_af71_ef46_7211,
+            1450,
+            144_900,
+            0x11b2_26fa_3388_b988,
+        ),
+    ];
+    for (mode, print, steps, finished_ms, events) in pins {
+        let mut cfg = EngineConfig::paper_default();
+        cfg.seed = 7;
+        cfg.tick.mode = mode;
+        cfg.record_events = true;
+        cfg.rereplication_rate = 1000.0;
+        cfg.fault_plan = FaultPlan::new(vec![NodeFault::permanent(
+            NodeId(3),
+            SimTime::from_secs(10),
+        )]);
+        let job = Puma::Grep.job(0, 60.0 * 1024.0, 30, SimTime::ZERO);
+        let mut policy = System::SMapReduce.make_policy();
+        let report = Engine::new(cfg).run(vec![job], policy.as_mut()).unwrap();
+        let log = serde_json::to_string(&report.events).unwrap();
+        let digest = log.bytes().fold(mapreduce::initial_state_hash(0), |h, b| {
+            mapreduce::fold_hash(h, b as u64)
+        });
+        let got = (
+            fingerprint(&report),
+            report.steps,
+            report.jobs[0].finished_at.as_millis(),
+            digest,
+        );
+        assert_eq!(
+            got,
+            (print, steps, finished_ms, events),
+            "{mode:?}: got {:#018x}/{}/{}/{:#018x}",
+            got.0,
+            got.1,
+            got.2,
+            got.3
+        );
+    }
+}

@@ -331,3 +331,96 @@ fn capsule_envelopes_round_trip_byte_identical() {
         assert_eq!(json, serde_json::to_string(&back).unwrap());
     }
 }
+
+#[test]
+fn mis_sized_usage_samplers_are_refused_not_resumed() {
+    // a 4-node capsule whose usage sampler no longer covers the cluster
+    // must be refused, in either encoding — never parsed and then
+    // panicked on when the step loop feeds it. A sampler at odds with
+    // itself is refused at load; one consistently sized for another
+    // cluster is refused when it binds
+    use mapreduce::{Engine, EngineArena};
+    use serde_json::Value;
+    let cfg = EngineConfig::small_test(4, 11);
+    let job = JobSpec::new(
+        0,
+        JobProfile::synthetic_map_heavy(),
+        1024.0,
+        4,
+        SimTime::ZERO,
+    );
+    let (_, capsules) = record(&cfg, job, &System::SMapReduce, SimDuration::from_secs(10));
+    let snap = SimSnapshot::new(capsules.into_iter().nth(1).expect("a mid-run capsule"));
+    let good = serde_json::to_value(&snap).unwrap();
+    let with_usage = |edit: &dyn Fn(&mut Value)| {
+        let mut capsule = good.clone();
+        let mut state = capsule.get("state").unwrap().clone();
+        let mut usage = state.get("usage").unwrap().clone();
+        edit(&mut usage);
+        state.set("usage", usage);
+        capsule.set("state", state);
+        capsule
+    };
+    let pop = |v: &mut Value, key: &str| {
+        let mut items = v.get(key).unwrap().clone();
+        if let Value::Array(a) = &mut items {
+            a.pop();
+        }
+        v.set(key, items);
+    };
+    let cases = [
+        ("truncated acc", true, with_usage(&|u| pop(u, "acc"))),
+        ("short series", true, with_usage(&|u| pop(u, "series"))),
+        (
+            "mismatched channels",
+            true,
+            with_usage(&|u| {
+                let mut series = u.get("series").unwrap().clone();
+                if let Value::Array(nodes) = &mut series {
+                    let mut disk = nodes[1].get("disk").unwrap().clone();
+                    pop(&mut disk, "points");
+                    nodes[1].set("disk", disk);
+                }
+                u.set("series", series);
+            }),
+        ),
+        (
+            "sized for 3 nodes",
+            false,
+            with_usage(&|u| {
+                for key in ["caps", "acc", "series"] {
+                    pop(u, key);
+                }
+            }),
+        ),
+    ];
+    let origin = std::path::Path::new("mis-sized");
+    for (case, refused_at_load, capsule) in cases {
+        let encodings = [
+            (
+                "json",
+                serde_json::to_string(&capsule).unwrap().into_bytes(),
+            ),
+            ("binary", codec::to_binary(&capsule)),
+        ];
+        for (format, bytes) in encodings {
+            let loaded = checkpoint::from_bytes(origin, &bytes);
+            assert_eq!(
+                loaded.is_err(),
+                refused_at_load,
+                "{case} ({format}) at load"
+            );
+            let Ok(loaded) = loaded else {
+                continue;
+            };
+            let mut policy = System::SMapReduce.make_policy();
+            let resumed = Engine::resume_in(
+                loaded.state,
+                policy.as_mut(),
+                &telemetry::Telemetry::disabled(),
+                &mut EngineArena::new(),
+            );
+            assert!(resumed.is_err(), "{case} ({format}) resumed");
+        }
+    }
+}

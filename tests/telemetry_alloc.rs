@@ -5,29 +5,28 @@
 //! feeds job counters and the per-node usage sampler from the same loop.
 //! Those calls must be allocation-free: a disabled handle is a single
 //! branch, an enabled handle pushes `Copy` records into preallocated
-//! rings, and counter/usage accumulation is flat array arithmetic. This
-//! binary holds exactly one test, and the counter only tracks the test's
-//! own thread: the libtest harness's main thread lazily initialises its
-//! result-channel thread-locals at an arbitrary instant while the test
-//! body runs, and those harness allocations are not ours to forbid.
+//! rings, and counter/usage accumulation is flat array arithmetic. The
+//! counter is per thread and only counts on a test's own thread: the
+//! libtest harness's main thread lazily initialises its result-channel
+//! thread-locals at an arbitrary instant while a test body runs, and those
+//! harness allocations are not ours to forbid; tests running side by side
+//! on other threads do not touch each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Raised by the test thread only; allocations on any other thread
-    /// (the libtest harness) leave the counter untouched.
+    /// Raised by a test's own thread only; allocations on any other
+    /// thread (the libtest harness) leave its counter untouched.
     static COUNTED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count() {
     if COUNTED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -55,8 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations counted on this thread so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
@@ -215,4 +215,67 @@ fn step_loop_telemetry_calls_do_not_allocate() {
         8,
         "every cell after the fresh warm-up must recycle"
     );
+}
+
+#[test]
+fn sampling_allocates_per_doubling_not_per_node() {
+    // a sample appends one row per node to a single row store, so 1,000
+    // samples over 256 nodes regrow one vector about 18 times — not 5
+    // series per node, each regrowing as it fills
+    use simgrid::node::NodeSpec;
+    use simgrid::time::SimTime;
+    use simgrid::usage::NodeUsageSampler;
+
+    COUNTED.with(|c| c.set(true));
+    let nodes = 256;
+    let mut sampler = NodeUsageSampler::new(&vec![NodeSpec::paper_worker(); nodes]);
+    let before = allocs();
+    for sec in 1..=1_000u64 {
+        for n in 0..nodes {
+            sampler.accumulate(n, 1.0, 8.0, 110.0, 60.0, 3, 2);
+        }
+        sampler.sample(SimTime::from_secs(sec));
+    }
+    let made = allocs() - before;
+    assert!(
+        made <= 64,
+        "1,000 samples over {nodes} nodes made {made} allocations"
+    );
+}
+
+#[test]
+fn zero_step_resident_advance_costs_the_same_for_any_job_count() {
+    // a resident run keeps what it derives from its state (profiles,
+    // replica postings, the map cache) between stepping calls, so a call
+    // that steps nothing allocates the same with 51 jobs as with 1
+    use harness::runner::System as SweepSystem;
+    use mapreduce::{Engine, EngineArena, EngineConfig, Run};
+    use simgrid::time::SimTime;
+    use workloads::Puma;
+
+    COUNTED.with(|c| c.set(true));
+    let zero_step_allocs = |jobs: usize| {
+        let mut state = Engine::new(EngineConfig::small_test(8, 5))
+            .prepare(vec![Puma::Grep.job(0, 512.0, 2, SimTime::ZERO)])
+            .unwrap();
+        state
+            .override_policy(SweepSystem::SMapReduce.label())
+            .unwrap();
+        let mut run = Run::bind(state, SweepSystem::SMapReduce.make_policy()).unwrap();
+        for _ in 1..jobs {
+            run.inject_job(Puma::Grep.profile(), 512.0, 2).unwrap();
+        }
+        let telem = telemetry::Telemetry::disabled();
+        let mut arena = EngineArena::new();
+        run.advance_until(SimTime::from_secs(3), &telem, &mut arena)
+            .unwrap();
+        let before = allocs();
+        for _ in 0..100 {
+            run.advance_until(run.at(), &telem, &mut arena).unwrap();
+        }
+        allocs() - before
+    };
+    let one = zero_step_allocs(1);
+    let many = zero_step_allocs(51);
+    assert_eq!(many, one, "51 jobs: {many} allocations, 1 job: {one}");
 }
