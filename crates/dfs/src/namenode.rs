@@ -185,6 +185,20 @@ mod tests {
     }
 
     #[test]
+    fn wide_layouts_hold_only_their_replicas() {
+        // a block's replica list is the k-element pick itself, not a
+        // cluster-sized index vector cut down to k: 2,048 blocks on 1,024
+        // nodes hold 6,144 replica slots, not 2 million
+        let mut nn = NameNode::paper_default(ClusterSpec::small(1024), SimRng::new(11));
+        let f = nn.create_file(2048.0 * 128.0);
+        assert_eq!(f.num_blocks(), 2048);
+        for b in &f.blocks {
+            assert_eq!(b.replicas.len(), 3);
+            assert_eq!(b.replicas.capacity(), b.replicas.len(), "block {}", b.id.0);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "block size")]
     fn zero_block_size_rejected() {
         let _ = NameNode::new(

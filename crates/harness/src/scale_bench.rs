@@ -5,7 +5,7 @@
 //! reports, per point: engine steps, wall time, **ns per step per node**,
 //! steps/sec, and the engine-arena capacity footprint (the peak-memory
 //! proxy). The workload *weak-scales*: input grows proportionally to the
-//! cluster ([`BLOCKS_PER_NODE`] HDFS blocks per node) while the reduce
+//! cluster (`BLOCKS_PER_NODE` HDFS blocks per node) while the reduce
 //! count stays fixed, so a per-step cost linear in the cluster size shows
 //! up as a *flat* ns/step-per-node trajectory. The CI gate holds the
 //! 1024-node point to ≤ [`LINEARITY_BOUND`]× the 64-node point — a
@@ -83,7 +83,7 @@ fn repeats(nodes: usize) -> usize {
 /// CI bound on [`ScaleBench::ratio_1024_vs_64`].
 pub const LINEARITY_BOUND: f64 = 1.5;
 
-/// Run one cluster size: [`repeats`] identical runs through a shared
+/// Run one cluster size: `repeats` identical runs through a shared
 /// recycled arena, best wall time reported.
 pub fn run_point(scale: Scale, nodes: usize) -> ScalePoint {
     let cfg = scale.engine(nodes);

@@ -6,7 +6,7 @@
 //! handed to the fabric. A thread-per-cell sweep pays for all of them on
 //! every cell; a pool worker driving thousands of cells should pay once.
 //!
-//! [`EngineArena`] owns that family between cells as one [`Scratch`]
+//! [`EngineArena`] owns that family between cells as one `Scratch`
 //! value. Every stepping call checks it out (reset **in place**: cleared
 //! and re-sized into the existing backing allocation, never
 //! reconstructed), steps with it, and checks it back in when the call

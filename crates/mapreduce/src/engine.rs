@@ -32,6 +32,7 @@ use crate::job::{JobId, JobProfile, JobSpec};
 use crate::policy::{PolicyContext, SlotPolicy, TrackerSnapshot};
 use crate::report::{JobReport, RunReport};
 use crate::scheduler::{FifoScheduler, JobInProgress, MapCache};
+use crate::shuffle::SourceSets;
 use crate::slots::SlotSet;
 use crate::stats::{ClusterStats, TrackerMeters};
 use crate::task::{MapAttemptId, MapTask, MapTaskId, ReducePhase, ReduceTask, ReduceTaskId};
@@ -40,7 +41,7 @@ use serde::{Deserialize, Serialize};
 use simgrid::cluster::{ClusterSpec, NodeId};
 use simgrid::error::SimError;
 use simgrid::network::{Fabric, FabricConfig, Flow, FlowId};
-use simgrid::node::allocate_node;
+use simgrid::node::NodeScales;
 use simgrid::rng::SimRng;
 use simgrid::time::{EventHorizon, SimDuration, SimTime, SteppingMode, TickConfig};
 use simgrid::usage::NodeUsageSampler;
@@ -453,10 +454,10 @@ fn posted<K: Ord + Copy, V: Copy>(posts: &[(K, V)], cursor: &mut usize, key: K) 
 
 /// What a stepping call derives from an [`EngineState`] instead of
 /// reading it: per-job profile copies, the fabric, the per-node replica
-/// postings and the scheduler's map cache. Never serialized. A [`Run`]
-/// derives it once at bind and extends it when a job is injected, so a
-/// resident run's stepping call costs nothing per job; the by-value
-/// drivers derive it per call.
+/// postings, the scheduler's map cache and the reduces' fetch-source sets.
+/// Never serialized. A [`Run`] derives it once at bind and extends it when
+/// a job is injected, so a resident run's stepping call costs nothing per
+/// job; the by-value drivers derive it per call.
 struct Derived {
     /// Immutable per-job profile copies (avoids borrow tangles).
     profiles: Vec<JobProfile>,
@@ -469,6 +470,14 @@ struct Derived {
     /// Per-job, per-node pending local blocks (Hadoop's
     /// `nonRunningMapCache`), read by every map pick.
     map_cache: MapCache,
+    /// Per-job fetch-source sets of the running reduces, fed by map
+    /// completions and draining fetches, read by every source choice and
+    /// completion test.
+    source_sets: Vec<SourceSets>,
+    /// The DFS name node as it stands after the run's files: built on a
+    /// resident run's first injection and advanced one file per injection
+    /// after it, so an injection does not replay every earlier placement.
+    namenode: Option<NameNode>,
 }
 
 impl Derived {
@@ -478,8 +487,15 @@ impl Derived {
             fabric: Fabric::new(st.config.fabric),
             replica_postings: Vec::with_capacity(st.jobs.len()),
             map_cache: MapCache::default(),
+            source_sets: Vec::with_capacity(st.jobs.len()),
+            namenode: None,
         };
         derived.extend(st);
+        for (rid, r) in st.running_reduces.iter() {
+            if r.phase == ReducePhase::Shuffle {
+                derived.source_sets[rid.job.0].rebuild(&st.jobs[rid.job.0].shuffle, r);
+            }
+        }
         derived
     }
 
@@ -490,6 +506,7 @@ impl Derived {
             self.profiles.push(job.spec.profile.clone());
             self.replica_postings
                 .push(job.layout.node_postings(workers));
+            self.source_sets.push(SourceSets::default());
         }
         self.map_cache.extend(&st.jobs, workers);
     }
@@ -1060,6 +1077,8 @@ impl<'r> Sim<'r> {
                     jitter,
                     self.st.now,
                 );
+                self.derived.source_sets[rid.job.0]
+                    .rebuild(&self.st.jobs[rid.job.0].shuffle, &task);
                 self.st.trackers[i].reduce_slots.launch();
                 self.st.job_counters[rid.job.0].inc(Counter::TotalLaunchedReduces);
                 self.st.events.push(Event::ReduceLaunched {
@@ -1355,7 +1374,7 @@ impl<'r> Sim<'r> {
             }
             self.scratch.demands.clear();
             self.scratch.demands.extend(tasks.iter().map(|t| t.1));
-            let scales = allocate_node(
+            let scales = NodeScales::of(
                 self.st.config.cluster.node_spec(NodeId(n)),
                 &self.scratch.demands,
             );
@@ -1366,7 +1385,8 @@ impl<'r> Sim<'r> {
             } else {
                 1.0
             };
-            for (&(ix, d), s) in tasks.iter().zip(scales) {
+            for &(ix, d) in tasks {
+                let s = scales.task(&d);
                 granted += d.cpu_cores * s * stall_factor;
                 self.scratch.node_cpu[n] += d.cpu_cores * s * stall_factor;
                 self.scratch.node_disk[n] += (d.disk_read + d.disk_write) * s * stall_factor;
@@ -1454,8 +1474,12 @@ impl<'r> Sim<'r> {
                 };
                 budget -= local_rate.min(budget);
             }
-            job.shuffle
-                .fetch_sources_into(r, profile.shuffle_fetchers as usize, sources);
+            job.shuffle.fetch_sources_into(
+                r,
+                &self.derived.source_sets[rid.job.0],
+                profile.shuffle_fetchers as usize,
+                sources,
+            );
             sources.retain(|&(src, _)| src != r.node && self.st.node_up[src.0]);
             // adaptive mode splits the budget proportionally to each
             // source's remaining data, so every granted source depletes at
@@ -1664,6 +1688,7 @@ impl<'r> Sim<'r> {
             .map_output
             .record(task.output_mb);
         job.shuffle.on_map_complete(task.node, task.output_mb);
+        self.derived.source_sets[id.job.0].map_completed(task.node);
         let c = &mut self.st.job_counters[id.job.0];
         c.add(Counter::MapOutputMb, task.output_mb);
         c.add(Counter::SpilledRecords, task.output_mb);
@@ -1812,7 +1837,11 @@ impl<'r> Sim<'r> {
 
     fn advance_reduces(&mut self, dt: f64, scales: &[(TaskRef, f64)], fetch_posts: &[FetchPost]) {
         let mut done = Vec::new();
-        let profiles = &self.derived.profiles;
+        let Derived {
+            profiles,
+            source_sets,
+            ..
+        } = &mut *self.derived;
         let EngineState {
             running_reduces,
             jobs,
@@ -1831,6 +1860,7 @@ impl<'r> Sim<'r> {
             let job = &jobs[rid.job.0];
             match r.phase {
                 ReducePhase::Shuffle => {
+                    let sets = &mut source_sets[rid.job.0];
                     let scale =
                         posted(scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
                     let boost = if job.shuffle.maps_all_done() {
@@ -1846,6 +1876,7 @@ impl<'r> Sim<'r> {
                         let mb = local_rem.min(cfg.local_copy_rate * dt).min(budget);
                         if mb > 0.0 {
                             r.record_fetch(r.node, mb);
+                            sets.fetched(&job.shuffle, r, r.node);
                             trackers[r.node.0].meters.shuffle.record(mb);
                             let c = &mut job_counters[rid.job.0];
                             c.add(Counter::ShuffleFetchedMb, mb);
@@ -1876,6 +1907,7 @@ impl<'r> Sim<'r> {
                         let mb = (p.rate * dt).min(rem).min((budget - used).max(0.0));
                         if mb > 0.0 {
                             r.record_fetch(p.src, mb);
+                            sets.fetched(&job.shuffle, r, p.src);
                             trackers[r.node.0].meters.shuffle.record(mb);
                             *network_mb += mb;
                             let c = &mut job_counters[rid.job.0];
@@ -1886,7 +1918,7 @@ impl<'r> Sim<'r> {
                         }
                     }
                     fetch_cursor = c_ix;
-                    if job.shuffle.shuffle_complete(r) {
+                    if job.shuffle.shuffle_complete(r, sets) {
                         let partition = job
                             .shuffle
                             .partition_mb()
@@ -2545,6 +2577,28 @@ impl EngineState {
                 job.spec.id.0
             )));
         }
+        // the derived source sets hold one set per partition
+        for job in &self.jobs {
+            JobSpec::check_shape(job.spec.input_mb, job.total_reduces())?;
+            if job.shuffle.num_reduces() != job.total_reduces() {
+                return Err(SimError::InvalidConfig(format!(
+                    "capsule job {} shuffles {} partitions for {} reduces",
+                    job.spec.id.0,
+                    job.shuffle.num_reduces(),
+                    job.total_reduces()
+                )));
+            }
+        }
+        if let Some(rid) = self.running_reduces.keys().find(|rid| {
+            self.jobs
+                .get(rid.job.0)
+                .is_none_or(|j| rid.partition >= j.total_reduces())
+        }) {
+            return Err(SimError::InvalidConfig(format!(
+                "capsule runs reduce {} of job {}, which it does not have",
+                rid.partition, rid.job.0
+            )));
+        }
         let captured = std::mem::replace(&mut self.policy_state, serde::Value::Null);
         policy
             .restore_state(&captured)
@@ -2684,19 +2738,33 @@ impl EngineState {
         input_mb: f64,
         num_reduces: usize,
     ) -> Result<JobId, SimError> {
-        JobSpec::check_layout(input_mb, num_reduces, self.config.block_mb)?;
-        let workers = self.config.cluster.workers;
-        let root = SimRng::new(self.config.seed);
-        let placement = dfs::PlacementPolicy::default();
-        let mut namenode = NameNode::new(
-            self.config.cluster.clone(),
-            placement,
-            self.config.block_mb,
-            root.derive("dfs"),
-        );
+        let mut namenode = self.replay_namenode();
+        self.inject_job_placed(&mut namenode, profile, input_mb, num_reduces)
+    }
+
+    /// The DFS name node as it stands after this run's files: a fresh one
+    /// that re-creates every job's file in submission order.
+    fn replay_namenode(&self) -> NameNode {
+        let mut namenode = fresh_namenode(&self.config);
         for j in &self.jobs {
             namenode.create_file(j.spec.input_mb);
         }
+        namenode
+    }
+
+    /// [`EngineState::inject_job`] with the file placed by `namenode`,
+    /// which must stand after this run's files. It then stands after the
+    /// new one too; a rejected submission leaves it where it was.
+    fn inject_job_placed(
+        &mut self,
+        namenode: &mut NameNode,
+        profile: JobProfile,
+        input_mb: f64,
+        num_reduces: usize,
+    ) -> Result<JobId, SimError> {
+        JobSpec::check_layout(input_mb, num_reduces, self.config.block_mb)?;
+        let workers = self.config.cluster.workers;
+        let before = namenode.clone();
         let mut layout = namenode.create_file(input_mb);
         let live = self.node_up.iter().filter(|&&u| u).count();
         let desired = self.replication.min(live);
@@ -2706,6 +2774,7 @@ impl EngineState {
         for (bi, block) in layout.blocks.iter_mut().enumerate() {
             block.replicas.retain(|&n| self.node_up[n.0]);
             if block.replicas.is_empty() {
+                *namenode = before;
                 return Err(SimError::InvalidConfig(format!(
                     "injected job rejected: block {bi} has no replica on a live node"
                 )));
@@ -2900,14 +2969,7 @@ impl Engine {
         }
         let workers = cfg.cluster.workers;
         let root = SimRng::new(cfg.seed);
-        let placement = dfs::PlacementPolicy::default();
-        let replication = placement.replication();
-        let mut namenode = NameNode::new(
-            cfg.cluster.clone(),
-            placement,
-            cfg.block_mb,
-            root.derive("dfs"),
-        );
+        let mut namenode = fresh_namenode(cfg);
         let mut booted = Vec::with_capacity(jobs.len());
         for (i, spec) in jobs.into_iter().enumerate() {
             if spec.id.0 != i {
@@ -2971,7 +3033,7 @@ impl Engine {
             network_mb: 0.0,
             node_up: vec![true; workers],
             faults_done_until: SimTime::ZERO,
-            replication,
+            replication: dfs::PlacementPolicy::default().replication(),
             rerep_queue: VecDeque::new(),
             rerep_progress: 0.0,
             node_crashes: 0,
@@ -3091,6 +3153,17 @@ impl Engine {
     }
 }
 
+/// A run's DFS name node before its first file: the default placement on
+/// the `dfs` stream of the run's seed.
+fn fresh_namenode(cfg: &EngineConfig) -> NameNode {
+    NameNode::new(
+        cfg.cluster.clone(),
+        dfs::PlacementPolicy::default(),
+        cfg.block_mb,
+        SimRng::new(cfg.seed).derive("dfs"),
+    )
+}
+
 /// The one stepping path: build a [`Sim`] over a bound state and what is
 /// derived from it, with scratch checked out of `arena`, drive it, and
 /// check the scratch back in whatever the outcome.
@@ -3117,7 +3190,7 @@ fn step_in<T>(
 /// the state's captured run state — so a mid-run state never steps under
 /// a policy that has not seen it. [`Run::advance_until`] then steps the
 /// state in place; nothing is cloned or encoded until [`Run::capture`]
-/// asks for a capsule, and nothing is re-derived: the [`Derived`]
+/// asks for a capsule, and nothing is re-derived: the `Derived`
 /// indexes stay resident beside the state.
 pub struct Run {
     state: EngineState,
@@ -3186,14 +3259,22 @@ impl Run {
         self.state.observe()
     }
 
-    /// See [`EngineState::inject_job`].
+    /// See [`EngineState::inject_job`]. The run keeps its name node: the
+    /// first injection replays the run's files once, and each later one
+    /// places only its own file.
     pub fn inject_job(
         &mut self,
         profile: JobProfile,
         input_mb: f64,
         num_reduces: usize,
     ) -> Result<JobId, SimError> {
-        let id = self.state.inject_job(profile, input_mb, num_reduces)?;
+        let namenode = self
+            .derived
+            .namenode
+            .get_or_insert_with(|| self.state.replay_namenode());
+        let id = self
+            .state
+            .inject_job_placed(namenode, profile, input_mb, num_reduces)?;
         self.derived.extend(&self.state);
         Ok(id)
     }
@@ -3472,6 +3553,105 @@ mod tests {
             let resumed = resume(mid.expect("mid-run capture"), &mut StaticSlotPolicy).unwrap();
             assert_eq!(json(&resumed), json(&straight), "{mode:?}");
         }
+    }
+
+    /// Every block's replica list of every job, in submission order.
+    fn replica_lists(st: &EngineState) -> Vec<Vec<Vec<NodeId>>> {
+        st.jobs
+            .iter()
+            .map(|j| j.layout.blocks.iter().map(|b| b.replicas.clone()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn resident_injections_place_like_a_replayed_namenode() {
+        // a resident run keeps its name node across injections, where the
+        // by-value path replays every earlier file before each one: fifty
+        // injections, some while node 3 is down (its replicas pruned),
+        // must leave the same layouts and digests either way
+        use simgrid::fault::NodeFault;
+        let mut cfg = EngineConfig::small_test(8, 17);
+        cfg.fault_plan = simgrid::FaultPlan::new(vec![NodeFault::transient(
+            NodeId(3),
+            SimTime::from_secs(20),
+            SimDuration::from_secs(12),
+        )]);
+        let engine = Engine::new(cfg);
+        let job = JobSpec::new(
+            0,
+            JobProfile::synthetic_map_heavy(),
+            4096.0,
+            4,
+            SimTime::ZERO,
+        );
+        let telem = Telemetry::disabled();
+        let mut arena = EngineArena::new();
+        let mut run = Run::bind(
+            bound(&engine, vec![job.clone()]),
+            Box::new(StaticSlotPolicy),
+        )
+        .unwrap();
+        let mut state = bound(&engine, vec![job]);
+        let mut injected_while_down = 0;
+        for k in 0..50u64 {
+            let target = SimTime::from_secs(k + 1);
+            run.advance_until(target, &telem, &mut arena).unwrap();
+            state =
+                Engine::advance_until_in(state, &mut StaticSlotPolicy, target, &telem, &mut arena)
+                    .unwrap()
+                    .state;
+            if !run.state.node_up[3] {
+                injected_while_down += 1;
+            }
+            let mb = 128.0 * (1 + k % 3) as f64;
+            let a = run
+                .inject_job(JobProfile::synthetic_map_heavy(), mb, 2)
+                .unwrap();
+            let b = state
+                .inject_job(JobProfile::synthetic_map_heavy(), mb, 2)
+                .unwrap();
+            assert_eq!(a, b);
+            assert_eq!(run.state_hash(), state.state_hash(), "injection {k}");
+        }
+        assert!(injected_while_down > 0, "an injection met node 3 down");
+        assert_eq!(run.state.jobs.len(), 51);
+        assert_eq!(replica_lists(&run.state), replica_lists(&state));
+        assert_eq!(
+            serde_json::to_string(&run.capture()).unwrap(),
+            serde_json::to_string(&state).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_rejected_resident_injection_leaves_its_namenode_in_place() {
+        // a file with a block on no live node is rejected after it was
+        // placed; the run's name node must then stand where it stood, as
+        // a replay (which never saw the rejected file) does
+        let engine = Engine::new(EngineConfig::small_test(4, 9));
+        let profile = JobProfile::synthetic_map_heavy;
+        let job = JobSpec::new(0, profile(), 512.0, 2, SimTime::ZERO);
+        let mut run = Run::bind(
+            bound(&engine, vec![job.clone()]),
+            Box::new(StaticSlotPolicy),
+        )
+        .unwrap();
+        let mut state = bound(&engine, vec![job]);
+        run.inject_job(profile(), 512.0, 2).unwrap();
+        state.inject_job(profile(), 512.0, 2).unwrap();
+        // with three of four nodes down, a 32-block file almost surely
+        // has a block whose three replicas are all down
+        let set_up = |st: &mut EngineState, up: bool| st.node_up[1..].fill(up);
+        set_up(&mut run.state, false);
+        set_up(&mut state, false);
+        assert!(run.inject_job(profile(), 32.0 * 128.0, 2).is_err());
+        assert!(state.inject_job(profile(), 32.0 * 128.0, 2).is_err());
+        set_up(&mut run.state, true);
+        set_up(&mut state, true);
+        run.inject_job(profile(), 1024.0, 2).unwrap();
+        state.inject_job(profile(), 1024.0, 2).unwrap();
+        assert_eq!(run.state.jobs.len(), 3);
+        assert_eq!(replica_lists(&run.state), replica_lists(&state));
+        assert_eq!(run.state_hash(), state.state_hash());
     }
 
     #[test]

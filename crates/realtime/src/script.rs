@@ -6,7 +6,7 @@
 //! at tick boundaries and the sim quantum is a fixed constant of the run,
 //! that script is a complete causal history: [`IngressScript::replay`]
 //! re-runs it single-threaded — no tick thread, no wall clock, no
-//! channels — through the *same* [`crate::service::TenantCore`] logic the
+//! channels — through the *same* `service::TenantCore` logic the
 //! live service used, and must land on the exact rolling state hashes the
 //! live run published. A replay mismatch means nondeterminism leaked in
 //! (wall time, thread scheduling, allocation order), and the determinism

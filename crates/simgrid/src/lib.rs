@@ -47,7 +47,7 @@ pub use cluster::{ClusterSpec, NodeId};
 pub use error::SimError;
 pub use fault::{FaultPlan, NodeFault};
 pub use network::{Fabric, FabricConfig, FabricScratch, Flow, FlowId};
-pub use node::{allocate_node, NodeSpec, TaskDemand};
+pub use node::{allocate_node, NodeScales, NodeSpec, TaskDemand};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime, TickConfig};
 pub use usage::{NodeUsageSampler, NodeUtilization};

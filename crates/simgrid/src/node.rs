@@ -127,6 +127,60 @@ pub fn disk_efficiency(spec: &NodeSpec, streams: f64) -> f64 {
     }
 }
 
+/// The contention one node's task set is under this tick: a CPU scale and
+/// a disk scale shared by every task on the node. [`NodeScales::task`]
+/// turns them into one task's rate scale, so a caller walking its own
+/// task list needs no per-node output vector.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeScales {
+    cpu: f64,
+    disk: f64,
+}
+
+impl NodeScales {
+    /// Size the node's CPU and disk shares for `demands`, the tasks it
+    /// runs this tick. No demands means no contention: both scales are 1.
+    pub fn of(spec: &NodeSpec, demands: &[TaskDemand]) -> NodeScales {
+        let total_threads: f64 = demands.iter().map(|d| f64::from(d.threads)).sum();
+        let total_mem: f64 = demands.iter().map(|d| d.mem_mb).sum();
+        let total_cpu: f64 = demands.iter().map(|d| d.cpu_cores).sum();
+        let total_disk: f64 = demands.iter().map(|d| d.disk_read + d.disk_write).sum();
+        let disk_streams = demands
+            .iter()
+            .filter(|d| d.disk_read + d.disk_write > 0.0)
+            .count() as f64;
+
+        let cpu_capacity =
+            spec.cores * cpu_efficiency(spec, total_threads) * memory_efficiency(spec, total_mem);
+        let cpu = if total_cpu <= cpu_capacity || total_cpu == 0.0 {
+            1.0
+        } else {
+            cpu_capacity / total_cpu
+        };
+
+        let disk_capacity = spec.disk_bw * disk_efficiency(spec, disk_streams);
+        let disk = if total_disk <= disk_capacity || total_disk == 0.0 {
+            1.0
+        } else {
+            disk_capacity / total_disk
+        };
+        NodeScales { cpu, disk }
+    }
+
+    /// The achieved rate scale, in `(0, 1]`, of a task with demand `d`:
+    /// the tighter of the shares it draws on.
+    pub fn task(&self, d: &TaskDemand) -> f64 {
+        let mut s = 1.0_f64;
+        if d.cpu_cores > 0.0 {
+            s = s.min(self.cpu);
+        }
+        if d.disk_read + d.disk_write > 0.0 {
+            s = s.min(self.disk);
+        }
+        s.max(1e-6) // never fully stall: forward progress guarantee
+    }
+}
+
 /// Compute the achieved rate scale for every task on a node this tick.
 ///
 /// Returns one scale in `(0, 1]` per entry of `demands`; an empty input
@@ -134,46 +188,8 @@ pub fn disk_efficiency(spec: &NodeSpec, streams: f64) -> f64 {
 /// demands* (proportional sharing), and the sum of granted CPU never
 /// exceeds the (efficiency-adjusted) capacity.
 pub fn allocate_node(spec: &NodeSpec, demands: &[TaskDemand]) -> Vec<f64> {
-    if demands.is_empty() {
-        return Vec::new();
-    }
-    let total_threads: f64 = demands.iter().map(|d| f64::from(d.threads)).sum();
-    let total_mem: f64 = demands.iter().map(|d| d.mem_mb).sum();
-    let total_cpu: f64 = demands.iter().map(|d| d.cpu_cores).sum();
-    let total_disk: f64 = demands.iter().map(|d| d.disk_read + d.disk_write).sum();
-    let disk_streams = demands
-        .iter()
-        .filter(|d| d.disk_read + d.disk_write > 0.0)
-        .count() as f64;
-
-    let cpu_capacity =
-        spec.cores * cpu_efficiency(spec, total_threads) * memory_efficiency(spec, total_mem);
-    let cpu_scale = if total_cpu <= cpu_capacity || total_cpu == 0.0 {
-        1.0
-    } else {
-        cpu_capacity / total_cpu
-    };
-
-    let disk_capacity = spec.disk_bw * disk_efficiency(spec, disk_streams);
-    let disk_scale = if total_disk <= disk_capacity || total_disk == 0.0 {
-        1.0
-    } else {
-        disk_capacity / total_disk
-    };
-
-    demands
-        .iter()
-        .map(|d| {
-            let mut s = 1.0_f64;
-            if d.cpu_cores > 0.0 {
-                s = s.min(cpu_scale);
-            }
-            if d.disk_read + d.disk_write > 0.0 {
-                s = s.min(disk_scale);
-            }
-            s.max(1e-6) // never fully stall: forward progress guarantee
-        })
-        .collect()
+    let scales = NodeScales::of(spec, demands);
+    demands.iter().map(|d| scales.task(d)).collect()
 }
 
 /// Aggregate throughput (sum of per-task scales × a nominal per-task rate of

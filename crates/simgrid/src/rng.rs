@@ -81,18 +81,32 @@ impl SimRng {
         1.0 + (self.unit() * 2.0 - 1.0) * amp
     }
 
-    /// Pick `k` distinct indices out of `0..n` (Floyd's algorithm would be
-    /// overkill at our sizes; partial Fisher–Yates over an index vector is
-    /// exact and simple). Returns fewer than `k` only when `n < k`.
+    /// Pick `k` distinct indices out of `0..n`: the first `k` entries of a
+    /// partial Fisher–Yates shuffle of `0..n`. Returns fewer than `k` only
+    /// when `n < k`.
+    ///
+    /// The shuffle is sparse. Step `i` draws `j = i + below(n - i)` and
+    /// swaps positions `i` and `j`; the draws do not depend on what the
+    /// positions hold, so they are all made first, into the output. Then
+    /// each pick, last to first, follows its drawn position back through
+    /// the earlier swaps to the index that started there. That costs
+    /// O(k²) steps and allocates only the output, where shuffling a filled
+    /// `0..n` cost O(n) per call — for every block a name node places.
     pub fn choose_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..n).collect();
         let take = k.min(n);
-        for i in 0..take {
-            let j = i + self.below(n - i);
-            idx.swap(i, j);
+        let mut picks: Vec<usize> = (0..take).map(|i| i + self.below(n - i)).collect();
+        for i in (0..take).rev() {
+            let mut at = picks[i];
+            for m in (0..i).rev() {
+                if at == picks[m] {
+                    at = m;
+                } else if at == m {
+                    at = picks[m];
+                }
+            }
+            picks[i] = at;
         }
-        idx.truncate(take);
-        idx
+        picks
     }
 }
 
@@ -209,6 +223,61 @@ mod tests {
         // k > n clamps
         assert_eq!(r.choose_distinct(2, 5).len(), 2);
         assert!(r.choose_distinct(0, 3).is_empty());
+    }
+
+    /// The retired dense shuffle, kept as the reference: a partial
+    /// Fisher–Yates over a filled `0..n`.
+    fn choose_distinct_dense(r: &mut SimRng, n: usize, k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        let take = k.min(n);
+        for i in 0..take {
+            let j = i + r.below(n - i);
+            idx.swap(i, j);
+        }
+        idx.truncate(take);
+        idx
+    }
+
+    proptest::proptest! {
+        /// The sparse shuffle makes the retired dense one's draws in the
+        /// same order, so it returns the same picks and leaves the stream
+        /// where the dense one left it, including when `k >= n`.
+        #[test]
+        fn prop_sparse_choice_matches_dense_reference(
+            n in 0usize..2048,
+            k in 0usize..8,
+            seed in 0u64..1_000,
+            calls in 1usize..4,
+        ) {
+            let mut sparse = SimRng::new(seed);
+            let mut dense = SimRng::new(seed);
+            for _ in 0..calls {
+                let got = sparse.choose_distinct(n, k);
+                proptest::prop_assert_eq!(&got, &choose_distinct_dense(&mut dense, n, k));
+                proptest::prop_assert_eq!(got.capacity(), got.len());
+                proptest::prop_assert_eq!(sparse.state_words(), dense.state_words());
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_choice_matches_dense_reference_when_k_covers_n() {
+        for n in 0..12 {
+            for k in n..n + 3 {
+                let mut sparse = SimRng::new(n as u64 * 31 + k as u64);
+                let mut dense = sparse.clone();
+                let got = sparse.choose_distinct(n, k);
+                assert_eq!(got, choose_distinct_dense(&mut dense, n, k), "n {n}, k {k}");
+                assert_eq!(sparse.state_words(), dense.state_words());
+                let mut sorted = got.clone();
+                sorted.sort_unstable();
+                assert_eq!(
+                    sorted,
+                    (0..n).collect::<Vec<_>>(),
+                    "k >= n picks all of 0..n"
+                );
+            }
+        }
     }
 
     #[test]

@@ -368,3 +368,73 @@ fn rereplicated_queued_blocks_are_pinned_exactly() {
         );
     }
 }
+
+#[test]
+fn shuffle_heavy_wide_cluster_runs_are_pinned_exactly() {
+    // the wide pins above all run Grep, whose tiny map outputs drain in a
+    // step or two. A 96-node Terasort leaves hundreds of backlogged
+    // sources per reduce, many with equal backlogs, and node 10's crash at
+    // 30 s kills reduces mid-shuffle and loses map output; 96 nodes also
+    // spans two 64-bit words of any per-source set
+    use harness::Scale;
+    use mapreduce::auditor::fingerprint;
+    use mapreduce::{Counter, Engine};
+    use simgrid::cluster::NodeId;
+    use simgrid::time::{SimTime, SteppingMode};
+    use simgrid::{FaultPlan, NodeFault};
+    let pins = [
+        (
+            SteppingMode::Adaptive,
+            0xad95_7ff3_310c_01b1_u64,
+            292,
+            148_000,
+            0xa6c0_c822_2841_1222_u64,
+        ),
+        (
+            SteppingMode::Fixed,
+            0x1599_de49_6867_d0a5,
+            1488,
+            148_700,
+            0x66bd_5d9c_0c0c_87e1,
+        ),
+    ];
+    for (mode, print, steps, finished_ms, events) in pins {
+        let nodes = 96;
+        let mut cfg = Scale::Full.engine(nodes);
+        cfg.seed = 7;
+        cfg.tick.mode = mode;
+        cfg.record_events = true;
+        cfg.fault_plan = FaultPlan::new(vec![NodeFault::permanent(
+            NodeId(10),
+            SimTime::from_secs(30),
+        )]);
+        let input_mb = nodes as f64 * 2.0 * cfg.block_mb;
+        let job = Puma::Terasort.job(0, input_mb, 48, SimTime::ZERO);
+        let mut policy = System::SMapReduce.make_policy();
+        let report = Engine::new(cfg).run(vec![job], policy.as_mut()).unwrap();
+        assert!(
+            report.counters.get(Counter::KilledReduces) > 0.0,
+            "{mode:?}: a shuffling reduce was killed"
+        );
+        assert!(report.lost_map_outputs > 0, "{mode:?}: outputs lost");
+        let log = serde_json::to_string(&report.events).unwrap();
+        let digest = log.bytes().fold(mapreduce::initial_state_hash(0), |h, b| {
+            mapreduce::fold_hash(h, b as u64)
+        });
+        let got = (
+            fingerprint(&report),
+            report.steps,
+            report.jobs[0].finished_at.as_millis(),
+            digest,
+        );
+        assert_eq!(
+            got,
+            (print, steps, finished_ms, events),
+            "{mode:?}: got {:#018x}/{}/{}/{:#018x}",
+            got.0,
+            got.1,
+            got.2,
+            got.3
+        );
+    }
+}

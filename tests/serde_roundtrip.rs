@@ -333,6 +333,90 @@ fn capsule_envelopes_round_trip_byte_identical() {
 }
 
 #[test]
+fn shuffle_shapes_at_odds_with_their_jobs_are_refused_not_resumed() {
+    // the engine keeps one fetch-source set per reduce partition, sized
+    // from the job's shuffle: a capsule whose shuffle counts other
+    // partitions than its job has reduces, or that runs a reduce its job
+    // does not have, is refused when it binds, in either encoding — not
+    // sized from a hostile count or panicked on mid-step
+    use mapreduce::{Engine, EngineArena};
+    use serde_json::Value;
+    let cfg = EngineConfig::small_test(4, 11);
+    let job = JobSpec::new(
+        0,
+        JobProfile::synthetic_map_heavy(),
+        1024.0,
+        4,
+        SimTime::ZERO,
+    );
+    let (_, capsules) = record(&cfg, job, &System::SMapReduce, SimDuration::from_secs(2));
+    let runs_reduces = |v: &Value| {
+        let running = v.get("state").and_then(|st| st.get("running_reduces"));
+        matches!(running, Some(Value::Array(r)) if !r.is_empty())
+    };
+    let good = capsules
+        .into_iter()
+        .map(|c| serde_json::to_value(SimSnapshot::new(c)).unwrap())
+        .find(runs_reduces)
+        .expect("a capsule with running reduces");
+    let with_state = |edit: &dyn Fn(&mut Value)| {
+        let mut capsule = good.clone();
+        let mut state = capsule.get("state").unwrap().clone();
+        edit(&mut state);
+        capsule.set("state", state);
+        capsule
+    };
+    let cases = [
+        (
+            "2^40 shuffle partitions",
+            with_state(&|st| {
+                let mut jobs = st.get("jobs").unwrap().clone();
+                if let Value::Array(jobs) = &mut jobs {
+                    let mut shuffle = jobs[0].get("shuffle").unwrap().clone();
+                    shuffle.set("num_reduces", Value::U64(1 << 40));
+                    jobs[0].set("shuffle", shuffle);
+                }
+                st.set("jobs", jobs);
+            }),
+        ),
+        (
+            "a reduce past the job's partitions",
+            with_state(&|st| {
+                let mut running = st.get("running_reduces").unwrap().clone();
+                if let Value::Array(pairs) = &mut running {
+                    if let Value::Array(pair) = &mut pairs[0] {
+                        pair[0].set("partition", Value::U64(4));
+                    }
+                }
+                st.set("running_reduces", running);
+            }),
+        ),
+    ];
+    let origin = std::path::Path::new("mis-shaped");
+    for (case, capsule) in cases {
+        let encodings = [
+            (
+                "json",
+                serde_json::to_string(&capsule).unwrap().into_bytes(),
+            ),
+            ("binary", codec::to_binary(&capsule)),
+        ];
+        for (format, bytes) in encodings {
+            let loaded = checkpoint::from_bytes(origin, &bytes)
+                .unwrap_or_else(|e| panic!("{case} ({format}) loads: {e}"));
+            let mut policy = System::SMapReduce.make_policy();
+            let resumed = Engine::resume_in(
+                loaded.state,
+                policy.as_mut(),
+                &telemetry::Telemetry::disabled(),
+                &mut EngineArena::new(),
+            );
+            assert!(resumed.is_err(), "{case} ({format}) resumed");
+        }
+    }
+}
+
+#[test]
 fn mis_sized_usage_samplers_are_refused_not_resumed() {
     // a 4-node capsule whose usage sampler no longer covers the cluster
     // must be refused, in either encoding — never parsed and then

@@ -279,3 +279,80 @@ fn zero_step_resident_advance_costs_the_same_for_any_job_count() {
     let many = zero_step_allocs(51);
     assert_eq!(many, one, "51 jobs: {many} allocations, 1 job: {one}");
 }
+
+#[test]
+fn warm_steps_allocate_o1_not_per_busy_node() {
+    // a warm step recycles its buffers: each node's contention comes out
+    // of two shared scales rather than a fresh vector per busy node, and
+    // the shuffle walks the reduces' resident source sets, so a 256-node
+    // run's steps allocate a few times each, not once per busy node
+    use harness::runner::System as SweepSystem;
+    use harness::Scale;
+    use mapreduce::{Engine, EngineArena, Run};
+    use simgrid::time::SimTime;
+    use workloads::Puma;
+
+    COUNTED.with(|c| c.set(true));
+    let nodes = 256;
+    let mut cfg = Scale::Full.engine(nodes);
+    cfg.seed = 7;
+    let input_mb = nodes as f64 * 2.0 * cfg.block_mb;
+    let job = Puma::Grep.job(0, input_mb, 32, SimTime::ZERO);
+    let mut state = Engine::new(cfg).prepare(vec![job]).unwrap();
+    state
+        .override_policy(SweepSystem::SMapReduce.label())
+        .unwrap();
+    let mut run = Run::bind(state, SweepSystem::SMapReduce.make_policy()).unwrap();
+    let telem = telemetry::Telemetry::disabled();
+    let mut arena = EngineArena::new();
+    run.advance_until(SimTime::from_secs(6), &telem, &mut arena)
+        .unwrap();
+    let steps_before = run.observe().steps;
+    let before = allocs();
+    let finished = run
+        .advance_until(SimTime::from_secs(24), &telem, &mut arena)
+        .unwrap();
+    let made = allocs() - before;
+    let steps = run.observe().steps - steps_before;
+    assert!(!finished && steps >= 50, "{steps} warm steps measured");
+    assert!(
+        made < 8 * steps,
+        "{made} allocations over {steps} warm steps at {nodes} nodes"
+    );
+}
+
+#[test]
+fn an_injection_costs_the_same_for_any_job_count() {
+    // a resident run keeps its name node, so an injection places only its
+    // own file instead of replaying every earlier job's placement. The
+    // files are one block each: a block's three replicas always land on
+    // three nodes, so the new job's own indexes cost the same whatever
+    // the draw (two 4-block files may cover 5 or 8 of the 8 nodes)
+    use harness::runner::System as SweepSystem;
+    use mapreduce::{Engine, EngineConfig, Run};
+    use simgrid::time::SimTime;
+    use workloads::Puma;
+
+    COUNTED.with(|c| c.set(true));
+    let injection_allocs = |jobs: usize| {
+        let mut state = Engine::new(EngineConfig::small_test(8, 5))
+            .prepare(vec![Puma::Grep.job(0, 128.0, 2, SimTime::ZERO)])
+            .unwrap();
+        state
+            .override_policy(SweepSystem::SMapReduce.label())
+            .unwrap();
+        let mut run = Run::bind(state, SweepSystem::SMapReduce.make_policy()).unwrap();
+        for _ in 1..jobs {
+            run.inject_job(Puma::Grep.profile(), 128.0, 2).unwrap();
+        }
+        let before = allocs();
+        run.inject_job(Puma::Grep.profile(), 128.0, 2).unwrap();
+        allocs() - before
+    };
+    let two = injection_allocs(2);
+    let many = injection_allocs(51);
+    assert!(
+        many <= two,
+        "an injection at 51 jobs made {many} allocations, at 2 jobs {two}"
+    );
+}
