@@ -29,16 +29,16 @@
 //! came from a fresh allocation or a recycled arena; the determinism
 //! suite in `tests/sweep_determinism.rs` holds this to the letter.
 
-use crate::engine::{FetchPost, FlowPurpose, TaskRef};
+use crate::engine::{FetchPost, FlowPurpose};
 use crate::policy::TrackerSnapshot;
-use crate::task::MapAttemptId;
+use crate::task::{MapAttemptId, MapTask, ReduceTask, ReduceTaskId};
 use simgrid::cluster::NodeId;
 use simgrid::network::{FabricScratch, Flow, FlowId};
 use simgrid::node::TaskDemand;
 
 /// The number of distinct buffer families an arena recycles (used to size
 /// the footprint snapshot taken at checkout).
-const FAMILIES: usize = 17;
+const FAMILIES: usize = 23;
 
 /// Reusable scratch allocations for one engine run at a time.
 ///
@@ -81,11 +81,20 @@ pub(crate) struct Scratch {
     /// fabric writes grants into.
     pub(crate) fabric: FabricScratch,
     pub(crate) rates: Vec<f64>,
-    /// Backing stores of the allocate phase's rate indexes, swapped out
+    /// Backing stores of the allocate phase's per-row rates, swapped out
     /// at allocate and back after integrate.
-    pub(crate) scales: Vec<(TaskRef, f64)>,
-    pub(crate) map_posts: Vec<(MapAttemptId, f64)>,
+    pub(crate) scales: Vec<f64>,
+    pub(crate) read_rates: Vec<f64>,
     pub(crate) fetch_posts: Vec<FetchPost>,
+    /// Staging buffers lent to the running-map, running-reduce and
+    /// failure-point tables for the length of a stepping call, and the
+    /// merge buffers of their settles; all empty between settles.
+    pub(crate) map_staging: Vec<(MapAttemptId, MapTask)>,
+    pub(crate) reduce_staging: Vec<(ReduceTaskId, ReduceTask)>,
+    pub(crate) point_staging: Vec<(MapAttemptId, f64)>,
+    pub(crate) map_spare: Vec<(MapAttemptId, MapTask)>,
+    pub(crate) reduce_spare: Vec<(ReduceTaskId, ReduceTask)>,
+    pub(crate) point_spare: Vec<(MapAttemptId, f64)>,
     /// Per-reduce fetch-source list rebuilt by every flow build.
     pub(crate) sources: Vec<(NodeId, f64)>,
     /// Live-tracker snapshots rebuilt by every heartbeat fan-in.
@@ -115,8 +124,14 @@ impl Scratch {
             self.fabric.approx_bytes(),
             vec_bytes(&self.rates),
             vec_bytes(&self.scales),
-            vec_bytes(&self.map_posts),
+            vec_bytes(&self.read_rates),
             vec_bytes(&self.fetch_posts),
+            vec_bytes(&self.map_staging),
+            vec_bytes(&self.reduce_staging),
+            vec_bytes(&self.point_staging),
+            vec_bytes(&self.map_spare),
+            vec_bytes(&self.reduce_spare),
+            vec_bytes(&self.point_spare),
             vec_bytes(&self.sources),
             vec_bytes(&self.snapshots),
         ]
@@ -144,8 +159,14 @@ impl Scratch {
         // so stale lanes are invisible to the next allocation
         self.rates.clear();
         self.scales.clear();
-        self.map_posts.clear();
+        self.read_rates.clear();
         self.fetch_posts.clear();
+        self.map_staging.clear();
+        self.reduce_staging.clear();
+        self.point_staging.clear();
+        self.map_spare.clear();
+        self.reduce_spare.clear();
+        self.point_spare.clear();
         self.sources.clear();
         self.snapshots.clear();
         grew
@@ -278,8 +299,8 @@ mod tests {
         s.node_tasks[0].reserve_exact(10);
         s.scales.reserve_exact(3);
         arena.check_in(s);
-        let grown = 10 * std::mem::size_of::<(usize, TaskDemand)>()
-            + 3 * std::mem::size_of::<(TaskRef, f64)>();
+        let grown =
+            10 * std::mem::size_of::<(usize, TaskDemand)>() + 3 * std::mem::size_of::<f64>();
         assert_eq!(arena.approx_bytes() - before, grown);
     }
 

@@ -31,6 +31,7 @@ use crate::events::{Event, EventLog};
 use crate::job::{JobId, JobProfile, JobSpec};
 use crate::policy::{PolicyContext, SlotPolicy, TrackerSnapshot};
 use crate::report::{JobReport, RunReport};
+use crate::rows::RowTable;
 use crate::scheduler::{FifoScheduler, JobInProgress, MapCache};
 use crate::shuffle::SourceSets;
 use crate::slots::SlotSet;
@@ -45,7 +46,7 @@ use simgrid::node::NodeScales;
 use simgrid::rng::SimRng;
 use simgrid::time::{EventHorizon, SimDuration, SimTime, SteppingMode, TickConfig};
 use simgrid::usage::NodeUsageSampler;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use telemetry::Telemetry;
 
 /// All knobs of one simulated deployment.
@@ -389,28 +390,22 @@ struct Tracker {
     blacklisted: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) enum TaskRef {
-    Map(MapAttemptId),
-    Reduce(ReduceTaskId),
-}
-
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FlowPurpose {
-    /// Remote input stream feeding a non-local map task.
-    MapRead(MapAttemptId),
-    /// Shuffle fetch of `reduce` from source node.
-    Fetch(ReduceTaskId, NodeId),
+    /// Remote input stream feeding the non-local map at this map row.
+    MapRead(usize),
+    /// Shuffle fetch of the reduce at this reduce row from a source node.
+    Fetch(usize, NodeId),
 }
 
-/// One granted shuffle fetch: `reduce` pulling from source node `src` at
-/// `rate` MB/s. `contended` marks fetches granted less than they demanded
-/// (fabric contention): their depletion frees bandwidth other flows are
-/// queued for, so the adaptive horizon must cut there even before the
-/// shuffle endgame.
+/// One granted shuffle fetch: the reduce at reduce row `row` pulling from
+/// source node `src` at `rate` MB/s. `contended` marks fetches granted
+/// less than they demanded (fabric contention): their depletion frees
+/// bandwidth other flows are queued for, so the adaptive horizon must cut
+/// there even before the shuffle endgame.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FetchPost {
-    reduce: ReduceTaskId,
+    row: usize,
     src: NodeId,
     rate: f64,
     contended: bool,
@@ -420,36 +415,30 @@ pub(crate) struct FetchPost {
 /// the coming step. The horizon phase reads these to find the next event;
 /// the integrate phase advances every task by exactly `rate × dt`.
 ///
-/// All three indexes are sorted flat vectors recycled step over step (via
-/// [`Sim::reclaim`]) instead of hash/tree maps: every consumer looks them
-/// up with a forward [`posted`] cursor walk over the same ascending order
-/// it iterates in, so the allocate phase neither hashes `NodeId`s nor
-/// allocates in the steady state, and no lookup searches.
+/// Rates are indexed by **row**: a task's position in its settled table
+/// when the allocate phase ran. Nothing changes the tables between that
+/// phase and the walks that read the rates (map completions are compacted
+/// only after `advance_maps` has read its rows), so every consumer walks
+/// its table and reads the rate at the same position — no lookup. The
+/// vectors are recycled step over step (via [`Sim::reclaim`]).
 struct StepRates {
-    /// Per-task node-contention scale (includes the management-stall
-    /// factor), one entry per running task, sorted by `TaskRef`: all map
-    /// attempts ascending, then all reduces ascending — the order the
-    /// allocate phase gathers them in. A task on a down node scores 0.0.
-    scales: Vec<(TaskRef, f64)>,
-    /// Granted fabric bandwidth per remote-reading map attempt (MB/s),
-    /// sorted by attempt id (the flow build order).
-    map_posts: Vec<(MapAttemptId, f64)>,
-    /// Granted shuffle fetches, sorted by `(reduce, src)`.
+    /// Per-row node-contention scale (includes the management-stall
+    /// factor): one entry per map row, then one per reduce row. A task on
+    /// a down node scores 0.0.
+    scales: Vec<f64>,
+    /// Map rows when the scales were taken: the reduce at reduce row `r`
+    /// has its scale at `map_rows + r`.
+    map_rows: usize,
+    /// Granted fabric bandwidth per map row (MB/s); 0.0 for a local map
+    /// and for a remote one that got no flow.
+    read_rates: Vec<f64>,
+    /// Granted shuffle fetches, grouped by ascending reduce row, each
+    /// group in ascending `src`.
     fetch_posts: Vec<FetchPost>,
     /// Offered CPU capacity rate (cores) while any job is active.
     cpu_offered_rate: f64,
     /// Granted CPU rate (cores) summed over running tasks.
     cpu_granted_rate: f64,
-}
-
-/// Cursor walk over a sorted posting list: advance `cursor` past keys
-/// below `key`, then return the payload at `key` if present. Callers
-/// iterate keys in ascending order, so the walk is linear overall.
-fn posted<K: Ord + Copy, V: Copy>(posts: &[(K, V)], cursor: &mut usize, key: K) -> Option<V> {
-    while *cursor < posts.len() && posts[*cursor].0 < key {
-        *cursor += 1;
-    }
-    (*cursor < posts.len() && posts[*cursor].0 == key).then(|| posts[*cursor].1)
 }
 
 /// What a stepping call derives from an [`EngineState`] instead of
@@ -491,7 +480,7 @@ impl Derived {
             namenode: None,
         };
         derived.extend(st);
-        for (rid, r) in st.running_reduces.iter() {
+        for (rid, r) in st.running_reduces.rows() {
             if r.phase == ReducePhase::Shuffle {
                 derived.source_sets[rid.job.0].rebuild(&st.jobs[rid.job.0].shuffle, r);
             }
@@ -627,10 +616,11 @@ impl<'r> Sim<'r> {
         policy: &'r mut dyn SlotPolicy,
         derived: &'r mut Derived,
         telem: &Telemetry,
-        scratch: Scratch,
+        mut scratch: Scratch,
     ) -> Sim<'r> {
         policy.attach_telemetry(telem);
         st.events.set_sink(telem.clone());
+        st.swap_staging(&mut scratch);
         Sim {
             st,
             policy,
@@ -651,8 +641,9 @@ impl<'r> Sim<'r> {
 
     /// End the stepping call: detach the state from the telemetry sink
     /// and hand the scratch family back for return to its arena.
-    fn finish(self) -> Scratch {
+    fn finish(mut self) -> Scratch {
         self.st.events.set_sink(Telemetry::disabled());
+        self.st.swap_staging(&mut self.scratch);
         self.scratch
     }
 
@@ -661,8 +652,30 @@ impl<'r> Sim<'r> {
     /// reuses the allocations instead of growing fresh ones.
     fn reclaim(&mut self, rates: StepRates) {
         self.scratch.scales = rates.scales;
-        self.scratch.map_posts = rates.map_posts;
+        self.scratch.read_rates = rates.read_rates;
         self.scratch.fetch_posts = rates.fetch_posts;
+    }
+
+    /// Apply the launches and retirements pending on the map table and
+    /// the failure points, which follow their attempts.
+    fn settle_maps(&mut self) {
+        self.st.running_maps.settle(&mut self.scratch.map_spare);
+        self.st.failure_points.settle(&mut self.scratch.point_spare);
+        debug_assert!(
+            self.st
+                .failure_points
+                .rows()
+                .iter()
+                .all(|(aid, _)| self.st.running_maps.contains_key(aid)),
+            "a failure point outlived its attempt"
+        );
+    }
+
+    /// Apply the launches and retirements pending on the reduce table.
+    fn settle_reduces(&mut self) {
+        self.st
+            .running_reduces
+            .settle(&mut self.scratch.reduce_spare);
     }
 
     fn run_to_completion(&mut self) -> Result<RunReport, SimError> {
@@ -817,10 +830,10 @@ impl<'r> Sim<'r> {
                 (j.running_maps as u64) ^ ((j.running_reduces as u64) << 32),
             );
         }
-        for t in self.st.running_maps.values() {
+        for (_, t) in self.st.running_maps.rows() {
             h = fold_hash(h, t.work_remaining.to_bits());
         }
-        for t in self.st.running_reduces.values() {
+        for (_, t) in self.st.running_reduces.rows() {
             h = fold_hash(h, t.fetched_mb.to_bits());
             h = fold_hash(h, t.phase_remaining.to_bits());
         }
@@ -955,6 +968,8 @@ impl<'r> Sim<'r> {
         }
         let t0 = self.telem.clock_us();
         self.assign_tasks();
+        self.settle_maps();
+        self.settle_reduces();
         if self.st.config.speculative_maps {
             self.launch_speculative_backups();
         }
@@ -984,7 +999,7 @@ impl<'r> Sim<'r> {
                 s.reduce_slot_target += tr.reduce_slots.target();
             }
         }
-        for (rid, r) in self.st.running_reduces.iter() {
+        for (rid, r) in self.st.running_reduces.rows() {
             if r.phase == ReducePhase::Shuffle && self.st.jobs[rid.job.0].is_active(self.st.now) {
                 s.shuffling_reduces += 1;
             }
@@ -1015,6 +1030,26 @@ impl<'r> Sim<'r> {
     /// each round so assignment pressure spreads evenly.
     fn assign_tasks(&mut self) {
         let workers = self.st.trackers.len();
+        // a round launches at most one task per free slot and per pending
+        // task: size the staging buffers for that once, rather than
+        // regrowing them launch by launch (a 1024-node cell's first round
+        // stages 2,048 maps)
+        let (mut free_maps, mut free_reduces) = (0, 0);
+        for tr in &self.st.trackers {
+            free_maps += tr.map_slots.free();
+            free_reduces += tr.reduce_slots.free();
+        }
+        let (mut maps, mut reduces) = (0, 0);
+        for job in self.st.jobs.iter().filter(|j| j.is_active(self.st.now)) {
+            maps += job.pending_map_blocks.len();
+            if job.reduces_eligible(self.st.config.reduce_slowstart) {
+                reduces += job.pending_reduce_parts.len();
+            }
+        }
+        self.st.running_maps.reserve_staging(maps.min(free_maps));
+        self.st
+            .running_reduces
+            .reserve_staging(reduces.min(free_reduces));
         let start = (self.st.heartbeat_round as usize) % workers;
         for k in 0..workers {
             let i = (start + k) % workers;
@@ -1062,7 +1097,7 @@ impl<'r> Sim<'r> {
                 }
                 let aid = MapAttemptId::original(a.id);
                 self.maybe_inject_failure(aid);
-                self.st.running_maps.insert(aid, task);
+                self.st.running_maps.stage(aid, task);
             }
             while self.st.trackers[i].reduce_slots.free() > 0 {
                 let Some(rid) = self.st.sched.pick_reduce(&mut self.st.jobs, self.st.now) else {
@@ -1086,7 +1121,7 @@ impl<'r> Sim<'r> {
                     id: rid,
                     node,
                 });
-                self.st.running_reduces.insert(rid, task);
+                self.st.running_reduces.stage(rid, task);
             }
         }
     }
@@ -1104,6 +1139,7 @@ impl<'r> Sim<'r> {
         let sim_ms = self.st.now.as_millis();
         let t0 = self.telem.clock_us();
         let (scales, cpu_offered_rate, cpu_granted_rate) = self.allocate_nodes(fixed_dt.is_some());
+        let map_rows = self.st.running_maps.len();
         self.telem.record_span("step", "allocate_nodes", t0, sim_ms);
         let t0 = self.telem.clock_us();
         let mut flows = std::mem::take(&mut self.scratch.flows);
@@ -1111,7 +1147,15 @@ impl<'r> Sim<'r> {
         let mut sources = std::mem::take(&mut self.scratch.sources);
         flows.clear();
         purposes.clear();
-        self.build_flows_into(fixed_dt, &scales, &mut flows, &mut purposes, &mut sources);
+        let (map_scales, reduce_scales) = scales.split_at(map_rows);
+        self.build_flows_into(
+            fixed_dt,
+            map_scales,
+            reduce_scales,
+            &mut flows,
+            &mut purposes,
+            &mut sources,
+        );
         let mut grants = std::mem::take(&mut self.scratch.rates);
         let workers = self.st.trackers.len();
         self.derived
@@ -1120,13 +1164,15 @@ impl<'r> Sim<'r> {
         self.telem
             .record_span("step", "network_allocate", t0, sim_ms);
 
-        // index flow grants by purpose into sorted postings; a fetch that
-        // got less than it asked for is *contended* — its depletion frees
-        // fabric bandwidth others are waiting on, so it must be a horizon
-        // event
-        let mut map_posts = std::mem::take(&mut self.scratch.map_posts);
+        // index flow grants by purpose: map reads by map row, fetches in
+        // flow order, which groups them by ascending reduce row. A fetch
+        // that got less than it asked for is *contended* — its depletion
+        // frees fabric bandwidth others are waiting on, so it must be a
+        // horizon event
+        let mut read_rates = std::mem::take(&mut self.scratch.read_rates);
         let mut fetch_posts = std::mem::take(&mut self.scratch.fetch_posts);
-        map_posts.clear();
+        read_rates.clear();
+        read_rates.resize(map_rows, 0.0);
         fetch_posts.clear();
         self.scratch.nic_in.fill(0.0);
         self.scratch.nic_out.fill(0.0);
@@ -1135,27 +1181,28 @@ impl<'r> Sim<'r> {
             self.scratch.nic_out[flow.src.0] += rate;
             self.scratch.nic_in[flow.dst.0] += rate;
             match *purpose {
-                FlowPurpose::MapRead(id) => map_posts.push((id, rate)),
-                FlowPurpose::Fetch(rid, src) => fetch_posts.push(FetchPost {
-                    reduce: rid,
+                FlowPurpose::MapRead(row) => read_rates[row] = rate,
+                FlowPurpose::Fetch(row, src) => fetch_posts.push(FetchPost {
+                    row,
                     src,
                     rate,
                     contended: rate + 1e-9 < flow.demand,
                 }),
             }
         }
-        // map-read flows are built in ascending `running_maps` order, so
-        // `map_posts` arrives sorted; fetch posts are grouped by ascending
-        // reduce but unsorted within a group (sources come backlog-first)
-        debug_assert!(map_posts.windows(2).all(|w| w[0].0 < w[1].0));
-        fetch_posts.sort_unstable_by_key(|p| (p.reduce, p.src));
+        // a reduce's sources come backlog-first; its consumers apply them
+        // in ascending `src`, and a group holds at most `shuffle_fetchers`
+        for group in fetch_posts.chunk_by_mut(|a, b| a.row == b.row) {
+            group.sort_unstable_by_key(|p| p.src);
+        }
         self.scratch.flows = flows;
         self.scratch.purposes = purposes;
         self.scratch.sources = sources;
         self.scratch.rates = grants;
         StepRates {
             scales,
-            map_posts,
+            map_rows,
+            read_rates,
             fetch_posts,
             cpu_offered_rate,
             cpu_granted_rate,
@@ -1185,11 +1232,14 @@ impl<'r> Sim<'r> {
             &self.scratch.occ_map,
             &self.scratch.occ_reduce,
         );
+        // map completions are compacted out before the reduces advance,
+        // so the reduces read their scales at their own rows
+        let (map_scales, reduce_scales) = rates.scales.split_at(rates.map_rows);
         let t0 = self.telem.clock_us();
-        self.advance_maps(dt, &rates.scales, &rates.map_posts);
+        self.advance_maps(dt, map_scales, &rates.read_rates);
         self.telem.record_span("step", "advance_maps", t0, sim_ms);
         let t0 = self.telem.clock_us();
-        self.advance_reduces(dt, &rates.scales, &rates.fetch_posts);
+        self.advance_reduces(dt, reduce_scales, &rates.fetch_posts);
         self.telem
             .record_span("step", "advance_reduces", t0, sim_ms);
 
@@ -1241,13 +1291,12 @@ impl<'r> Sim<'r> {
             }
         }
 
-        let mut map_cursor = 0usize;
-        let mut scale_cursor = 0usize;
-        for (id, t) in self.st.running_maps.iter() {
+        let (map_scales, reduce_scales) = rates.scales.split_at(rates.map_rows);
+        let maps = self.st.running_maps.rows();
+        debug_assert_eq!(maps.len(), map_scales.len(), "scale rows out of step");
+        for (row, (id, t)) in maps.iter().enumerate() {
             let profile = &self.derived.profiles[id.task.job.0];
-            let scale = posted(&rates.scales, &mut scale_cursor, TaskRef::Map(*id)).unwrap_or(0.0);
-            let read_rate = posted(&rates.map_posts, &mut map_cursor, *id).unwrap_or(0.0);
-            let work_rate = t.effective_work_rate(profile, scale, read_rate);
+            let work_rate = t.effective_work_rate(profile, map_scales[row], rates.read_rates[row]);
             if let Some(s) = t.time_to_completion(work_rate) {
                 horizon.propose_secs(s);
             }
@@ -1258,13 +1307,13 @@ impl<'r> Sim<'r> {
             }
         }
 
+        let reduces = self.st.running_reduces.rows();
+        debug_assert_eq!(reduces.len(), reduce_scales.len(), "scale rows out of step");
         let mut fetch_cursor = 0usize;
-        let mut scale_cursor = 0usize;
-        for (rid, r) in self.st.running_reduces.iter() {
+        for (row, (rid, r)) in reduces.iter().enumerate() {
             let profile = &self.derived.profiles[rid.job.0];
             let job = &self.st.jobs[rid.job.0];
-            let scale =
-                posted(&rates.scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
+            let scale = reduce_scales[row];
             match r.phase {
                 ReducePhase::Shuffle => {
                     // pre-barrier, sources refill only at map completions —
@@ -1287,23 +1336,17 @@ impl<'r> Sim<'r> {
                             self.st.config.local_copy_rate.min(budget),
                         );
                     }
-                    // the posts are sorted by (reduce, src) and reduces
-                    // iterate ascending, so one forward cursor visits each
-                    // reduce's contiguous run of posts exactly once
-                    while fetch_cursor < rates.fetch_posts.len()
-                        && rates.fetch_posts[fetch_cursor].reduce < *rid
+                    // the posts are grouped by ascending reduce row and
+                    // only shuffling reduces have any, so one forward
+                    // cursor meets each group exactly when its row comes
+                    while let Some(&p) =
+                        rates.fetch_posts.get(fetch_cursor).filter(|p| p.row == row)
                     {
                         fetch_cursor += 1;
-                    }
-                    let mut c = fetch_cursor;
-                    while c < rates.fetch_posts.len() && rates.fetch_posts[c].reduce == *rid {
-                        let p = rates.fetch_posts[c];
-                        c += 1;
                         if endgame || p.contended {
                             horizon.propose_depletion(job.shuffle.remaining_from(r, p.src), p.rate);
                         }
                     }
-                    fetch_cursor = c;
                 }
                 ReducePhase::Sort | ReducePhase::Reduce => {
                     if let Some(s) = r.time_to_phase_completion(r.phase_rate(profile) * scale) {
@@ -1314,6 +1357,11 @@ impl<'r> Sim<'r> {
                 ReducePhase::Done => horizon.propose(SimDuration::from_millis(1)),
             }
         }
+        debug_assert_eq!(
+            fetch_cursor,
+            rates.fetch_posts.len(),
+            "a fetch group went unread"
+        );
         horizon.resolve()
     }
 
@@ -1323,7 +1371,7 @@ impl<'r> Sim<'r> {
     /// stall is amortised across the tick it partially covers; the
     /// adaptive stepper freezes the node outright and lets the horizon cut
     /// the step at stall expiry instead.
-    fn allocate_nodes(&mut self, fixed: bool) -> (Vec<(TaskRef, f64)>, f64, f64) {
+    fn allocate_nodes(&mut self, fixed: bool) -> (Vec<f64>, f64, f64) {
         let workers = self.st.trackers.len();
         self.scratch.node_cpu.fill(0.0);
         self.scratch.node_disk.fill(0.0);
@@ -1334,23 +1382,22 @@ impl<'r> Sim<'r> {
             tasks.clear();
         }
         node_tasks.resize_with(workers, Vec::new);
-        // gather maps then reduces, each ascending, so the scale table is
-        // born in `TaskRef` order; each per-node entry keeps its task's
+        // gather the map rows, then the reduce rows, so the scale table
+        // is born in row order; each per-node entry keeps its task's
         // table index, and the node pass writes the scale in place (a task
         // on a down node keeps 0.0)
         let mut out = std::mem::take(&mut self.scratch.scales);
         out.clear();
-        for (id, t) in self.st.running_maps.iter() {
+        for (id, t) in self.st.running_maps.rows() {
             let profile = &self.derived.profiles[id.task.job.0];
             node_tasks[t.node.0].push((out.len(), profile.map_demand()));
-            out.push((TaskRef::Map(*id), 0.0));
+            out.push(0.0);
         }
-        for (id, t) in self.st.running_reduces.iter() {
+        for (id, t) in self.st.running_reduces.rows() {
             let profile = &self.derived.profiles[id.job.0];
             node_tasks[t.node.0].push((out.len(), t.demand(profile)));
-            out.push((TaskRef::Reduce(*id), 0.0));
+            out.push(0.0);
         }
-        debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
         let tick_ms = self.st.config.tick.tick.as_millis() as f64;
         let any_active = self.st.jobs.iter().any(|j| j.is_active(self.st.now));
         let mut offered = 0.0;
@@ -1390,7 +1437,7 @@ impl<'r> Sim<'r> {
                 granted += d.cpu_cores * s * stall_factor;
                 self.scratch.node_cpu[n] += d.cpu_cores * s * stall_factor;
                 self.scratch.node_disk[n] += (d.disk_read + d.disk_write) * s * stall_factor;
-                out[ix].1 = s * stall_factor;
+                out[ix] = s * stall_factor;
             }
         }
         self.scratch.node_tasks = node_tasks;
@@ -1398,20 +1445,21 @@ impl<'r> Sim<'r> {
     }
 
     /// Construct this step's network flows: remote map reads and shuffle
-    /// fetches (the latter capped by each reduce's merge throughput).
-    /// Appends into caller-owned (recycled) lists; both arrive empty.
+    /// fetches (the latter capped by each reduce's merge throughput), at
+    /// the per-row scales of the map and reduce tables. Appends into
+    /// caller-owned (recycled) lists; both arrive empty.
     fn build_flows_into(
         &self,
         fixed_dt: Option<f64>,
-        scales: &[(TaskRef, f64)],
+        map_scales: &[f64],
+        reduce_scales: &[f64],
         flows: &mut Vec<Flow>,
         purposes: &mut Vec<(FlowId, FlowPurpose)>,
         sources: &mut Vec<(NodeId, f64)>,
     ) {
         let mut next = 0u64;
 
-        let mut scale_cursor = 0usize;
-        for (id, t) in self.st.running_maps.iter() {
+        for (row, (id, t)) in self.st.running_maps.rows().iter().enumerate() {
             let Some(src) = t.remote_src else { continue };
             if t.input_remaining <= 1e-9 {
                 continue;
@@ -1420,9 +1468,8 @@ impl<'r> Sim<'r> {
                 continue; // either endpoint dead: nothing flows
             }
             let profile = &self.derived.profiles[id.task.job.0];
-            let scale = posted(scales, &mut scale_cursor, TaskRef::Map(*id)).unwrap_or(0.0);
             // input consumption rate implied by the granted work rate
-            let work_rate = profile.map_rate * scale;
+            let work_rate = profile.map_rate * map_scales[row];
             let input_rate = if t.work_total > 0.0 {
                 work_rate * t.input_mb / t.work_total
             } else {
@@ -1446,17 +1493,16 @@ impl<'r> Sim<'r> {
                 dst: t.node,
                 demand,
             });
-            purposes.push((fid, FlowPurpose::MapRead(*id)));
+            purposes.push((fid, FlowPurpose::MapRead(row)));
         }
 
-        let mut scale_cursor = 0usize;
-        for (rid, r) in self.st.running_reduces.iter() {
+        for (row, (rid, r)) in self.st.running_reduces.rows().iter().enumerate() {
             if r.phase != ReducePhase::Shuffle || !self.st.node_up[r.node.0] {
                 continue;
             }
             let profile = &self.derived.profiles[rid.job.0];
             let job = &self.st.jobs[rid.job.0];
-            let scale = posted(scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
+            let scale = reduce_scales[row];
             // merge-throughput budget for this tick, shared across sources;
             // T_r2 > T_r1: the cap rises once the barrier frees the sources
             let boost = if job.shuffle.maps_all_done() {
@@ -1509,17 +1555,14 @@ impl<'r> Sim<'r> {
                     dst: r.node,
                     demand,
                 });
-                purposes.push((fid, FlowPurpose::Fetch(*rid, src)));
+                purposes.push((fid, FlowPurpose::Fetch(row, src)));
             }
         }
     }
 
-    fn advance_maps(
-        &mut self,
-        dt: f64,
-        scales: &[(TaskRef, f64)],
-        map_posts: &[(MapAttemptId, f64)],
-    ) {
+    /// Advance every map row at its scale and read rate, then retire the
+    /// attempts that failed or finished and settle the table.
+    fn advance_maps(&mut self, dt: f64, scales: &[f64], read_rates: &[f64]) {
         let mut done = Vec::new();
         let mut failed = Vec::new();
         let profiles = &self.derived.profiles;
@@ -1532,15 +1575,14 @@ impl<'r> Sim<'r> {
             job_counters,
             ..
         } = &mut *self.st;
-        let mut cursor = 0usize;
-        let mut scale_cursor = 0usize;
-        for (id, t) in running_maps.iter_mut() {
+        let maps = running_maps.rows_mut();
+        debug_assert_eq!(maps.len(), scales.len(), "scale rows out of step");
+        for (row, (id, t)) in maps.iter_mut().enumerate() {
             let profile = &profiles[id.task.job.0];
-            let scale = posted(scales, &mut scale_cursor, TaskRef::Map(*id)).unwrap_or(0.0);
-            let mut work_step = profile.map_rate * scale * dt;
+            let mut work_step = profile.map_rate * scales[row] * dt;
             if t.remote_src.is_some() && t.input_remaining > 1e-9 {
                 // input arrives over the network; cap work by delivery
-                let delivered = posted(map_posts, &mut cursor, *id).unwrap_or(0.0) * dt;
+                let delivered = read_rates[row] * dt;
                 let arrived = delivered.min(t.input_remaining);
                 *network_mb += arrived;
                 job_counters[id.task.job.0].add(Counter::RemoteBytesRead, arrived);
@@ -1574,32 +1616,33 @@ impl<'r> Sim<'r> {
         for id in done {
             self.complete_map(id);
         }
+        self.settle_maps();
     }
 
     /// Kill a failed attempt and re-queue its block (Hadoop task retry).
     fn fail_map(&mut self, aid: MapAttemptId) {
-        let task = self.remove_map_attempt(aid);
+        let node = self.remove_map_attempt(aid);
         self.st.map_failures += 1;
         self.st.job_counters[aid.task.job.0].inc(Counter::FailedMaps);
         self.st.events.push(Event::MapFailed {
             at: self.st.now,
             id: aid.task,
-            node: task.node,
+            node,
         });
-        self.charge_tracker_failure(task.node);
+        self.charge_tracker_failure(node);
     }
 
-    /// Remove a running attempt, release its slot, and re-queue its block
-    /// unless a sibling attempt still covers it. Shared by the retry and
-    /// node-crash paths.
-    fn remove_map_attempt(&mut self, aid: MapAttemptId) -> MapTask {
-        let task = self
+    /// Retire a running attempt, release its slot, and re-queue its block
+    /// unless a sibling attempt still covers it. Returns the attempt's
+    /// node. Shared by the retry and node-crash paths.
+    fn remove_map_attempt(&mut self, aid: MapAttemptId) -> NodeId {
+        let node = self
             .st
             .running_maps
-            .remove(&aid)
+            .retire(&aid, |t| t.node)
             .expect("removing unknown map attempt");
-        self.st.failure_points.remove(&aid);
-        self.st.trackers[task.node.0].map_slots.release();
+        self.st.failure_points.retire(&aid, |_| ());
+        self.st.trackers[node.0].map_slots.release();
         let ji = aid.task.job.0;
         let job = &mut self.st.jobs[ji];
         job.running_maps -= 1;
@@ -1610,7 +1653,7 @@ impl<'r> Sim<'r> {
         if !job.completed_blocks[aid.task.index] && !self.st.running_maps.contains_key(&sibling) {
             self.derived.map_cache.requeue(ji, job, aid.task.index);
         }
-        task
+        node
     }
 
     /// Count an attempt failure against its tracker; enough of them get
@@ -1647,7 +1690,7 @@ impl<'r> Sim<'r> {
         {
             // die somewhere in the middle of the run
             let fail_at = 0.1 + 0.8 * self.st.rng.unit();
-            self.st.failure_points.insert(aid, fail_at);
+            self.st.failure_points.stage(aid, fail_at);
         }
     }
 
@@ -1655,16 +1698,16 @@ impl<'r> Sim<'r> {
         let task = self
             .st
             .running_maps
-            .remove(&aid)
+            .retire(&aid, MapTask::clone)
             .expect("completing unknown map attempt");
-        self.st.failure_points.remove(&aid);
+        self.st.failure_points.retire(&aid, |_| ());
         let id = aid.task;
         let job = &mut self.st.jobs[id.job.0];
         self.st.trackers[task.node.0].map_slots.release();
         job.running_maps -= 1;
         if job.completed_blocks[id.index] {
-            // a sibling attempt already delivered this block; this one
-            // raced to the end and its work is discarded
+            // a sibling attempt finished in this same step and delivered
+            // the block first; this one's work is discarded
             self.st.job_counters[id.job.0].inc(Counter::DiscardedMaps);
             self.st.events.push(Event::MapDiscarded {
                 at: self.st.now,
@@ -1704,19 +1747,32 @@ impl<'r> Sim<'r> {
             node: task.node,
             output_mb: task.output_mb,
         });
-        // kill the losing sibling attempt, if any
+        // kill the losing sibling attempt, if any. A sibling that has
+        // finished too is in this step's completions, after this one: it
+        // is not killed but completes and is discarded
         let sibling = MapAttemptId {
             task: id,
             attempt: 1 - aid.attempt,
         };
-        if let Some(loser) = self.st.running_maps.remove(&sibling) {
-            self.st.trackers[loser.node.0].map_slots.release();
+        if self
+            .st
+            .running_maps
+            .get(&sibling)
+            .is_some_and(|t| !t.is_done())
+        {
+            let node = self
+                .st
+                .running_maps
+                .retire(&sibling, |t| t.node)
+                .expect("live sibling");
+            self.st.failure_points.retire(&sibling, |_| ());
+            self.st.trackers[node.0].map_slots.release();
             self.st.jobs[id.job.0].running_maps -= 1;
             self.st.job_counters[id.job.0].inc(Counter::KilledAttempts);
             self.st.events.push(Event::MapKilled {
                 at: self.st.now,
                 id,
-                node: loser.node,
+                node,
             });
         }
         let job = &mut self.st.jobs[id.job.0];
@@ -1755,6 +1811,7 @@ impl<'r> Sim<'r> {
             let mut stragglers: Vec<(MapAttemptId, f64)> = self
                 .st
                 .running_maps
+                .rows()
                 .iter()
                 .filter(|(a, t)| {
                     a.task.job.0 == j
@@ -1772,7 +1829,7 @@ impl<'r> Sim<'r> {
                 .collect();
             stragglers.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite progress"));
             for (aid, _) in stragglers {
-                let origin = self.st.running_maps[&aid].node;
+                let origin = self.st.running_maps.get(&aid).expect("straggler").node;
                 // pick the tracker with the most free map slots, avoiding
                 // the straggler's own (possibly overloaded) node
                 let Some(i) = (0..self.st.trackers.len())
@@ -1830,12 +1887,16 @@ impl<'r> Sim<'r> {
                 });
                 let bid = MapAttemptId::backup(aid.task);
                 self.maybe_inject_failure(bid);
-                self.st.running_maps.insert(bid, backup);
+                self.st.running_maps.stage(bid, backup);
             }
+            // the next job's straggler scan walks the table
+            self.settle_maps();
         }
     }
 
-    fn advance_reduces(&mut self, dt: f64, scales: &[(TaskRef, f64)], fetch_posts: &[FetchPost]) {
+    /// Advance every reduce row at its scale and granted fetches, then
+    /// retire the finished reduces and settle the table.
+    fn advance_reduces(&mut self, dt: f64, scales: &[f64], fetch_posts: &[FetchPost]) {
         let mut done = Vec::new();
         let Derived {
             profiles,
@@ -1853,16 +1914,16 @@ impl<'r> Sim<'r> {
             job_counters,
             ..
         } = &mut *self.st;
+        let reduces = running_reduces.rows_mut();
+        debug_assert_eq!(reduces.len(), scales.len(), "scale rows out of step");
         let mut fetch_cursor = 0usize;
-        let mut scale_cursor = 0usize;
-        for (rid, r) in running_reduces.iter_mut() {
+        for (row, (rid, r)) in reduces.iter_mut().enumerate() {
             let profile = &profiles[rid.job.0];
             let job = &jobs[rid.job.0];
+            let scale = scales[row];
             match r.phase {
                 ReducePhase::Shuffle => {
                     let sets = &mut source_sets[rid.job.0];
-                    let scale =
-                        posted(scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
                     let boost = if job.shuffle.maps_all_done() {
                         profile.shuffle_barrier_boost
                     } else {
@@ -1884,21 +1945,11 @@ impl<'r> Sim<'r> {
                             used += mb;
                         }
                     }
-                    // granted fabric fetches: this reduce's posts form a
-                    // contiguous, ascending-`src` run (the posts are sorted
-                    // by (reduce, src) and reduces iterate ascending), so a
-                    // forward cursor replaces the old per-node hash probes
-                    // while preserving the ascending-source apply order the
-                    // budget arithmetic depends on
-                    while fetch_cursor < fetch_posts.len()
-                        && fetch_posts[fetch_cursor].reduce < *rid
-                    {
+                    // granted fabric fetches: this reduce's posts are the
+                    // group at the cursor, in the ascending-source apply
+                    // order the budget arithmetic depends on
+                    while let Some(&p) = fetch_posts.get(fetch_cursor).filter(|p| p.row == row) {
                         fetch_cursor += 1;
-                    }
-                    let mut c_ix = fetch_cursor;
-                    while c_ix < fetch_posts.len() && fetch_posts[c_ix].reduce == *rid {
-                        let p = fetch_posts[c_ix];
-                        c_ix += 1;
                         debug_assert!(p.src != r.node, "no fetch flow targets its own node");
                         if p.rate <= 0.0 {
                             continue;
@@ -1917,7 +1968,6 @@ impl<'r> Sim<'r> {
                             used += mb;
                         }
                     }
-                    fetch_cursor = c_ix;
                     if job.shuffle.shuffle_complete(r, sets) {
                         let partition = job
                             .shuffle
@@ -1932,8 +1982,6 @@ impl<'r> Sim<'r> {
                     }
                 }
                 ReducePhase::Sort | ReducePhase::Reduce => {
-                    let scale =
-                        posted(scales, &mut scale_cursor, TaskRef::Reduce(*rid)).unwrap_or(0.0);
                     let work = r.phase_rate(profile) * scale * dt;
                     if r.advance_compute(work) {
                         done.push(*rid);
@@ -1942,27 +1990,29 @@ impl<'r> Sim<'r> {
                 ReducePhase::Done => done.push(*rid),
             }
         }
+        debug_assert_eq!(fetch_cursor, fetch_posts.len(), "a fetch group went unread");
         for rid in done {
             self.complete_reduce(rid);
         }
+        self.settle_reduces();
     }
 
     fn complete_reduce(&mut self, rid: ReduceTaskId) {
-        let task = self
+        let (node, started_at) = self
             .st
             .running_reduces
-            .remove(&rid)
+            .retire(&rid, |t| (t.node, t.started_at))
             .expect("completing unknown reduce");
         let job = &mut self.st.jobs[rid.job.0];
-        self.st.trackers[task.node.0].reduce_slots.release();
+        self.st.trackers[node.0].reduce_slots.release();
         job.running_reduces -= 1;
         job.completed_reduces += 1;
         job.reduce_durations
-            .push(self.st.now.since(task.started_at).as_secs_f64());
+            .push(self.st.now.since(started_at).as_secs_f64());
         self.st.events.push(Event::ReduceCompleted {
             at: self.st.now,
             id: rid,
-            node: task.node,
+            node,
         });
         if job.completed_reduces == job.total_reduces() && job.all_maps_done() {
             job.finished_at.get_or_insert(self.st.now);
@@ -2032,20 +2082,22 @@ impl<'r> Sim<'r> {
         let readers: Vec<MapAttemptId> = self
             .st
             .running_maps
+            .rows()
             .iter()
             .filter(|(_, t)| t.node != d && t.remote_src == Some(d) && t.input_remaining > 1e-9)
             .map(|(a, _)| *a)
             .collect();
         for aid in readers {
-            let task = self.remove_map_attempt(aid);
+            let node = self.remove_map_attempt(aid);
             self.st.crash_task_kills += 1;
             self.st.job_counters[aid.task.job.0].inc(Counter::KilledAttempts);
             self.st.events.push(Event::MapKilled {
                 at: self.st.now,
                 id: aid.task,
-                node: task.node,
+                node,
             });
         }
+        self.settle_maps();
         self.lose_replicas(d);
     }
 
@@ -2141,6 +2193,7 @@ impl<'r> Sim<'r> {
         let map_victims: Vec<MapAttemptId> = self
             .st
             .running_maps
+            .rows()
             .iter()
             .filter(|(_, t)| t.node == d)
             .map(|(a, _)| *a)
@@ -2148,6 +2201,7 @@ impl<'r> Sim<'r> {
         let reduce_victims: Vec<ReduceTaskId> = self
             .st
             .running_reduces
+            .rows()
             .iter()
             .filter(|(_, t)| t.node == d)
             .map(|(r, _)| *r)
@@ -2194,7 +2248,7 @@ impl<'r> Sim<'r> {
             });
         }
         for rid in reduce_victims {
-            self.st.running_reduces.remove(&rid);
+            self.st.running_reduces.retire(&rid, |_| ());
             self.st.trackers[d.0].reduce_slots.release();
             let job = &mut self.st.jobs[rid.job.0];
             job.running_reduces -= 1;
@@ -2210,6 +2264,8 @@ impl<'r> Sim<'r> {
                 node: d,
             });
         }
+        self.settle_maps();
+        self.settle_reduces();
         // lost map output: drain the dead node's availability from every
         // shuffle; maps whose output reducers still need are re-executed
         for ji in 0..self.st.jobs.len() {
@@ -2288,6 +2344,7 @@ impl<'r> Sim<'r> {
             || self
                 .st
                 .running_reduces
+                .rows()
                 .iter()
                 .any(|(r, t)| r.job.0 == ji && t.phase == ReducePhase::Shuffle)
     }
@@ -2381,7 +2438,7 @@ impl<'r> Sim<'r> {
         // (task, attempt), so a task's attempts are adjacent: fold each
         // run of them and add it in ascending task order (a fixed float
         // summation order, so the sums repeat bit for bit)
-        let mut attempts = self.st.running_maps.iter().peekable();
+        let mut attempts = self.st.running_maps.rows().iter().peekable();
         while let Some((id, t)) = attempts.next() {
             let mut best = 0.0_f64.max(t.progress());
             while let Some((_, t)) = attempts.next_if(|(next, _)| next.task == id.task) {
@@ -2389,7 +2446,7 @@ impl<'r> Sim<'r> {
             }
             map_progress[id.task.job.0] += best;
         }
-        for (id, t) in self.st.running_reduces.iter() {
+        for (id, t) in self.st.running_reduces.rows() {
             reduce_progress[id.job.0] += t.progress();
         }
         for (i, job) in self.st.jobs.iter_mut().enumerate() {
@@ -2405,49 +2462,6 @@ impl<'r> Sim<'r> {
                 (job.completed_reduces as f64 + reduce_progress[i]) / job.total_reduces() as f64;
             job.progress.push(now, (mp + rp) * 100.0);
         }
-    }
-}
-
-/// A `BTreeMap` that travels as its sorted `[key, value]` pair list: the
-/// JSON object form only admits string-ish keys, and the pair list is the
-/// exact encoding capsules have always used for struct-keyed maps.
-#[derive(Debug, Clone)]
-pub(crate) struct PairMap<K, V>(BTreeMap<K, V>);
-
-impl<K, V> Default for PairMap<K, V> {
-    fn default() -> Self {
-        PairMap(BTreeMap::new())
-    }
-}
-
-impl<K, V> std::ops::Deref for PairMap<K, V> {
-    type Target = BTreeMap<K, V>;
-    fn deref(&self) -> &BTreeMap<K, V> {
-        &self.0
-    }
-}
-
-impl<K, V> std::ops::DerefMut for PairMap<K, V> {
-    fn deref_mut(&mut self) -> &mut BTreeMap<K, V> {
-        &mut self.0
-    }
-}
-
-impl<K: Serialize, V: Serialize> Serialize for PairMap<K, V> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.0
-                .iter()
-                .map(|(k, v)| serde::Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-}
-
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for PairMap<K, V> {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let pairs: Vec<(K, V)> = Deserialize::deserialize(v)?;
-        Ok(PairMap(pairs.into_iter().collect()))
     }
 }
 
@@ -2479,8 +2493,10 @@ pub struct EngineState {
     initial_sample_done: bool,
     jobs: Vec<JobInProgress>,
     trackers: Vec<Tracker>,
-    running_maps: PairMap<MapAttemptId, MapTask>,
-    running_reduces: PairMap<ReduceTaskId, ReduceTask>,
+    /// The running map attempts and reduces, each a table in ascending
+    /// id order. Settled between phases, so between stepping calls too.
+    running_maps: RowTable<MapAttemptId, MapTask>,
+    running_reduces: RowTable<ReduceTaskId, ReduceTask>,
     sched: FifoScheduler,
     rng: SimRng,
     map_slot_series: simgrid::metrics::TimeSeries,
@@ -2492,8 +2508,9 @@ pub struct EngineState {
     speculative_attempts: u64,
     speculative_wins: u64,
     /// Injected failure points: attempt → progress fraction at which it
-    /// dies. Decided at launch so runs stay deterministic.
-    failure_points: PairMap<MapAttemptId, f64>,
+    /// dies. Decided at launch so runs stay deterministic; every key is a
+    /// running attempt.
+    failure_points: RowTable<MapAttemptId, f64>,
     map_failures: u64,
     /// Integral of granted CPU (core·s) across the run.
     cpu_granted_core_s: f64,
@@ -2589,14 +2606,47 @@ impl EngineState {
                 )));
             }
         }
-        if let Some(rid) = self.running_reduces.keys().find(|rid| {
-            self.jobs
-                .get(rid.job.0)
-                .is_none_or(|j| rid.partition >= j.total_reduces())
+        // the step indexes jobs, blocks, partitions and nodes by the
+        // running rows without checks
+        let off_cluster = |n: NodeId| n.0 >= workers;
+        if let Some((rid, _)) = self.running_reduces.rows().iter().find(|(rid, t)| {
+            off_cluster(t.node)
+                || self
+                    .jobs
+                    .get(rid.job.0)
+                    .is_none_or(|j| rid.partition >= j.total_reduces())
         }) {
             return Err(SimError::InvalidConfig(format!(
-                "capsule runs reduce {} of job {}, which it does not have",
+                "capsule runs reduce {} of job {} on a node or partition it does not have",
                 rid.partition, rid.job.0
+            )));
+        }
+        if let Some((aid, _)) = self.running_maps.rows().iter().find(|(aid, t)| {
+            aid.attempt > 1
+                || off_cluster(t.node)
+                || t.remote_src.is_some_and(off_cluster)
+                || self
+                    .jobs
+                    .get(aid.task.job.0)
+                    .is_none_or(|j| aid.task.index >= j.total_maps())
+        }) {
+            return Err(SimError::InvalidConfig(format!(
+                "capsule runs attempt {} of map {} of job {} on a node, job or block it does \
+                 not have",
+                aid.attempt, aid.task.index, aid.task.job.0
+            )));
+        }
+        // a failure point leaves with its attempt
+        if let Some((aid, _)) = self
+            .failure_points
+            .rows()
+            .iter()
+            .find(|(aid, _)| !self.running_maps.contains_key(aid))
+        {
+            return Err(SimError::InvalidConfig(format!(
+                "capsule holds a failure point for attempt {} of map {} of job {}, which is not \
+                 running",
+                aid.attempt, aid.task.index, aid.task.job.0
             )));
         }
         let captured = std::mem::replace(&mut self.policy_state, serde::Value::Null);
@@ -2607,6 +2657,15 @@ impl EngineState {
 
     fn all_finished(&self) -> bool {
         self.jobs.iter().all(|j| j.is_finished())
+    }
+
+    /// Lend the task tables the arena's staging buffers, or take them
+    /// back: the exchange is its own inverse.
+    fn swap_staging(&mut self, scratch: &mut Scratch) {
+        self.running_maps.swap_staging(&mut scratch.map_staging);
+        self.running_reduces
+            .swap_staging(&mut scratch.reduce_staging);
+        self.failure_points.swap_staging(&mut scratch.point_staging);
     }
 
     /// A capsule of this state as driven by `policy`: a clone with the
@@ -3011,8 +3070,8 @@ impl Engine {
             job_counters: vec![CounterLedger::new(); booted.len()],
             jobs: booted,
             trackers,
-            running_maps: PairMap::default(),
-            running_reduces: PairMap::default(),
+            running_maps: RowTable::default(),
+            running_reduces: RowTable::default(),
             sched: FifoScheduler {
                 reduce_slowstart: cfg.reduce_slowstart,
                 kind: cfg.scheduler,
@@ -3026,7 +3085,7 @@ impl Engine {
             steps: 0,
             speculative_attempts: 0,
             speculative_wins: 0,
-            failure_points: PairMap::default(),
+            failure_points: RowTable::default(),
             map_failures: 0,
             cpu_granted_core_s: 0.0,
             cpu_offered_core_s: 0.0,
@@ -4583,9 +4642,16 @@ mod tests {
         assert_eq!(sim.st.trackers_blacklisted, 1);
         // and it is skipped at assignment time
         sim.heartbeat_round();
-        assert!(!sim.st.running_maps.is_empty(), "healthy trackers got work");
         assert!(
-            sim.st.running_maps.values().all(|t| t.node != NodeId(0)),
+            !sim.st.running_maps.rows().is_empty(),
+            "healthy trackers got work"
+        );
+        assert!(
+            sim.st
+                .running_maps
+                .rows()
+                .iter()
+                .all(|(_, t)| t.node != NodeId(0)),
             "blacklisted tracker must receive no work"
         );
     }
@@ -4621,6 +4687,73 @@ mod tests {
             fixed.map_failures, adaptive.map_failures,
             "every injected failure point must fire in both modes"
         );
+    }
+
+    /// Failures, wide jitter and speculation on a 4-node cluster: on seed
+    /// 44 the original and the backup of block 5 both finish in the step
+    /// that ends at 17 s.
+    fn twin_prone(seed: u64) -> (EngineConfig, JobSpec) {
+        let mut cfg = EngineConfig::small_test(4, seed);
+        cfg.map_failure_rate = 0.3;
+        cfg.speculative_maps = true;
+        cfg.jitter_amp = 0.6;
+        cfg.speculation_min_runtime = SimDuration::from_secs(5);
+        cfg.record_events = true;
+        let job = JobSpec::new(
+            0,
+            JobProfile::synthetic_map_heavy(),
+            2048.0,
+            8,
+            SimTime::ZERO,
+        );
+        (cfg, job)
+    }
+
+    /// Twin attempts that finish in one step: the first in attempt order
+    /// delivers the block, the other goes down the discard path instead of
+    /// being completed after it was already killed.
+    #[test]
+    fn twin_attempts_finishing_in_one_step_deliver_once() {
+        let (cfg, job) = twin_prone(44);
+        let report = Engine::new(cfg.clone())
+            .run(vec![job], &mut StaticSlotPolicy)
+            .expect("run completes");
+        assert!(report.counters.get(Counter::DiscardedMaps) > 0.0);
+        let mut delivered = std::collections::BTreeMap::new();
+        for e in report.events.events() {
+            if let Event::MapCompleted { id, .. } = e {
+                *delivered.entry(id.index).or_insert(0) += 1;
+            }
+        }
+        let blocks = report.jobs[0].num_maps;
+        assert_eq!(delivered.len(), blocks, "every block delivered");
+        assert!(delivered.values().all(|&n| n == 1), "{delivered:?}");
+        let violations = crate::auditor::audit(&report, &crate::AuditSetup::from_config(&cfg));
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    /// A sibling killed by its twin's completion takes its failure point
+    /// with it, so a finished run holds none.
+    #[test]
+    fn finished_runs_hold_no_failure_points() {
+        for seed in 0..20 {
+            let (cfg, job) = twin_prone(seed);
+            let state = bound(&Engine::new(cfg.clone()), vec![job]);
+            let adv = Engine::advance_until_in(
+                state,
+                &mut StaticSlotPolicy,
+                cfg.tick.horizon,
+                &Telemetry::disabled(),
+                &mut EngineArena::new(),
+            )
+            .unwrap();
+            assert!(adv.finished, "seed {seed}: run finished");
+            assert!(
+                adv.state.failure_points.rows().is_empty(),
+                "seed {seed}: {} stale failure points",
+                adv.state.failure_points.len()
+            );
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod events;
 pub mod job;
 pub mod policy;
 pub mod report;
+mod rows;
 pub mod scheduler;
 pub mod shuffle;
 pub mod slots;

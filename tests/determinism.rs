@@ -438,3 +438,72 @@ fn shuffle_heavy_wide_cluster_runs_are_pinned_exactly() {
         );
     }
 }
+
+#[test]
+fn speculative_wide_cluster_runs_are_pinned_exactly() {
+    // no other wide pin launches a backup attempt: a 256-node Grep of
+    // eight map waves with one degraded attempt in ten runs speculation
+    // at scale, so backups launch on other trackers and winning attempts
+    // kill their losing siblings, many per heartbeat round
+    use harness::Scale;
+    use mapreduce::auditor::fingerprint;
+    use mapreduce::Engine;
+    use simgrid::time::{SimTime, SteppingMode};
+    let pins = [
+        (
+            SteppingMode::Adaptive,
+            0xd603_fa64_a080_fa3d_u64,
+            602,
+            136_951,
+            0x6c7c_70ec_29a8_d120_u64,
+        ),
+        (
+            SteppingMode::Fixed,
+            0x95f1_a328_d442_e175,
+            1409,
+            140_800,
+            0x4598_5bef_2dbb_a555,
+        ),
+    ];
+    for (mode, print, steps, finished_ms, events) in pins {
+        let nodes = 256;
+        let mut cfg = Scale::Full.engine(nodes);
+        cfg.seed = 7;
+        cfg.tick.mode = mode;
+        cfg.record_events = true;
+        cfg.straggler_rate = 0.1;
+        cfg.speculative_maps = true;
+        let input_mb = nodes as f64 * 8.0 * cfg.block_mb;
+        let job = Puma::Grep.job(0, input_mb, 32, SimTime::ZERO);
+        let mut policy = System::SMapReduce.make_policy();
+        let report = Engine::new(cfg).run(vec![job], policy.as_mut()).unwrap();
+        assert!(report.speculative_attempts > 0, "{mode:?}: no backup ran");
+        assert!(
+            report
+                .events
+                .events()
+                .iter()
+                .any(|e| matches!(e, mapreduce::Event::MapKilled { .. })),
+            "{mode:?}: no losing sibling was killed"
+        );
+        let log = serde_json::to_string(&report.events).unwrap();
+        let digest = log.bytes().fold(mapreduce::initial_state_hash(0), |h, b| {
+            mapreduce::fold_hash(h, b as u64)
+        });
+        let got = (
+            fingerprint(&report),
+            report.steps,
+            report.jobs[0].finished_at.as_millis(),
+            digest,
+        );
+        assert_eq!(
+            got,
+            (print, steps, finished_ms, events),
+            "{mode:?}: got {:#018x}/{}/{}/{:#018x}",
+            got.0,
+            got.1,
+            got.2,
+            got.3
+        );
+    }
+}

@@ -382,9 +382,11 @@ fn shuffle_shapes_at_odds_with_their_jobs_are_refused_not_resumed() {
         (
             "a reduce past the job's partitions",
             with_state(&|st| {
+                // the last running reduce, so the table stays in key order
+                // and the capsule loads
                 let mut running = st.get("running_reduces").unwrap().clone();
                 if let Value::Array(pairs) = &mut running {
-                    if let Value::Array(pair) = &mut pairs[0] {
+                    if let Some(Value::Array(pair)) = pairs.last_mut() {
                         pair[0].set("partition", Value::U64(4));
                     }
                 }
@@ -393,6 +395,166 @@ fn shuffle_shapes_at_odds_with_their_jobs_are_refused_not_resumed() {
         ),
     ];
     let origin = std::path::Path::new("mis-shaped");
+    for (case, capsule) in cases {
+        let encodings = [
+            (
+                "json",
+                serde_json::to_string(&capsule).unwrap().into_bytes(),
+            ),
+            ("binary", codec::to_binary(&capsule)),
+        ];
+        for (format, bytes) in encodings {
+            let loaded = checkpoint::from_bytes(origin, &bytes)
+                .unwrap_or_else(|e| panic!("{case} ({format}) loads: {e}"));
+            let mut policy = System::SMapReduce.make_policy();
+            let resumed = Engine::resume_in(
+                loaded.state,
+                policy.as_mut(),
+                &telemetry::Telemetry::disabled(),
+                &mut EngineArena::new(),
+            );
+            assert!(resumed.is_err(), "{case} ({format}) resumed");
+        }
+    }
+}
+
+/// A capsule (as JSON) of a run with failures that holds running maps,
+/// at least two running reduces and a failure point.
+fn capsule_with_task_rows() -> serde_json::Value {
+    use serde_json::Value;
+    let mut cfg = EngineConfig::small_test(4, 11);
+    cfg.map_failure_rate = 0.3;
+    let job = JobSpec::new(
+        0,
+        JobProfile::synthetic_map_heavy(),
+        2048.0,
+        8,
+        SimTime::ZERO,
+    );
+    let (_, capsules) = record(&cfg, job, &System::SMapReduce, SimDuration::from_secs(2));
+    let rows = |v: &Value, table: &str| {
+        v.get("state")
+            .and_then(|st| st.get(table))
+            .and_then(Value::as_array)
+            .map_or(0, |rows| rows.len())
+    };
+    capsules
+        .into_iter()
+        .map(|c| serde_json::to_value(SimSnapshot::new(c)).unwrap())
+        .find(|v| {
+            rows(v, "running_maps") > 0
+                && rows(v, "running_reduces") > 1
+                && rows(v, "failure_points") > 0
+        })
+        .expect("a capsule with maps, two reduces and a failure point")
+}
+
+/// `good` with `edit` applied to the pair list of its table `table`.
+fn with_table(
+    good: &serde_json::Value,
+    table: &str,
+    edit: &dyn Fn(&mut Vec<serde_json::Value>),
+) -> serde_json::Value {
+    let mut capsule = good.clone();
+    let mut state = capsule.get("state").unwrap().clone();
+    let mut rows = state.get(table).unwrap().clone();
+    if let serde_json::Value::Array(pairs) = &mut rows {
+        edit(pairs);
+    }
+    state.set(table, rows);
+    capsule.set("state", state);
+    capsule
+}
+
+#[test]
+fn malformed_task_tables_are_refused_not_loaded() {
+    // the engine writes its running maps, running reduces and failure
+    // points as pair lists in strictly ascending key order: a list with a
+    // repeated key or two keys out of order is no state the engine
+    // produced, so loading refuses it in either encoding instead of
+    // keeping one of the duplicates or re-sorting
+    let good = capsule_with_task_rows();
+    let origin = std::path::Path::new("malformed");
+    // the untouched capsule loads, so each refusal below is the edit's
+    let bytes = serde_json::to_string(&good).unwrap().into_bytes();
+    assert!(checkpoint::from_bytes(origin, &bytes).is_ok());
+    let cases = [
+        (
+            "a duplicated running-map pair",
+            with_table(&good, "running_maps", &|pairs| {
+                pairs.insert(1, pairs[0].clone())
+            }),
+        ),
+        (
+            "two swapped running-reduce pairs",
+            with_table(&good, "running_reduces", &|pairs| pairs.swap(0, 1)),
+        ),
+        (
+            "a duplicated failure point",
+            with_table(&good, "failure_points", &|pairs| {
+                pairs.push(pairs[0].clone())
+            }),
+        ),
+    ];
+    for (case, capsule) in cases {
+        let encodings = [
+            (
+                "json",
+                serde_json::to_string(&capsule).unwrap().into_bytes(),
+            ),
+            ("binary", codec::to_binary(&capsule)),
+        ];
+        for (format, bytes) in encodings {
+            assert!(
+                checkpoint::from_bytes(origin, &bytes).is_err(),
+                "{case} ({format}) loaded"
+            );
+        }
+    }
+}
+
+#[test]
+fn running_rows_off_the_capsule_are_refused_not_resumed() {
+    // the step indexes jobs, blocks, partitions and nodes by the running
+    // rows without checks: a capsule whose rows name a job, block or node
+    // it does not have is refused when it binds, in either encoding,
+    // instead of panicking on an index mid-step
+    use mapreduce::{Engine, EngineArena};
+    use serde_json::Value;
+    let good = capsule_with_task_rows();
+    let set_key = |field: &'static str, value: u64| {
+        move |pairs: &mut Vec<Value>| {
+            if let Some(Value::Array(pair)) = pairs.last_mut() {
+                let mut task = pair[0].get("task").unwrap().clone();
+                task.set(field, Value::U64(value));
+                pair[0].set("task", task);
+            }
+        }
+    };
+    let set_node = |pairs: &mut Vec<Value>| {
+        if let Some(Value::Array(pair)) = pairs.first_mut() {
+            pair[1].set("node", Value::U64(4));
+        }
+    };
+    let cases = [
+        (
+            "a map of a job it does not have",
+            with_table(&good, "running_maps", &set_key("job", 1)),
+        ),
+        (
+            "a map of a block it does not have",
+            with_table(&good, "running_maps", &set_key("index", 16)),
+        ),
+        (
+            "a map on a node past the cluster",
+            with_table(&good, "running_maps", &set_node),
+        ),
+        (
+            "a reduce on a node past the cluster",
+            with_table(&good, "running_reduces", &set_node),
+        ),
+    ];
+    let origin = std::path::Path::new("off-capsule");
     for (case, capsule) in cases {
         let encodings = [
             (
