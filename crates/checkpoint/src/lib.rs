@@ -473,8 +473,9 @@ mod tests {
     #[test]
     fn binary_capsules_are_much_smaller() {
         // a tiny 4-worker capsule has little redundancy for the LZ layer
-        // to chew on, so the floor here is 3×; the ≥5× acceptance gate
-        // runs on the representative ext-faults stream in capsule-bench
+        // to chew on, so the floor here is 3×; the ≥5× gate runs on the
+        // representative ext-faults stream in the workspace's
+        // tests/checkpoint.rs (`ext_faults_capsule_stream_is_pinned`)
         let (_, states) = small_stream();
         let last = states.last().expect("capsules");
         let snap = SimSnapshot::new(last.clone());

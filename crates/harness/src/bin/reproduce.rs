@@ -12,14 +12,14 @@
 //! Each figure prints its plain-text rendering and writes `<fig>.txt` +
 //! `<fig>.json` under the output directory (default `results/`). Every
 //! figure's JSON carries a `perf` block (steps simulated, simulated
-//! seconds covered, wall time, steps/s, peak recorder memory) and a
-//! `counters` block (the Hadoop-style cluster counters the target's runs
-//! accumulated, also appended to the text rendering). Every run is passed
+//! seconds covered, steps per simulated second, stepping mode, peak
+//! recorder memory — no wall clock, so re-running a target writes the
+//! same JSON; timings come from perfbench) and a `counters` block (the
+//! Hadoop-style cluster counters the target's runs accumulated, also
+//! appended to the text rendering). Every run is passed
 //! through the invariant auditor; a violation fails the invocation. With
 //! `--engine fixed|adaptive` every run in the invocation is pinned to one
-//! stepping mode (default: each config's own, i.e. adaptive). The
-//! `engine-bench` target runs a paper workload under *both* modes and
-//! writes `BENCH_engine.json` with the step ratio and wall speedup. With
+//! stepping mode (default: each config's own, i.e. adaptive). With
 //! `--trace FILE`, telemetry is enabled for the whole invocation and one
 //! Chrome-trace JSON — engine step-phase spans, task-lifecycle instants,
 //! slot-manager decision audits, slot-target counters — is written to
@@ -34,9 +34,8 @@
 use checkpoint::CapsuleFormat;
 use harness::scale::Scale;
 use harness::{
-    ablation, bench_all, capsule_bench, capsules, engine_bench, ext_fair, ext_faults, ext_hetero,
-    ext_load, ext_stragglers, fig1, fig3, fig4, fig5, fig6, fig7, fig89, model_check, output,
-    scale_bench, serve_bench, summary, sweep_bench, targets,
+    ablation, capsules, ext_fair, ext_faults, ext_hetero, ext_load, ext_stragglers, fig1, fig3,
+    fig4, fig5, fig6, fig7, fig89, model_check, output, summary, targets,
 };
 use simgrid::time::{SimDuration, SteppingMode};
 use std::path::{Path, PathBuf};
@@ -191,18 +190,13 @@ const USAGE: &str = "usage: reproduce [TARGET] [--quick] [--out DIR] [--trace FI
        reproduce serve [ADDR] [--tick-ms MS] [--dilation X]           # realtime NDJSON service (default 127.0.0.1:7700)
        reproduce --help                                               # full target list with descriptions";
 
-/// The perf-summary block every figure JSON carries.
-fn perf_block(steps: u64, sim_seconds: f64, wall: std::time::Duration) -> serde_json::Value {
+/// The perf-summary block every figure JSON carries. It holds no wall
+/// clock: timings come from perfbench (see `BENCHMARK.json`).
+fn perf_block(steps: u64, sim_seconds: f64) -> serde_json::Value {
     let telem = harness::runner::active_telemetry();
-    let secs = wall.as_secs_f64();
     let mut perf = serde_json::Value::Object(Vec::new());
     perf.set("steps", serde_json::Value::U64(steps));
     perf.set("sim_seconds", serde_json::Value::F64(sim_seconds));
-    perf.set("wall_seconds", serde_json::Value::F64(secs));
-    perf.set(
-        "steps_per_second",
-        serde_json::Value::F64(if secs > 0.0 { steps as f64 / secs } else { 0.0 }),
-    );
     perf.set(
         "steps_per_sim_second",
         serde_json::Value::F64(if sim_seconds > 0.0 {
@@ -388,17 +382,6 @@ fn run_serve(args: &Args) -> ExitCode {
     }
 }
 
-/// `reproduce bench-all` — aggregate every BENCH_*.json in the out dir.
-fn run_bench_all(args: &Args) -> ExitCode {
-    match bench_all::run(&args.out) {
-        Ok(summary) => {
-            print!("{}", bench_all::render(&summary));
-            ExitCode::SUCCESS
-        }
-        Err(msg) => fail(&msg),
-    }
-}
-
 /// `reproduce bisect DIR_A DIR_B` — exit 0 when the streams are
 /// identical, 1 when they diverge (with the first divergent checkpoint
 /// and its field diff on stdout).
@@ -444,10 +427,6 @@ fn main() -> ExitCode {
         harness::runner::install_telemetry(telemetry::Telemetry::enabled());
     }
     if let Some(mode) = args.engine {
-        if args.target == "engine-bench" {
-            eprintln!("engine-bench runs both modes itself; drop --engine");
-            return ExitCode::FAILURE;
-        }
         harness::runner::set_engine_mode(mode);
     }
     let scale = args.scale;
@@ -457,7 +436,6 @@ fn main() -> ExitCode {
         "resume" => return run_resume(&args),
         "bisect" => return run_bisect(&args),
         "serve" => return run_serve(&args),
-        "bench-all" => return run_bench_all(&args),
         _ => {}
     }
     if let Some(every) = args.checkpoint_every {
@@ -471,7 +449,6 @@ fn main() -> ExitCode {
         let steps_before = harness::runner::total_steps();
         let sim_before = harness::runner::total_sim_seconds();
         let counters_before = harness::runner::counters_snapshot();
-        let wall_start = std::time::Instant::now();
         let (text, json): (String, serde_json::Value) = match name {
             "fig1" => {
                 let d = fig1::run(scale);
@@ -589,85 +566,11 @@ fn main() -> ExitCode {
                     serde_json::to_value(&claims).expect("serialise"),
                 )
             }
-            "engine-bench" => {
-                let d = engine_bench::run(scale);
-                let json = serde_json::to_value(&d).expect("serialise");
-                let path = args.out.join("BENCH_engine.json");
-                std::fs::create_dir_all(&args.out).map_err(|e| e.to_string())?;
-                std::fs::write(
-                    &path,
-                    serde_json::to_string_pretty(&json).unwrap_or_default(),
-                )
-                .map_err(|e| e.to_string())?;
-                println!("[wrote {}]", path.display());
-                (engine_bench::render(&d), json)
-            }
-            "sweep-bench" => {
-                let d = sweep_bench::run(scale);
-                let json = serde_json::to_value(&d).expect("serialise");
-                let path = args.out.join("BENCH_sweep.json");
-                std::fs::create_dir_all(&args.out).map_err(|e| e.to_string())?;
-                std::fs::write(
-                    &path,
-                    serde_json::to_string_pretty(&json).unwrap_or_default(),
-                )
-                .map_err(|e| e.to_string())?;
-                println!("[wrote {}]", path.display());
-                (sweep_bench::render(&d), json)
-            }
-            "scale-bench" => {
-                let d = scale_bench::run(scale);
-                let json = serde_json::to_value(&d).expect("serialise");
-                let path = args.out.join("BENCH_scale.json");
-                std::fs::create_dir_all(&args.out).map_err(|e| e.to_string())?;
-                std::fs::write(
-                    &path,
-                    serde_json::to_string_pretty(&json).unwrap_or_default(),
-                )
-                .map_err(|e| e.to_string())?;
-                println!("[wrote {}]", path.display());
-                (scale_bench::render(&d), json)
-            }
-            "capsule-bench" => {
-                let d = capsule_bench::run(scale);
-                let json = serde_json::to_value(&d).expect("serialise");
-                let path = args.out.join("BENCH_capsule.json");
-                std::fs::create_dir_all(&args.out).map_err(|e| e.to_string())?;
-                std::fs::write(
-                    &path,
-                    serde_json::to_string_pretty(&json).unwrap_or_default(),
-                )
-                .map_err(|e| e.to_string())?;
-                println!("[wrote {}]", path.display());
-                (capsule_bench::render(&d), json)
-            }
-            "serve-bench" => {
-                let d = serve_bench::run(scale);
-                let json = serde_json::to_value(&d).expect("serialise");
-                let path = args.out.join("BENCH_serve.json");
-                std::fs::create_dir_all(&args.out).map_err(|e| e.to_string())?;
-                std::fs::write(
-                    &path,
-                    serde_json::to_string_pretty(&json).unwrap_or_default(),
-                )
-                .map_err(|e| e.to_string())?;
-                println!("[wrote {}]", path.display());
-                let violations = serve_bench::gate(&d);
-                if !violations.is_empty() {
-                    println!("{}", serve_bench::render(&d));
-                    return Err(format!(
-                        "serve-bench gate violations: {}",
-                        violations.join("; ")
-                    ));
-                }
-                (serve_bench::render(&d), json)
-            }
             other => return Err(targets::unknown(other)),
         };
         let perf = perf_block(
             harness::runner::total_steps() - steps_before,
             harness::runner::total_sim_seconds() - sim_before,
-            wall_start.elapsed(),
         );
         let counters = harness::runner::counters_snapshot().delta_from(&counters_before);
         // non-object payloads (e.g. headline's claim list) get wrapped so

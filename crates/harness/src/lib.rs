@@ -28,13 +28,15 @@
 //!
 //! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! paper-vs-measured results.
+//!
+//! Nothing here reads a wall clock into its output: a target's JSON is
+//! the same on every run. Timings come from the repository's benchmark,
+//! `perfbench/` (its command is in `BENCHMARK.json`), which drives this
+//! crate's [`runner`] through [`CellRequest`] and [`System`].
 
 pub mod ablation;
-pub mod bench_all;
-pub mod capsule_bench;
 pub mod capsules;
 pub mod dashboard;
-pub mod engine_bench;
 pub mod ext_fair;
 pub mod ext_faults;
 pub mod ext_hetero;
@@ -51,11 +53,8 @@ pub mod model_check;
 pub mod output;
 pub mod runner;
 pub mod scale;
-pub mod scale_bench;
-pub mod serve_bench;
 pub mod shapes;
 pub mod summary;
-pub mod sweep_bench;
 pub mod table;
 pub mod targets;
 

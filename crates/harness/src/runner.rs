@@ -17,18 +17,17 @@
 //! ([`counters_snapshot`]) that `reproduce` prints per target.
 
 use mapreduce::auditor::{audit, AuditSetup};
-use mapreduce::policy::{SlotPolicy, StaticSlotPolicy};
+use mapreduce::policy::SlotPolicy;
 use mapreduce::{
     CounterLedger, Engine, EngineArena, EngineConfig, EngineState, JobSpec, Recording, RunReport,
 };
 use serde::{Deserialize, Serialize};
 use simgrid::error::SimError;
 use simgrid::time::{SimDuration, SteppingMode};
-use smapreduce::{HeteroSlotManagerPolicy, SlotManagerPolicy, SmrConfig};
+use smapreduce::{SlotManagerPolicy, SmrConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use sweepengine::{BatchedSweep, SweepCell, SweepOutcome};
-use yarn::CapacityPolicy;
 
 /// Process-wide telemetry sink every [`run_once`] threads into the engine.
 /// Disabled (and allocation-free) unless [`install_telemetry`] was called —
@@ -125,23 +124,24 @@ impl System {
     /// but not policy *configuration*, so an ablation run resumes under
     /// the default `SmrConfig`).
     pub fn from_label(label: &str) -> Option<System> {
-        match label {
-            "HadoopV1" => Some(System::HadoopV1),
-            "YARN" => Some(System::Yarn),
-            "SMapReduce" => Some(System::SMapReduce),
-            "SMapReduce-hetero" => Some(System::SMapReduceHetero),
-            _ => None,
-        }
+        [
+            System::HadoopV1,
+            System::Yarn,
+            System::SMapReduce,
+            System::SMapReduceHetero,
+        ]
+        .into_iter()
+        .find(|system| system.label() == label)
     }
 
-    /// A fresh policy instance for this system.
+    /// A fresh policy instance for this system. Only the custom slot
+    /// manager is built here; every label resolves through the one
+    /// label → policy table, [`realtime::policy_for`].
     pub fn make_policy(&self) -> Box<dyn SlotPolicy> {
         match self {
-            System::HadoopV1 => Box::new(StaticSlotPolicy),
-            System::Yarn => Box::new(CapacityPolicy),
-            System::SMapReduce => Box::new(SlotManagerPolicy::paper_default()),
             System::SMapReduceWith(cfg) => Box::new(SlotManagerPolicy::new(cfg.clone())),
-            System::SMapReduceHetero => Box::new(HeteroSlotManagerPolicy::paper_default()),
+            other => realtime::policy_for(other.label())
+                .expect("realtime::policy_for resolves every System label"),
         }
     }
 }
@@ -502,6 +502,16 @@ mod tests {
             );
         }
         assert!(pooled.stats.peak_resident_cells <= pooled.stats.workers);
+    }
+
+    #[test]
+    fn every_label_round_trips_and_names_its_policy() {
+        for label in realtime::SYSTEM_LABELS {
+            let system = System::from_label(label).expect("label resolves");
+            assert_eq!(system.label(), label);
+            assert_eq!(system.make_policy().name(), label);
+        }
+        assert!(System::from_label("Spark").is_none());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Experiment scale: full paper-sized runs vs quick runs for CI/benches.
+//! Experiment scale: full paper-sized runs vs quick runs for CI.
 
 use mapreduce::engine::EngineConfigBuilder;
 use mapreduce::EngineConfig;
@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 
 /// Cluster size of the paper's testbed (§V). Figure targets reproduce the
 /// paper and therefore pass this explicitly; nothing else in [`Scale`]
-/// pins the cluster, so the scale bench can reuse the same machinery at
-/// 64, 256 or 1024 nodes.
+/// pins the cluster, so the scale-trajectory test and the benchmark's
+/// 1024-node workload reuse the same machinery.
 pub const TESTBED_WORKERS: usize = 16;
 
 /// How big to run an experiment.

@@ -52,30 +52,6 @@ pub const TARGETS: &[Target] = &[
     t("ext-fair", "extension: fair-share scheduling"),
     t("ext-load", "extension: background load"),
     t("ext-faults", "extension: node crash/rejoin faults"),
-    t(
-        "engine-bench",
-        "fixed vs adaptive stepping benchmark -> BENCH_engine.json",
-    ),
-    t(
-        "sweep-bench",
-        "batched multi-cell sweep benchmark -> BENCH_sweep.json",
-    ),
-    t(
-        "scale-bench",
-        "16..1024-node scale trajectory -> BENCH_scale.json",
-    ),
-    t(
-        "capsule-bench",
-        "checkpoint encode/decode benchmark -> BENCH_capsule.json",
-    ),
-    t(
-        "serve-bench",
-        "realtime service under multi-tenant load -> BENCH_serve.json",
-    ),
-    t(
-        "bench-all",
-        "aggregate results/BENCH_*.json -> BENCH_summary.{json,md}",
-    ),
     sub(
         "serve",
         "[ADDR]",
@@ -159,6 +135,6 @@ mod tests {
         assert!(msg.contains("fig1"));
         let msg = unknown("zzz");
         assert!(!msg.contains("did you mean"));
-        assert!(msg.contains("serve-bench"));
+        assert!(msg.contains("bisect"));
     }
 }

@@ -4295,7 +4295,8 @@ mod tests {
             "shuffle volume is exact in both modes"
         );
         // on this deliberately small run the 1 s sample boundary dominates
-        // the step count; paper-scale runs (see the engine bench) clear 5x
+        // the step count; paper-testbed runs clear 5x (the workspace's
+        // tests/determinism.rs pins 788 fixed vs 133 adaptive steps)
         assert!(
             adaptive.steps * 4 <= fixed.steps,
             "adaptive must take far fewer steps ({} vs {})",

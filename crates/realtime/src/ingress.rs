@@ -9,8 +9,8 @@
 //!
 //! Every command carries a reply slot; senders block until their command
 //! was applied (at most one tick interval plus queue drain), and the delay
-//! between enqueue and apply is the **command-to-apply latency** the
-//! serve bench reports the p99 of.
+//! between enqueue and apply is the **command-to-apply latency** whose
+//! quantiles `ServiceSummary::latency_quantile_us` reports.
 
 use serde::{Deserialize, Serialize};
 use std::sync::mpsc::SyncSender;

@@ -55,9 +55,10 @@ use mapreduce::policy::StaticSlotPolicy;
 use smapreduce::{HeteroSlotManagerPolicy, SlotManagerPolicy};
 use yarn::CapacityPolicy;
 
-/// A fresh policy instance for a system label, mirroring the harness's
-/// system registry (this crate sits below the harness, so it resolves
-/// labels itself). Labels are the same strings capsules record.
+/// A fresh policy instance for a system label — the one label → policy
+/// table: the harness's `System::make_policy` resolves every label but
+/// its custom-configured slot manager through it. Labels are the same
+/// strings capsules record.
 pub fn policy_for(label: &str) -> Option<Box<dyn SlotPolicy>> {
     match label {
         "HadoopV1" => Some(Box::new(StaticSlotPolicy)),

@@ -1,8 +1,7 @@
 //! Concurrency and determinism tests for the realtime service.
 
-use realtime::{Command, RealtimeService, ServiceConfig};
+use realtime::{Command, RealtimeService, ServiceConfig, ServiceHandle};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn fast_config() -> ServiceConfig {
@@ -14,8 +13,13 @@ fn fast_config() -> ServiceConfig {
 }
 
 /// Wait (bounded) until `cond` holds, re-checking every millisecond.
-fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(30);
+fn wait_for(what: &str, cond: impl FnMut() -> bool) {
+    wait_within(Duration::from_secs(30), what, cond);
+}
+
+/// [`wait_for`] with an explicit bound.
+fn wait_within(limit: Duration, what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + limit;
     while !cond() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(1));
@@ -49,6 +53,77 @@ fn tenants_advance_and_finish_jobs() {
     assert!(summary.tenants[0].sim_now_ms > 0);
 }
 
+/// What reader threads saw while they hammered the observation pool.
+struct Seen {
+    reads: u64,
+    /// Frames whose checksum did not match their content.
+    torn: u64,
+    /// Frames older than one the same reader had already seen.
+    regressions: u64,
+    /// Most ticks a live tenant's frame lagged the tick counter.
+    max_staleness: u64,
+}
+
+/// Run `drive` while four reader threads poll every tenant in `ids`,
+/// then stop the readers and return what they saw.
+fn under_readers(handle: &ServiceHandle, ids: &[usize], drive: impl FnOnce()) -> Seen {
+    let stop = AtomicBool::new(false);
+    let [reads, torn, regressions, staleness] = [(); 4].map(|_| AtomicU64::new(0));
+    let driven = std::thread::scope(|scope| {
+        for r in 0..4 {
+            let obs = handle.observations();
+            let (stop, reads, torn) = (&stop, &reads, &torn);
+            let (regressions, staleness) = (&regressions, &staleness);
+            scope.spawn(move || {
+                let mut last_epoch = vec![0u64; ids.len()];
+                while !stop.load(Ordering::Acquire) {
+                    for (k, &id) in ids.iter().enumerate() {
+                        let Some(frame) = obs.frame(id) else { continue };
+                        reads.fetch_add(1, Ordering::Relaxed);
+                        // completeness: the checksum covers every field a
+                        // torn publish could corrupt
+                        if !frame.is_consistent() {
+                            torn.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // epoch consistency: published epochs never go back
+                        if frame.epoch < last_epoch[k] {
+                            regressions.fetch_add(1, Ordering::Relaxed);
+                        }
+                        last_epoch[k] = frame.epoch;
+                        // staleness means something only for tenants still
+                        // advancing: finished, paused and failed tenants
+                        // stop publishing by design
+                        let live = frame.epoch > 0
+                            && !frame.paused
+                            && !frame.obs.all_finished
+                            && frame.error.is_none();
+                        if live {
+                            let lag = obs.tick().saturating_sub(frame.tick + 1);
+                            staleness.fetch_max(lag, Ordering::Relaxed);
+                        }
+                    }
+                    if r % 2 == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        }
+        // a failed wait must not leave the readers spinning
+        let driven = std::panic::catch_unwind(std::panic::AssertUnwindSafe(drive));
+        stop.store(true, Ordering::Release);
+        driven
+    });
+    if let Err(panic) = driven {
+        std::panic::resume_unwind(panic);
+    }
+    Seen {
+        reads: reads.into_inner(),
+        torn: torn.into_inner(),
+        regressions: regressions.into_inner(),
+        max_staleness: staleness.into_inner(),
+    }
+}
+
 #[test]
 fn readers_always_observe_consistent_epoch_ordered_frames() {
     let handle = RealtimeService::spawn(fast_config());
@@ -60,58 +135,17 @@ fn readers_always_observe_consistent_epoch_ordered_frames() {
         handle.submit_job(id, "grep", 4096.0, 4).unwrap();
         ids.push(id);
     }
-    let stop = Arc::new(AtomicBool::new(false));
-    let torn = Arc::new(AtomicU64::new(0));
-    let regressions = Arc::new(AtomicU64::new(0));
-    let reads = Arc::new(AtomicU64::new(0));
-    let mut readers = Vec::new();
-    for r in 0..4 {
-        let obs = handle.observations();
-        let stop = stop.clone();
-        let torn = torn.clone();
-        let regressions = regressions.clone();
-        let reads = reads.clone();
-        let ids = ids.clone();
-        readers.push(std::thread::spawn(move || {
-            let mut last_epoch = vec![0u64; ids.len()];
-            while !stop.load(Ordering::Acquire) {
-                for (k, &id) in ids.iter().enumerate() {
-                    let Some(frame) = obs.frame(id) else { continue };
-                    reads.fetch_add(1, Ordering::Relaxed);
-                    // completeness: the checksum covers every field a torn
-                    // publish could corrupt
-                    if !frame.is_consistent() {
-                        torn.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // epoch consistency: published epochs never go back
-                    if frame.epoch < last_epoch[k] {
-                        regressions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    last_epoch[k] = frame.epoch;
-                }
-                if r % 2 == 0 {
-                    std::thread::yield_now();
-                }
-            }
-        }));
-    }
     // let readers hammer the pool while the tick thread advances all six
     // tenants through a real workload
-    wait_for("ticks to accumulate under reader load", || {
-        handle.tick() >= 200
+    let seen = under_readers(&handle, &ids, || {
+        wait_for("ticks to accumulate under reader load", || {
+            handle.tick() >= 200
+        })
     });
-    stop.store(true, Ordering::Release);
-    for r in readers {
-        r.join().unwrap();
-    }
     let summary = handle.shutdown().unwrap();
-    assert_eq!(torn.load(Ordering::Relaxed), 0, "readers saw torn frames");
-    assert_eq!(
-        regressions.load(Ordering::Relaxed),
-        0,
-        "reader-visible epochs regressed"
-    );
-    assert!(reads.load(Ordering::Relaxed) > 1000, "readers barely ran");
+    assert_eq!(seen.torn, 0, "readers saw torn frames");
+    assert_eq!(seen.regressions, 0, "reader-visible epochs regressed");
+    assert!(seen.reads > 1000, "readers barely ran");
     assert!(summary.frames_published > 0);
     // the never-block contract: reader contention may skip publishes, but
     // every tenant still converges to a fresh frame once readers stop
@@ -123,6 +157,88 @@ fn readers_always_observe_consistent_epoch_ordered_frames() {
             .expect("tenant in summary");
         assert!(frame.error.is_none());
     }
+}
+
+/// The service under a multi-tenant load: 32 tenants of 8 workers round
+/// robin over every system label, a crash on every 7th tenant, a pause on
+/// every 11th, a half-size second job wave, four readers throughout and
+/// the ingress script recorded. Frames stay consistent and fresh, every
+/// job completes, and the script replays offline to the live hashes.
+#[test]
+fn a_loaded_fleet_stays_consistent_and_replays() {
+    // (benchmark, input MB, reduces), cycled across tenants
+    const JOB_MIX: &[(&str, f64, usize)] = &[
+        ("grep", 1024.0, 4),
+        ("terasort", 768.0, 4),
+        ("wordcount", 512.0, 2),
+        ("kmeans", 384.0, 2),
+        ("invertedindex", 512.0, 4),
+    ];
+    const TENANTS: usize = 32;
+    const WORKERS: usize = 8;
+    let handle = RealtimeService::spawn(ServiceConfig {
+        tick_interval: Duration::from_millis(2),
+        dilation: 4000.0, // 8 sim-seconds per tick
+        record_script: true,
+        ..ServiceConfig::default()
+    });
+    for i in 0..TENANTS {
+        let system = realtime::SYSTEM_LABELS[i % realtime::SYSTEM_LABELS.len()];
+        let id = handle
+            .create_tenant(&format!("fleet-{i:02}"), WORKERS, 1000 + i as u64, system)
+            .unwrap();
+        let (bench, mb, reduces) = JOB_MIX[i % JOB_MIX.len()];
+        handle.submit_job(id, bench, mb, reduces).unwrap();
+    }
+    let ids: Vec<usize> = (0..TENANTS).collect();
+    let seen = under_readers(&handle, &ids, || {
+        for i in (0..TENANTS).step_by(7) {
+            handle
+                .inject_fault(i, (i % WORKERS).max(1), 20_000, Some(40_000))
+                .unwrap();
+        }
+        for i in (0..TENANTS).step_by(11) {
+            handle.pause(i).unwrap();
+        }
+        wait_for("ticks while every 11th tenant is paused", || {
+            handle.tick() >= 50
+        });
+        for i in (0..TENANTS).step_by(11) {
+            handle.resume(i).unwrap();
+        }
+        // the second wave puts finished tenants back into the ready set
+        for i in 0..TENANTS {
+            let (bench, mb, reduces) = JOB_MIX[(i + 2) % JOB_MIX.len()];
+            handle.submit_job(i, bench, mb * 0.5, reduces).unwrap();
+        }
+        wait_within(Duration::from_secs(120), "every job to finish", || {
+            ids.iter().all(|&id| {
+                handle
+                    .frame(id)
+                    .is_some_and(|f| f.obs.all_finished && f.error.is_none())
+            })
+        });
+    });
+    let summary = handle.shutdown().unwrap();
+    assert_eq!(seen.torn, 0, "readers saw torn frames");
+    assert_eq!(seen.regressions, 0, "reader-visible epochs regressed");
+    assert!(seen.reads > 0, "readers never ran");
+    // a reader descheduled between reading a frame and the tick counter
+    // overstates the lag, so the cap is loose: a second of 2 ms ticks
+    assert!(
+        seen.max_staleness <= 500,
+        "a live frame lagged {} ticks",
+        seen.max_staleness
+    );
+    let completed: u64 = summary.tenants.iter().map(|t| t.jobs_completed).sum();
+    assert_eq!(completed, 2 * TENANTS as u64, "jobs lost");
+    let outcome = summary.script.expect("recording was on").replay();
+    assert!(
+        outcome.verified,
+        "replay diverged: {:?}",
+        outcome.mismatches
+    );
+    assert!(outcome.points_checked > 0, "replay compared no hash points");
 }
 
 #[test]

@@ -6,7 +6,6 @@ use simgrid::error::SimError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// One independent unit of sweep work. Implementations hold everything
 /// the cell needs (config, jobs, the system to run) and
@@ -31,10 +30,6 @@ pub struct SweepStats {
     pub cells: usize,
     /// Workers the pool actually used (`min(bound, cells)`).
     pub workers: usize,
-    /// Wall-clock duration of the whole grid (seconds).
-    pub wall_seconds: f64,
-    /// Grid throughput: `cells / wall_seconds`.
-    pub cells_per_sec: f64,
     /// Most cells ever simultaneously in flight — bounded by `workers`,
     /// unlike the thread-per-cell path where it equalled the grid size.
     pub peak_resident_cells: usize,
@@ -192,7 +187,6 @@ impl BatchedSweep {
         let growth = AtomicU64::new(0);
         let recycled = AtomicU64::new(0);
         let panics: Mutex<Vec<CellPanic>> = Mutex::new(Vec::new());
-        let started = Instant::now();
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -227,7 +221,6 @@ impl BatchedSweep {
             }
         });
 
-        let wall_seconds = started.elapsed().as_secs_f64();
         let mut panics = panics.into_inner().expect("panic log");
         if !panics.is_empty() {
             panics.sort_by_key(|p| p.index);
@@ -249,12 +242,6 @@ impl BatchedSweep {
             stats: SweepStats {
                 cells: n,
                 workers,
-                wall_seconds,
-                cells_per_sec: if wall_seconds > 0.0 {
-                    n as f64 / wall_seconds
-                } else {
-                    0.0
-                },
                 peak_resident_cells: peak.load(Ordering::Relaxed),
                 arena_growth_events: growth.load(Ordering::Relaxed),
                 arena_cells_recycled: recycled.load(Ordering::Relaxed),

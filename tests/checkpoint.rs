@@ -248,6 +248,47 @@ fn recorded_capsule_bytes_are_pinned() {
     }
 }
 
+/// The ext-faults representative stream — the heaviest capsule producer:
+/// crashes, blacklists and re-replication on top of the task tables —
+/// recorded every 30 s. Binary capsules stay ≥ 5× smaller than JSON, and
+/// every one decodes back to a state that encodes to the same JSON bytes.
+#[test]
+fn ext_faults_capsule_stream_is_pinned() {
+    let (mut cfg, jobs, system, _) =
+        representative("ext-faults", Scale::Quick).expect("representative run");
+    cfg.record_events = false;
+    let snaps: Vec<SimSnapshot> = boot(&cfg, jobs, &system, cfg.seed)
+        .and_then(|state| record_once(state, &system, Some(SimDuration::from_secs(30))))
+        .expect("representative run completes")
+        .capsules
+        .into_iter()
+        .map(SimSnapshot::new)
+        .collect();
+    let encode = |format| -> Vec<Vec<u8>> {
+        snaps
+            .iter()
+            .map(|snap| checkpoint::to_bytes(snap, format))
+            .collect()
+    };
+    let (json, binary) = (encode(CapsuleFormat::Json), encode(CapsuleFormat::Binary));
+    let total = |stream: &[Vec<u8>]| stream.iter().map(Vec::len).sum::<usize>();
+    assert_eq!(
+        (snaps.len(), total(&json), total(&binary)),
+        (4, 430_154, 61_215),
+        "(capsules, JSON bytes, binary bytes) changed"
+    );
+    // the gate the pins must keep when they are re-recorded
+    assert!(total(&binary) * 5 <= total(&json));
+    for (i, (bin, json)) in binary.iter().zip(&json).enumerate() {
+        let decoded = checkpoint::from_bytes(std::path::Path::new("ext-faults"), bin)
+            .expect("own encoding decodes");
+        assert!(
+            checkpoint::to_bytes(&decoded, CapsuleFormat::Json) == *json,
+            "capsule {i}: the binary round trip lost information"
+        );
+    }
+}
+
 /// Unique temp dir per test invocation.
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("smr-ws-capsule-{}-{tag}", std::process::id()));

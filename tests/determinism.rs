@@ -103,6 +103,41 @@ fn both_stepping_modes_are_individually_deterministic() {
 }
 
 #[test]
+fn paper_testbed_step_counts_are_pinned_per_mode() {
+    // Grep and Terasort (2,048 MB, 16 reduces) under SMapReduce on the
+    // paper testbed, one run each per mode, the mode set on the config.
+    // The adaptive engine lands on event times where the fixed engine
+    // walks the 100 ms grid: 788 / 133 is a 5.9x step ratio. Fixed mode
+    // sees each completion up to a tick late and the delays add up along
+    // the map -> shuffle -> sort -> reduce chain, so the simulated spans
+    // differ by a bounded quantization error, not by model drift.
+    use simgrid::time::{SimTime, SteppingMode};
+    let run = |mode: SteppingMode| -> (u64, u64) {
+        let (mut steps, mut sim_ms) = (0, 0);
+        for bench in [Puma::Grep, Puma::Terasort] {
+            let mut cfg = EngineConfig::paper_default();
+            cfg.tick.mode = mode;
+            let job = bench.job(0, 2048.0, 16, SimTime::ZERO);
+            let report = run_once(&cfg, vec![job], &System::SMapReduce, cfg.seed).unwrap();
+            steps += report.steps;
+            sim_ms += report.jobs[0].finished_at.as_millis();
+        }
+        (steps, sim_ms)
+    };
+    let (fixed_steps, fixed_ms) = run(SteppingMode::Fixed);
+    let (adaptive_steps, adaptive_ms) = run(SteppingMode::Adaptive);
+    assert_eq!(
+        (fixed_steps, adaptive_steps),
+        (788, 133),
+        "step counts changed"
+    );
+    // the gate the pins must keep when they are re-recorded
+    assert!(fixed_steps >= 5 * adaptive_steps);
+    let rel = fixed_ms.abs_diff(adaptive_ms) as f64 / fixed_ms as f64;
+    assert!(rel < 0.10, "simulated spans diverged ({rel:.3})");
+}
+
+#[test]
 fn different_seeds_differ_but_agree_roughly() {
     let cfg = EngineConfig::paper_default();
     let a = run_once(&cfg, vec![job()], &System::HadoopV1, 1).unwrap();

@@ -12,7 +12,7 @@ use proptest::proptest;
 use simgrid::cluster::NodeId;
 use simgrid::time::{SimDuration, SimTime};
 use simgrid::{FaultPlan, NodeFault};
-use sweepengine::SweepCell;
+use sweepengine::{SweepCell, SweepOutcome};
 use workloads::Puma;
 
 fn job(input_mb: f64) -> JobSpec {
@@ -47,8 +47,8 @@ fn grid() -> Vec<CellRequest> {
         .collect()
 }
 
-fn fingerprints(cells: &[CellRequest], workers: usize) -> Vec<String> {
-    run_cells_with(workers, cells)
+fn fingerprints(outcome: &SweepOutcome) -> Vec<String> {
+    outcome
         .reports
         .iter()
         .map(|r| serde_json::to_string(r.as_ref().expect("cell completes")).unwrap())
@@ -58,12 +58,12 @@ fn fingerprints(cells: &[CellRequest], workers: usize) -> Vec<String> {
 #[test]
 fn per_cell_reports_are_identical_across_worker_counts() {
     let cells = grid();
-    let one = fingerprints(&cells, 1);
-    let two = fingerprints(&cells, 2);
-    let many = fingerprints(
-        &cells,
+    let one = fingerprints(&run_cells_with(1, &cells));
+    let two = fingerprints(&run_cells_with(2, &cells));
+    let many = fingerprints(&run_cells_with(
         std::thread::available_parallelism().map_or(4, |n| n.get()),
-    );
+        &cells,
+    ));
     assert_eq!(one.len(), cells.len());
     for (i, a) in one.iter().enumerate() {
         assert_eq!(a, &two[i], "cell {i}: 1 vs 2 workers");
@@ -73,7 +73,13 @@ fn per_cell_reports_are_identical_across_worker_counts() {
 
 #[test]
 fn pooled_reports_match_the_legacy_sequential_path() {
-    let pooled = fingerprints(&grid(), 3);
+    let cells = grid();
+    let outcome = run_cells_with(3, &cells);
+    // every cell but each worker's fresh first drew recycled scratch
+    let (n, stats) = (cells.len() as u64, &outcome.stats);
+    assert!(stats.arena_cells_recycled >= n - stats.workers as u64);
+    assert!(stats.arena_cells_recycled < n);
+    let pooled = fingerprints(&outcome);
     let legacy: Vec<_> = cell_specs()
         .iter()
         .map(|(cfg, mb, sys, seed)| run_once(cfg, vec![job(*mb)], sys, *seed).unwrap())
