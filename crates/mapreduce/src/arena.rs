@@ -1,9 +1,9 @@
 //! Reusable per-cell engine allocations for batched sweeps.
 //!
-//! Each simulated cell needs a fixed family of scratch buffers: per-node
-//! rate arrays rewritten by every allocate phase, the per-node task lists
-//! and demand vector the node allocator walks, and the flow/purpose lists
-//! handed to the fabric. A thread-per-cell sweep pays for all of them on
+//! Each simulated cell needs a fixed family of scratch buffers: the node
+//! allocation the allocate phase carries from step to step, the per-node
+//! NIC arrays, the flow/purpose lists handed to the fabric, and the usage
+//! sampler's row store. A thread-per-cell sweep pays for all of them on
 //! every cell; a pool worker driving thousands of cells should pay once.
 //!
 //! [`EngineArena`] owns that family between cells as one `Scratch`
@@ -29,16 +29,16 @@
 //! came from a fresh allocation or a recycled arena; the determinism
 //! suite in `tests/sweep_determinism.rs` holds this to the letter.
 
-use crate::engine::{FetchPost, FlowPurpose};
+use crate::engine::{FetchPost, FlowPurpose, NodeAlloc};
 use crate::policy::TrackerSnapshot;
 use crate::task::{MapAttemptId, MapTask, ReduceTask, ReduceTaskId};
 use simgrid::cluster::NodeId;
 use simgrid::network::{FabricScratch, Flow, FlowId};
-use simgrid::node::TaskDemand;
+use simgrid::usage::RowStore;
 
 /// The number of distinct buffer families an arena recycles (used to size
 /// the footprint snapshot taken at checkout).
-const FAMILIES: usize = 23;
+const FAMILIES: usize = 24;
 
 /// Reusable scratch allocations for one engine run at a time.
 ///
@@ -60,19 +60,21 @@ pub struct EngineArena {
 /// of an [`EngineArena`] and returned to it when the stepping call ends.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// Per-node rates rewritten by every allocate phase and read by the
-    /// following integrate: granted CPU cores, disk MB/s and NIC MB/s per
-    /// direction, plus the step-start slot occupancy.
-    pub(crate) node_cpu: Vec<f64>,
-    pub(crate) node_disk: Vec<f64>,
+    /// The node allocation carried from step to step (the per-row scale
+    /// table, per-node granted CPU, disk and occupancy, and the totals),
+    /// with the nodes marked since the last step.
+    pub(crate) nodes: NodeAlloc,
+    /// The bits of each step's allocation, which debug builds compare
+    /// with a recompute of every node to check the marks; never grown in
+    /// release builds, and not counted as a family.
+    pub(crate) nodes_check: Vec<u64>,
+    /// The trackers with a management stall, each listed once, so the
+    /// stall decay and the horizon visit only these.
+    pub(crate) stalled: Vec<NodeId>,
+    /// Per-node fabric rates (MB/s per direction) rewritten by every
+    /// allocate phase and read by the following integrate.
     pub(crate) nic_in: Vec<f64>,
     pub(crate) nic_out: Vec<f64>,
-    pub(crate) occ_map: Vec<usize>,
-    pub(crate) occ_reduce: Vec<usize>,
-    /// Per-node task lists (each task's scale-table index and demand) and
-    /// the flattened demand vector the node allocator walks.
-    pub(crate) node_tasks: Vec<Vec<(usize, TaskDemand)>>,
-    pub(crate) demands: Vec<TaskDemand>,
     /// Flow list (and the purpose tags indexing its grants) handed to the
     /// fabric each step.
     pub(crate) flows: Vec<Flow>,
@@ -83,7 +85,6 @@ pub(crate) struct Scratch {
     pub(crate) rates: Vec<f64>,
     /// Backing stores of the allocate phase's per-row rates, swapped out
     /// at allocate and back after integrate.
-    pub(crate) scales: Vec<f64>,
     pub(crate) read_rates: Vec<f64>,
     pub(crate) fetch_posts: Vec<FetchPost>,
     /// Staging buffers lent to the running-map, running-reduce and
@@ -99,10 +100,21 @@ pub(crate) struct Scratch {
     pub(crate) sources: Vec<(NodeId, f64)>,
     /// Live-tracker snapshots rebuilt by every heartbeat fan-in.
     pub(crate) snapshots: Vec<TrackerSnapshot>,
+    /// The attempts and reduces a step's integrate finishes or fails,
+    /// retired after its walk; empty between steps.
+    pub(crate) maps_done: Vec<MapAttemptId>,
+    pub(crate) maps_failed: Vec<MapAttemptId>,
+    pub(crate) reduces_done: Vec<ReduceTaskId>,
+    /// Per-job running map and reduce progress summed by every sample.
+    pub(crate) map_progress: Vec<f64>,
+    pub(crate) reduce_progress: Vec<f64>,
+    /// The usage sampler's row store, lent to a run that samples from its
+    /// start and returned, cleared, once its report is built.
+    pub(crate) usage_rows: RowStore,
 }
 
 /// Backing bytes of one buffer, sized by its own element type.
-fn vec_bytes<T>(vec: &Vec<T>) -> usize {
+pub(crate) fn vec_bytes<T>(vec: &Vec<T>) -> usize {
     vec.capacity() * std::mem::size_of::<T>()
 }
 
@@ -111,19 +123,14 @@ impl Scratch {
     /// inner buffers in, so a run that grew any per-node list shows.
     fn footprint(&self) -> [usize; FAMILIES] {
         [
-            vec_bytes(&self.node_cpu),
-            vec_bytes(&self.node_disk),
+            self.nodes.approx_bytes(),
+            vec_bytes(&self.stalled),
             vec_bytes(&self.nic_in),
             vec_bytes(&self.nic_out),
-            vec_bytes(&self.occ_map),
-            vec_bytes(&self.occ_reduce),
-            vec_bytes(&self.node_tasks) + self.node_tasks.iter().map(vec_bytes).sum::<usize>(),
-            vec_bytes(&self.demands),
             vec_bytes(&self.flows),
             vec_bytes(&self.purposes),
             self.fabric.approx_bytes(),
             vec_bytes(&self.rates),
-            vec_bytes(&self.scales),
             vec_bytes(&self.read_rates),
             vec_bytes(&self.fetch_posts),
             vec_bytes(&self.map_staging),
@@ -134,6 +141,12 @@ impl Scratch {
             vec_bytes(&self.point_spare),
             vec_bytes(&self.sources),
             vec_bytes(&self.snapshots),
+            vec_bytes(&self.maps_done),
+            vec_bytes(&self.maps_failed),
+            vec_bytes(&self.reduces_done),
+            vec_bytes(&self.map_progress),
+            vec_bytes(&self.reduce_progress),
+            self.usage_rows.approx_bytes(),
         ]
     }
 
@@ -141,24 +154,19 @@ impl Scratch {
     /// many families had to grow.
     fn reset(&mut self, workers: usize) -> u64 {
         let mut grew = 0u64;
-        grew += u64::from(reset_filled(&mut self.node_cpu, workers, 0.0));
-        grew += u64::from(reset_filled(&mut self.node_disk, workers, 0.0));
+        grew += u64::from(self.nodes.reset(workers));
+        self.nodes_check.clear();
+        // a node is listed at most once, so the list never regrows
+        grew += u64::from(self.stalled.capacity() < workers);
+        self.stalled.clear();
+        self.stalled.reserve(workers);
         grew += u64::from(reset_filled(&mut self.nic_in, workers, 0.0));
         grew += u64::from(reset_filled(&mut self.nic_out, workers, 0.0));
-        grew += u64::from(reset_filled(&mut self.occ_map, workers, 0));
-        grew += u64::from(reset_filled(&mut self.occ_reduce, workers, 0));
-        grew += u64::from(self.node_tasks.capacity() < workers);
-        for tasks in &mut self.node_tasks {
-            tasks.clear();
-        }
-        self.node_tasks.resize_with(workers, Vec::new);
-        self.demands.clear();
         self.flows.clear();
         self.purposes.clear();
         // the fabric scratch needs no reset: its slabs are epoch-stamped,
         // so stale lanes are invisible to the next allocation
         self.rates.clear();
-        self.scales.clear();
         self.read_rates.clear();
         self.fetch_posts.clear();
         self.map_staging.clear();
@@ -169,13 +177,19 @@ impl Scratch {
         self.point_spare.clear();
         self.sources.clear();
         self.snapshots.clear();
+        debug_assert!(
+            self.maps_done.is_empty()
+                && self.maps_failed.is_empty()
+                && self.reduces_done.is_empty(),
+            "a step's retirement lists outlived it"
+        );
         grew
     }
 }
 
 /// Clear `vec` and refill it in place to `len` copies of `fill`.
 /// Returns `true` when the backing allocation had to grow.
-fn reset_filled<T: Clone>(vec: &mut Vec<T>, len: usize, fill: T) -> bool {
+pub(crate) fn reset_filled<T: Clone>(vec: &mut Vec<T>, len: usize, fill: T) -> bool {
     let grew = vec.capacity() < len;
     vec.clear();
     vec.resize(len, fill);
@@ -238,9 +252,9 @@ mod tests {
     fn checkout_resets_lengths_and_counts_first_growth() {
         let mut arena = EngineArena::new();
         let s = arena.checkout(4);
-        assert_eq!(s.node_cpu, vec![0.0; 4]);
-        assert_eq!(s.occ_map, vec![0; 4]);
-        assert_eq!(s.node_tasks.len(), 4);
+        assert_eq!(s.nodes.node_cpu, vec![0.0; 4]);
+        assert_eq!(s.nodes.occ_map, vec![0; 4]);
+        assert_eq!(s.nic_in, vec![0.0; 4]);
         let first_growth = arena.growth_events();
         assert!(first_growth > 0, "cold checkout must allocate");
         arena.check_in(s);
@@ -259,21 +273,16 @@ mod tests {
     fn checkout_scrubs_previous_cell_contents() {
         let mut arena = EngineArena::new();
         let mut s = arena.checkout(2);
-        s.node_cpu[0] = 7.5;
-        s.occ_map[1] = 3;
-        s.demands.push(TaskDemand {
-            cpu_cores: 1.0,
-            threads: 1,
-            mem_mb: 1.0,
-            disk_read: 1.0,
-            disk_write: 1.0,
-        });
+        s.nodes.node_cpu[0] = 7.5;
+        s.nodes.occ_map[1] = 3;
+        s.nodes.scales.push(0.5);
+        s.stalled.push(NodeId(1));
         arena.check_in(s);
 
         let s = arena.checkout(2);
-        assert_eq!(s.node_cpu, vec![0.0; 2]);
-        assert_eq!(s.occ_map, vec![0; 2]);
-        assert!(s.demands.is_empty());
+        assert_eq!(s.nodes.node_cpu, vec![0.0; 2]);
+        assert_eq!(s.nodes.occ_map, vec![0; 2]);
+        assert!(s.nodes.scales.is_empty() && s.stalled.is_empty());
         arena.check_in(s);
     }
 
@@ -296,11 +305,10 @@ mod tests {
         arena.check_in(s);
         let before = arena.approx_bytes();
         let mut s = arena.checkout(2);
-        s.node_tasks[0].reserve_exact(10);
-        s.scales.reserve_exact(3);
+        s.maps_done.reserve_exact(10);
+        s.read_rates.reserve_exact(3);
         arena.check_in(s);
-        let grown =
-            10 * std::mem::size_of::<(usize, TaskDemand)>() + 3 * std::mem::size_of::<f64>();
+        let grown = 10 * std::mem::size_of::<MapAttemptId>() + 3 * std::mem::size_of::<f64>();
         assert_eq!(arena.approx_bytes() - before, grown);
     }
 

@@ -42,12 +42,14 @@ use serde::{Deserialize, Serialize};
 use simgrid::cluster::{ClusterSpec, NodeId};
 use simgrid::error::SimError;
 use simgrid::network::{Fabric, FabricConfig, Flow, FlowId};
-use simgrid::node::NodeScales;
 use simgrid::rng::SimRng;
 use simgrid::time::{EventHorizon, SimDuration, SimTime, SteppingMode, TickConfig};
 use simgrid::usage::NodeUsageSampler;
 use std::collections::VecDeque;
 use telemetry::Telemetry;
+
+mod node_alloc;
+pub(crate) use node_alloc::NodeAlloc;
 
 /// All knobs of one simulated deployment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -621,6 +623,12 @@ impl<'r> Sim<'r> {
         policy.attach_telemetry(telem);
         st.events.set_sink(telem.clone());
         st.swap_staging(&mut scratch);
+        scratch.stalled.extend(
+            st.trackers
+                .iter()
+                .filter(|t| t.stall_ms > 0)
+                .map(|t| t.node),
+        );
         Sim {
             st,
             policy,
@@ -651,7 +659,7 @@ impl<'r> Sim<'r> {
     /// fields once integrate has consumed them, so the next allocate phase
     /// reuses the allocations instead of growing fresh ones.
     fn reclaim(&mut self, rates: StepRates) {
-        self.scratch.scales = rates.scales;
+        self.scratch.nodes.scales = rates.scales;
         self.scratch.read_rates = rates.read_rates;
         self.scratch.fetch_posts = rates.fetch_posts;
     }
@@ -957,7 +965,13 @@ impl<'r> Sim<'r> {
             changed |= tr.reduce_slots.set_target(d.reduce_slots);
             if changed {
                 self.st.slot_changes += 1;
-                tr.stall_ms += overhead;
+                if overhead > 0 {
+                    if tr.stall_ms == 0 {
+                        self.scratch.stalled.push(d.node);
+                    }
+                    tr.stall_ms += overhead;
+                    self.scratch.nodes.mark(d.node);
+                }
                 self.st.events.push(Event::SlotTargetsChanged {
                     at: self.st.now,
                     node: d.node,
@@ -1077,6 +1091,7 @@ impl<'r> Sim<'r> {
                     self.st.now,
                 );
                 self.st.trackers[i].map_slots.launch();
+                self.scratch.nodes.mark(node);
                 self.st.events.push(Event::MapLaunched {
                     at: self.st.now,
                     id: a.id,
@@ -1115,6 +1130,7 @@ impl<'r> Sim<'r> {
                 self.derived.source_sets[rid.job.0]
                     .rebuild(&self.st.jobs[rid.job.0].shuffle, &task);
                 self.st.trackers[i].reduce_slots.launch();
+                self.scratch.nodes.mark(node);
                 self.st.job_counters[rid.job.0].inc(Counter::TotalLaunchedReduces);
                 self.st.events.push(Event::ReduceLaunched {
                     at: self.st.now,
@@ -1222,15 +1238,16 @@ impl<'r> Sim<'r> {
         // against step-start occupancy, so that is what the step sustains.
         // Down nodes integrate nothing — their timelines gap over the
         // outage.
+        let nodes = &self.scratch.nodes;
         self.st.usage.accumulate_all(
             dt,
             &self.st.node_up,
-            &self.scratch.node_cpu,
-            &self.scratch.node_disk,
+            &nodes.node_cpu,
+            &nodes.node_disk,
             &self.scratch.nic_in,
             &self.scratch.nic_out,
-            &self.scratch.occ_map,
-            &self.scratch.occ_reduce,
+            &nodes.occ_map,
+            &nodes.occ_reduce,
         );
         // map completions are compacted out before the reduces advance,
         // so the reduces read their scales at their own rows
@@ -1246,10 +1263,15 @@ impl<'r> Sim<'r> {
         self.st.cpu_offered_core_s += rates.cpu_offered_rate * dt;
         self.st.cpu_granted_core_s += rates.cpu_granted_rate * dt;
 
-        // decay management stalls
-        for tr in &mut self.st.trackers {
+        // decay management stalls; a stall that decays changes its node's
+        // stall factor
+        let (trackers, nodes) = (&mut self.st.trackers, &mut self.scratch.nodes);
+        self.scratch.stalled.retain(|&n| {
+            let tr = &mut trackers[n.0];
             tr.stall_ms = tr.stall_ms.saturating_sub(dt_ms);
-        }
+            nodes.mark(n);
+            tr.stall_ms > 0
+        });
         self.advance_rereplication(dt);
     }
 
@@ -1280,9 +1302,10 @@ impl<'r> Sim<'r> {
             horizon.propose(t.since(self.st.now));
         }
 
-        for tr in &self.st.trackers {
-            if tr.stall_ms > 0 {
-                horizon.propose(SimDuration::from_millis(tr.stall_ms));
+        for n in &self.scratch.stalled {
+            let stall_ms = self.st.trackers[n.0].stall_ms;
+            if stall_ms > 0 {
+                horizon.propose(SimDuration::from_millis(stall_ms));
             }
         }
         for job in &self.st.jobs {
@@ -1365,83 +1388,32 @@ impl<'r> Sim<'r> {
         horizon.resolve()
     }
 
-    /// Per-node contention scales for every running task, including the
+    /// Per-row contention scales for every running task, including the
     /// management-overhead stall factor, plus the offered/granted CPU
-    /// *rates* (integrated over the step length later). In fixed mode a
-    /// stall is amortised across the tick it partially covers; the
-    /// adaptive stepper freezes the node outright and lets the horizon cut
-    /// the step at stall expiry instead.
+    /// *rates* (integrated over the step length later): the carried
+    /// [`NodeAlloc`] brought up to date, recomputing only the nodes an
+    /// event marked since the last step. Debug builds then recompute
+    /// every node and require the two to agree bit for bit, so a missing
+    /// mark fails there.
     fn allocate_nodes(&mut self, fixed: bool) -> (Vec<f64>, f64, f64) {
-        let workers = self.st.trackers.len();
-        self.scratch.node_cpu.fill(0.0);
-        self.scratch.node_disk.fill(0.0);
-        // recycle the per-node task lists: clear each inner list, keep the
-        // backing allocations from previous steps (and previous cells)
-        let mut node_tasks = std::mem::take(&mut self.scratch.node_tasks);
-        for tasks in &mut node_tasks {
-            tasks.clear();
-        }
-        node_tasks.resize_with(workers, Vec::new);
-        // gather the map rows, then the reduce rows, so the scale table
-        // is born in row order; each per-node entry keeps its task's
-        // table index, and the node pass writes the scale in place (a task
-        // on a down node keeps 0.0)
-        let mut out = std::mem::take(&mut self.scratch.scales);
-        out.clear();
-        for (id, t) in self.st.running_maps.rows() {
-            let profile = &self.derived.profiles[id.task.job.0];
-            node_tasks[t.node.0].push((out.len(), profile.map_demand()));
-            out.push(0.0);
-        }
-        for (id, t) in self.st.running_reduces.rows() {
-            let profile = &self.derived.profiles[id.job.0];
-            node_tasks[t.node.0].push((out.len(), t.demand(profile)));
-            out.push(0.0);
-        }
-        let tick_ms = self.st.config.tick.tick.as_millis() as f64;
         let any_active = self.st.jobs.iter().any(|j| j.is_active(self.st.now));
-        let mut offered = 0.0;
-        let mut granted = 0.0;
-        for (n, tasks) in node_tasks.iter().enumerate() {
-            if !self.st.node_up[n] {
-                // a dead node offers no CPU; its tasks freeze at scale 0
-                // until the expiry interval declares them lost
-                continue;
-            }
-            // snapshot step-start slot occupancy for the usage sampler
-            // here, where the tracker is already in cache; nothing changes
-            // it before the integrate phase reads the snapshot
-            self.scratch.occ_map[n] = self.st.trackers[n].map_slots.occupied();
-            self.scratch.occ_reduce[n] = self.st.trackers[n].reduce_slots.occupied();
-            if any_active {
-                offered += self.st.config.cluster.node_spec(NodeId(n)).cores;
-            }
-            if tasks.is_empty() {
-                continue;
-            }
-            self.scratch.demands.clear();
-            self.scratch.demands.extend(tasks.iter().map(|t| t.1));
-            let scales = NodeScales::of(
-                self.st.config.cluster.node_spec(NodeId(n)),
-                &self.scratch.demands,
+        let profiles = &self.derived.profiles;
+        let nodes = &mut self.scratch.nodes;
+        nodes.update(self.st, profiles, fixed, any_active);
+        if cfg!(debug_assertions) {
+            let seen = &mut self.scratch.nodes_check;
+            seen.clear();
+            seen.extend(nodes.bits());
+            nodes.mark_all();
+            nodes.update(self.st, profiles, fixed, any_active);
+            assert!(
+                nodes.bits().eq(seen.iter().copied()),
+                "a node's allocation changed without a mark at {} ms",
+                self.st.now.as_millis()
             );
-            let stall_factor = if fixed {
-                1.0 - self.st.trackers[n].stall_ms.min(tick_ms as u64) as f64 / tick_ms
-            } else if self.st.trackers[n].stall_ms > 0 {
-                0.0
-            } else {
-                1.0
-            };
-            for &(ix, d) in tasks {
-                let s = scales.task(&d);
-                granted += d.cpu_cores * s * stall_factor;
-                self.scratch.node_cpu[n] += d.cpu_cores * s * stall_factor;
-                self.scratch.node_disk[n] += (d.disk_read + d.disk_write) * s * stall_factor;
-                out[ix] = s * stall_factor;
-            }
         }
-        self.scratch.node_tasks = node_tasks;
-        (out, offered, granted)
+        let (granted, offered) = nodes.totals();
+        (std::mem::take(&mut nodes.scales), offered, granted)
     }
 
     /// Construct this step's network flows: remote map reads and shuffle
@@ -1563,8 +1535,8 @@ impl<'r> Sim<'r> {
     /// Advance every map row at its scale and read rate, then retire the
     /// attempts that failed or finished and settle the table.
     fn advance_maps(&mut self, dt: f64, scales: &[f64], read_rates: &[f64]) {
-        let mut done = Vec::new();
-        let mut failed = Vec::new();
+        let mut done = std::mem::take(&mut self.scratch.maps_done);
+        let mut failed = std::mem::take(&mut self.scratch.maps_failed);
         let profiles = &self.derived.profiles;
         let EngineState {
             running_maps,
@@ -1610,13 +1582,17 @@ impl<'r> Sim<'r> {
                 done.push(*id);
             }
         }
-        for id in failed {
+        for &id in &failed {
             self.fail_map(id);
         }
-        for id in done {
+        for &id in &done {
             self.complete_map(id);
         }
         self.settle_maps();
+        failed.clear();
+        done.clear();
+        self.scratch.maps_failed = failed;
+        self.scratch.maps_done = done;
     }
 
     /// Kill a failed attempt and re-queue its block (Hadoop task retry).
@@ -1643,6 +1619,7 @@ impl<'r> Sim<'r> {
             .expect("removing unknown map attempt");
         self.st.failure_points.retire(&aid, |_| ());
         self.st.trackers[node.0].map_slots.release();
+        self.scratch.nodes.mark(node);
         let ji = aid.task.job.0;
         let job = &mut self.st.jobs[ji];
         job.running_maps -= 1;
@@ -1704,6 +1681,7 @@ impl<'r> Sim<'r> {
         let id = aid.task;
         let job = &mut self.st.jobs[id.job.0];
         self.st.trackers[task.node.0].map_slots.release();
+        self.scratch.nodes.mark(task.node);
         job.running_maps -= 1;
         if job.completed_blocks[id.index] {
             // a sibling attempt finished in this same step and delivered
@@ -1767,6 +1745,7 @@ impl<'r> Sim<'r> {
                 .expect("live sibling");
             self.st.failure_points.retire(&sibling, |_| ());
             self.st.trackers[node.0].map_slots.release();
+            self.scratch.nodes.mark(node);
             self.st.jobs[id.job.0].running_maps -= 1;
             self.st.job_counters[id.job.0].inc(Counter::KilledAttempts);
             self.st.events.push(Event::MapKilled {
@@ -1869,6 +1848,7 @@ impl<'r> Sim<'r> {
                     now,
                 );
                 self.st.trackers[i].map_slots.launch();
+                self.scratch.nodes.mark(node);
                 self.st.jobs[j].running_maps += 1;
                 self.st.speculative_attempts += 1;
                 let c = &mut self.st.job_counters[j];
@@ -1897,7 +1877,8 @@ impl<'r> Sim<'r> {
     /// Advance every reduce row at its scale and granted fetches, then
     /// retire the finished reduces and settle the table.
     fn advance_reduces(&mut self, dt: f64, scales: &[f64], fetch_posts: &[FetchPost]) {
-        let mut done = Vec::new();
+        let mut done = std::mem::take(&mut self.scratch.reduces_done);
+        let nodes = &mut self.scratch.nodes;
         let Derived {
             profiles,
             source_sets,
@@ -1921,6 +1902,7 @@ impl<'r> Sim<'r> {
             let profile = &profiles[rid.job.0];
             let job = &jobs[rid.job.0];
             let scale = scales[row];
+            let phase = r.phase;
             match r.phase {
                 ReducePhase::Shuffle => {
                     let sets = &mut source_sets[rid.job.0];
@@ -1989,12 +1971,18 @@ impl<'r> Sim<'r> {
                 }
                 ReducePhase::Done => done.push(*rid),
             }
+            // a phase sets the reduce's demand on its node
+            if r.phase != phase {
+                nodes.mark(r.node);
+            }
         }
         debug_assert_eq!(fetch_cursor, fetch_posts.len(), "a fetch group went unread");
-        for rid in done {
+        for &rid in &done {
             self.complete_reduce(rid);
         }
         self.settle_reduces();
+        done.clear();
+        self.scratch.reduces_done = done;
     }
 
     fn complete_reduce(&mut self, rid: ReduceTaskId) {
@@ -2005,6 +1993,7 @@ impl<'r> Sim<'r> {
             .expect("completing unknown reduce");
         let job = &mut self.st.jobs[rid.job.0];
         self.st.trackers[node.0].reduce_slots.release();
+        self.scratch.nodes.mark(node);
         job.running_reduces -= 1;
         job.completed_reduces += 1;
         job.reduce_durations
@@ -2070,6 +2059,7 @@ impl<'r> Sim<'r> {
             return; // overlapping faults: already down
         }
         self.st.node_up[d.0] = false;
+        self.scratch.nodes.mark_up_flip(d);
         self.st.node_crashes += 1;
         self.node_crash_counter.inc();
         let tr = &mut self.st.trackers[d.0];
@@ -2147,12 +2137,14 @@ impl<'r> Sim<'r> {
         let tr = &mut self.st.trackers[d.0];
         tr.down_since = None;
         tr.stall_ms = 0;
+        self.scratch.stalled.retain(|&n| n != d);
         tr.attempt_failures = 0;
         tr.blacklisted = false;
         tr.map_slots = SlotSet::new(self.st.config.init_map_slots);
         tr.reduce_slots = SlotSet::new(self.st.config.init_reduce_slots);
         tr.meters = TrackerMeters::new(self.st.now);
         self.st.node_up[d.0] = true;
+        self.scratch.nodes.mark_up_flip(d);
         self.st.events.push(Event::NodeRejoined {
             at: self.st.now,
             node: d,
@@ -2250,6 +2242,7 @@ impl<'r> Sim<'r> {
         for rid in reduce_victims {
             self.st.running_reduces.retire(&rid, |_| ());
             self.st.trackers[d.0].reduce_slots.release();
+            self.scratch.nodes.mark(d);
             let job = &mut self.st.jobs[rid.job.0];
             job.running_reduces -= 1;
             job.pending_reduce_parts.push(rid.partition);
@@ -2431,8 +2424,12 @@ impl<'r> Sim<'r> {
         self.st.usage.sample(now);
 
         // per-job progress: map% + reduce% in [0, 200]
-        let mut map_progress = vec![0.0_f64; self.st.jobs.len()];
-        let mut reduce_progress = vec![0.0_f64; self.st.jobs.len()];
+        let mut map_progress = std::mem::take(&mut self.scratch.map_progress);
+        let mut reduce_progress = std::mem::take(&mut self.scratch.reduce_progress);
+        map_progress.clear();
+        map_progress.resize(self.st.jobs.len(), 0.0);
+        reduce_progress.clear();
+        reduce_progress.resize(self.st.jobs.len(), 0.0);
         // with speculation two attempts of one task may run; count the
         // task's best attempt, not the sum. `running_maps` is keyed by
         // (task, attempt), so a task's attempts are adjacent: fold each
@@ -2462,6 +2459,8 @@ impl<'r> Sim<'r> {
                 (job.completed_reduces as f64 + reduce_progress[i]) / job.total_reduces() as f64;
             job.progress.push(now, (mp + rp) * 100.0);
         }
+        self.scratch.map_progress = map_progress;
+        self.scratch.reduce_progress = reduce_progress;
     }
 }
 
@@ -3121,7 +3120,15 @@ impl Engine {
         state.bind(policy)?;
         let mut derived = Derived::of(&state);
         step_in(&mut state, policy, &mut derived, telem, arena, |sim| {
-            sim.run_to_completion()
+            // a run that samples from its start appends its usage rows to
+            // the store the arena's last run grew, and hands it back once
+            // its report is built; a mid-run state keeps its own rows
+            let lent = sim.st.usage.lend_rows(&mut sim.scratch.usage_rows);
+            let report = sim.run_to_completion();
+            if lent {
+                sim.st.usage.return_rows(&mut sim.scratch.usage_rows);
+            }
+            report
         })
     }
 

@@ -211,11 +211,13 @@ fn a_loaded_fleet_stays_consistent_and_replays() {
             let (bench, mb, reduces) = JOB_MIX[(i + 2) % JOB_MIX.len()];
             handle.submit_job(i, bench, mb * 0.5, reduces).unwrap();
         }
+        // a frame published before a tenant's second job was applied
+        // still reads "all finished": wait for frames that hold both jobs
         wait_within(Duration::from_secs(120), "every job to finish", || {
             ids.iter().all(|&id| {
-                handle
-                    .frame(id)
-                    .is_some_and(|f| f.obs.all_finished && f.error.is_none())
+                handle.frame(id).is_some_and(|f| {
+                    f.obs.jobs.len() == 2 && f.obs.all_finished && f.error.is_none()
+                })
             })
         });
     });

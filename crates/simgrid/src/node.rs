@@ -137,6 +137,17 @@ pub struct NodeScales {
     disk: f64,
 }
 
+/// No contention: the shares [`NodeScales::of`] gives a node with no
+/// demands.
+impl Default for NodeScales {
+    fn default() -> Self {
+        NodeScales {
+            cpu: 1.0,
+            disk: 1.0,
+        }
+    }
+}
+
 impl NodeScales {
     /// Size the node's CPU and disk shares for `demands`, the tasks it
     /// runs this tick. No demands means no contention: both scales are 1.

@@ -93,7 +93,9 @@ struct Row {
 /// with the step's granted *rates* and the step length, then
 /// [`NodeUsageSampler::sample`] at each sample boundary. All per-step work
 /// is flat array arithmetic — no allocation — and a sample appends to one
-/// row store, so it allocates only when that store doubles.
+/// row store, so it allocates only when that store doubles, and not at
+/// all when it samples into a [`RowStore`] an earlier, equal run grew
+/// ([`NodeUsageSampler::lend_rows`]).
 ///
 /// Serialized as the per-node series tree the sampler has always had
 /// (`caps`, `acc`, `series`), so capsules keep their bytes; the row
@@ -182,6 +184,19 @@ impl Deserialize for NodeUsageSampler {
     }
 }
 
+/// The backing allocation of a sampler's row store, kept between runs so
+/// a run that samples from its start appends into the capacity an earlier
+/// run grew instead of regrowing a store by doubling. Holds no rows.
+#[derive(Debug, Default)]
+pub struct RowStore(Vec<Row>);
+
+impl RowStore {
+    /// Backing bytes held.
+    pub fn approx_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<Row>()
+    }
+}
+
 impl NodeUsageSampler {
     pub fn new(specs: &[NodeSpec]) -> NodeUsageSampler {
         NodeUsageSampler {
@@ -196,6 +211,26 @@ impl NodeUsageSampler {
 
     pub fn nodes(&self) -> usize {
         self.caps.len()
+    }
+
+    /// Start a sampler that has closed no window yet on `store`'s
+    /// allocation, leaving its own empty one in `store`, and return
+    /// `true`. A sampler holding rows keeps them and returns `false`.
+    pub fn lend_rows(&mut self, store: &mut RowStore) -> bool {
+        if !self.rows.is_empty() {
+            return false;
+        }
+        debug_assert!(store.0.is_empty(), "a row store holds rows");
+        std::mem::swap(&mut self.rows, &mut store.0);
+        true
+    }
+
+    /// Hand the row allocation back to `store`, cleared, once the rows
+    /// have been reported: the inverse of a lend that returned `true`.
+    /// The sampler keeps `store`'s empty allocation and no rows.
+    pub fn return_rows(&mut self, store: &mut RowStore) {
+        self.rows.clear();
+        std::mem::swap(&mut self.rows, &mut store.0);
     }
 
     /// Fold one step's grants for `node` into the current window:

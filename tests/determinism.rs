@@ -542,3 +542,252 @@ fn speculative_wide_cluster_runs_are_pinned_exactly() {
         );
     }
 }
+
+/// What the pins below hold of a run: the counter fingerprint, the step
+/// count, the last finish (ms), the bits of the CPU utilisation and the
+/// per-node utilization digest. The last two read the allocate phase's
+/// granted CPU and per-node rates directly, which the counters do not.
+fn outcome(report: &mapreduce::RunReport) -> (u64, u64, u64, u64, u64) {
+    (
+        mapreduce::auditor::fingerprint(report),
+        report.steps,
+        report
+            .jobs
+            .iter()
+            .map(|j| j.finished_at.as_millis())
+            .max()
+            .unwrap(),
+        report.cpu_utilisation.to_bits(),
+        utilization_digest(report),
+    )
+}
+
+fn assert_outcome(what: &str, report: &mapreduce::RunReport, pin: (u64, u64, u64, u64, u64)) {
+    let got = outcome(report);
+    assert_eq!(
+        got, pin,
+        "{what}: got ({:#018x}, {}, {}, {:#018x}, {:#018x})",
+        got.0, got.1, got.2, got.3, got.4
+    );
+}
+
+#[test]
+fn fixed_mode_directive_stalls_are_pinned_exactly() {
+    // SMapReduce charges each slot change a 25 ms management stall. The
+    // fixed engine scales the 100 ms tick the stall covers in part, so a
+    // stall starts and ends inside one step and shows only as a slower
+    // tick on that node
+    use simgrid::time::{SimTime, SteppingMode};
+    let mut cfg = EngineConfig::paper_default();
+    cfg.tick.mode = SteppingMode::Fixed;
+    let job = Puma::WordCount.job(0, 8.0 * 1024.0, 16, SimTime::ZERO);
+    let report = run_once(&cfg, vec![job], &System::SMapReduce, 7).unwrap();
+    assert!(report.slot_changes > 0, "no slot change was stalled");
+    assert_outcome(
+        "fixed WordCount",
+        &report,
+        (
+            0x4a3c_0ad4_5756_b7f5,
+            790,
+            78_900,
+            0x3fd4_a335_461f_e2ea,
+            0xd220_6b10_1b24_e4b0,
+        ),
+    );
+}
+
+#[test]
+fn blacklisted_trackers_are_pinned_exactly() {
+    // one attempt in six fails, and a tracker is blacklisted at its
+    // second failure: blacklisted trackers take no new work but finish
+    // what they run
+    use simgrid::time::{SimTime, SteppingMode};
+    let pins = [
+        (
+            SteppingMode::Adaptive,
+            (
+                0xc030_5a36_8630_31d1,
+                139,
+                50_258,
+                0x3fcb_42da_f07d_ff8a,
+                0x4b67_90d1_65f4_aa1d,
+            ),
+        ),
+        (
+            SteppingMode::Fixed,
+            (
+                0x90f7_2c95_17f1_2f45,
+                502,
+                50_100,
+                0x3fcb_48d9_09fe_c651,
+                0x8744_1b54_a995_0347,
+            ),
+        ),
+    ];
+    for (mode, pin) in pins {
+        let mut cfg = EngineConfig::paper_default();
+        cfg.tick.mode = mode;
+        cfg.map_failure_rate = 0.15;
+        cfg.blacklist_threshold = 2;
+        let job = Puma::Grep.job(0, 8.0 * 1024.0, 16, SimTime::ZERO);
+        let report = run_once(&cfg, vec![job], &System::SMapReduce, 7).unwrap();
+        assert!(
+            report.trackers_blacklisted > 0,
+            "{mode:?}: none blacklisted"
+        );
+        assert_outcome(&format!("{mode:?}"), &report, pin);
+    }
+}
+
+#[test]
+fn heterogeneous_cluster_runs_are_pinned_exactly() {
+    // the 8 + 8 mixed testbed of ext-hetero: the weak nodes have half the
+    // cores and memory and a slower disk, so the same task set contends
+    // differently on the two classes
+    use simgrid::time::{SimTime, SteppingMode};
+    let pins = [
+        (
+            SteppingMode::Adaptive,
+            (
+                0xfe19_3be4_a737_3d41,
+                139,
+                55_215,
+                0x3fd3_64c6_6706_2eda,
+                0x1816_6e62_3fc9_2311,
+            ),
+        ),
+        (
+            SteppingMode::Fixed,
+            (
+                0x3db3_f83c_85ee_d22d,
+                560,
+                55_900,
+                0x3fd3_6220_2ecf_b9e9,
+                0x4e2a_e237_03e9_985a,
+            ),
+        ),
+    ];
+    for (mode, pin) in pins {
+        let mut cfg = EngineConfig::paper_default();
+        cfg.tick.mode = mode;
+        cfg.cluster = harness::ext_hetero::mixed_testbed();
+        let job = Puma::HistogramRatings.job(0, 8.0 * 1024.0, 30, SimTime::ZERO);
+        let report = run_once(&cfg, vec![job], &System::SMapReduceHetero, 7).unwrap();
+        assert_outcome(&format!("{mode:?}"), &report, pin);
+    }
+}
+
+#[test]
+fn late_submissions_are_pinned_exactly() {
+    // the second job arrives while the first runs, the third after both
+    // have finished, so the cluster idles between them and offers no CPU
+    use simgrid::time::{SimTime, SteppingMode};
+    let pins = [
+        (
+            SteppingMode::Adaptive,
+            (
+                0xa606_1543_0711_48cf,
+                509,
+                425_270,
+                0x3fc3_cc1b_00b5_9aed,
+                0xe2fd_3ab8_65e0_b7ed,
+            ),
+        ),
+        (
+            SteppingMode::Fixed,
+            (
+                0x2e26_2294_295e_20c2,
+                4260,
+                425_900,
+                0x3fc3_cc1e_808b_7093,
+                0xcd06_f9bc_68fa_0db1,
+            ),
+        ),
+    ];
+    for (mode, pin) in pins {
+        let mut cfg = EngineConfig::paper_default();
+        cfg.tick.mode = mode;
+        let jobs = vec![
+            Puma::Grep.job(0, 4.0 * 1024.0, 16, SimTime::ZERO),
+            Puma::WordCount.job(1, 2.0 * 1024.0, 16, SimTime::from_secs(20)),
+            Puma::Grep.job(2, 2.0 * 1024.0, 16, SimTime::from_secs(400)),
+        ];
+        let report = run_once(&cfg, jobs, &System::SMapReduce, 7).unwrap();
+        let (first, second, third) = (&report.jobs[0], &report.jobs[1], &report.jobs[2]);
+        assert!(second.submit_at < first.finished_at, "{mode:?}: no overlap");
+        assert!(
+            second.finished_at < third.submit_at,
+            "{mode:?}: no idle gap"
+        );
+        assert_outcome(&format!("{mode:?}"), &report, pin);
+    }
+}
+
+#[test]
+fn resident_injections_are_pinned_exactly() {
+    // a resident run takes a job and a node fault between its stepping
+    // calls, the way the realtime service feeds its tenants
+    use mapreduce::{Engine, EngineArena, Run};
+    use simgrid::cluster::NodeId;
+    use simgrid::time::{SimDuration, SimTime, SteppingMode};
+    use simgrid::NodeFault;
+    let pins = [
+        (
+            SteppingMode::Adaptive,
+            0x4338_2b6e_8e59_a2b9,
+            (
+                0xea1f_f620_b64a_cb5f,
+                123,
+                54_377,
+                0x3fca_eb39_e8c3_e402,
+                0x6970_e249_58a3_cf5c,
+            ),
+        ),
+        (
+            SteppingMode::Fixed,
+            0xa0fb_557a_ffb4_3d6e,
+            (
+                0x5e84_e80a_2c9a_8400,
+                543,
+                54_200,
+                0x3fca_f23e_5787_3399,
+                0xb4ee_12d4_0d9f_5714,
+            ),
+        ),
+    ];
+    for (mode, hash, pin) in pins {
+        let mut cfg = EngineConfig::paper_default();
+        cfg.seed = 7;
+        cfg.tick.mode = mode;
+        let job = Puma::Grep.job(0, 4.0 * 1024.0, 16, SimTime::ZERO);
+        let mut state = Engine::new(cfg).prepare(vec![job]).unwrap();
+        state.override_policy(System::SMapReduce.label()).unwrap();
+        let mut run = Run::bind(state, System::SMapReduce.make_policy()).unwrap();
+        let telem = telemetry::Telemetry::disabled();
+        let mut arena = EngineArena::new();
+        let secs = SimTime::from_secs;
+        run.advance_until(secs(10), &telem, &mut arena).unwrap();
+        run.inject_job(Puma::WordCount.profile(), 2.0 * 1024.0, 16)
+            .unwrap();
+        run.advance_until(secs(25), &telem, &mut arena).unwrap();
+        run.inject_fault(NodeFault::transient(
+            NodeId(3),
+            secs(30),
+            SimDuration::from_secs(15),
+        ))
+        .unwrap();
+        let mut until = 25;
+        while !run.advance_until(secs(until), &telem, &mut arena).unwrap() {
+            until += 10;
+        }
+        let report = run.report().unwrap();
+        assert_eq!(report.node_crashes, 1, "{mode:?}: the fault fired");
+        assert_eq!(
+            run.state_hash(),
+            hash,
+            "{mode:?}: got hash {:#018x}",
+            run.state_hash()
+        );
+        assert_outcome(&format!("{mode:?}"), &report, pin);
+    }
+}

@@ -282,10 +282,12 @@ fn zero_step_resident_advance_costs_the_same_for_any_job_count() {
 
 #[test]
 fn warm_steps_allocate_o1_not_per_busy_node() {
-    // a warm step recycles its buffers: each node's contention comes out
-    // of two shared scales rather than a fresh vector per busy node, and
-    // the shuffle walks the reduces' resident source sets, so a 256-node
-    // run's steps allocate a few times each, not once per busy node
+    // a warm step recycles its buffers: the node allocation is carried
+    // from step to step, the shuffle walks the reduces' resident source
+    // sets, and the lists of finished tasks and the sample's progress sums
+    // are arena scratch, so what a 256-node run still allocates (a reduce
+    // launch's per-source vector, a series or list outgrowing its
+    // capacity) comes to at most one allocation per step
     use harness::runner::System as SweepSystem;
     use harness::Scale;
     use mapreduce::{Engine, EngineArena, Run};
@@ -316,7 +318,7 @@ fn warm_steps_allocate_o1_not_per_busy_node() {
     let steps = run.observe().steps - steps_before;
     assert!(!finished && steps >= 50, "{steps} warm steps measured");
     assert!(
-        made < 8 * steps,
+        made <= steps,
         "{made} allocations over {steps} warm steps at {nodes} nodes"
     );
 }
