@@ -1,31 +1,21 @@
-//! Divergence bisection: find the first checkpoint where two capsule
-//! streams disagree, and explain *which fields* disagree.
+//! Divergence bisection: find the first step at which two recordings of
+//! what should be the same run disagree, and explain *which fields*
+//! disagree.
 //!
 //! The intended workflow: a run that should be deterministic produced two
 //! different results (different machine, different build, a suspected
 //! nondeterminism bug). Record both with `--checkpoint-every` into two
-//! directories, then bisect. Real divergences are **monotone** — once the
-//! two states differ, they stay different (state only accumulates) — so a
-//! binary search over the paired capsules finds the first divergent
-//! instant in `O(log n)` comparisons, and a field-by-field diff of that
-//! capsule names the subsystem that forked first.
+//! directories, then bisect. Every recording carries its per-step hash
+//! trace ([`HASH_TRACE_FILE`]), so [`bisect_hash_traces`] finds the first
+//! divergent step with one u64 comparison per step and no capsule I/O,
+//! then parses only the first capsule pair captured at or after that
+//! step and diffs it field by field — naming the subsystem that forked
+//! first.
 //!
-//! Two refinements on top of the plain search:
-//!
-//! * **mixed formats** — when a pair's files share an encoding they are
-//!   compared byte-for-byte (both encoders are deterministic); a
-//!   JSON-vs-binary pair is compared through its decoded value trees
-//!   (ignoring the envelope's `format_version`, which is metadata about
-//!   the writer, not the run);
-//! * **hash traces** — [`bisect_hash_traces`] scans the two runs'
-//!   per-step hash traces first (one u64 comparison per step, no capsule
-//!   I/O at all) and then parses only the single capsule pair at the
-//!   divergent instant.
-//!
-//! The binary search verifies its answer (the found capsule differs, its
-//! predecessor does not), so even on a non-monotone stream — e.g. one
-//! corrupted file in an otherwise identical pair — the result is still a
-//! genuine *locally first* divergence.
+//! A pair may mix encodings (a JSON stream recorded by an older build
+//! against a binary re-recording), so capsules are compared through
+//! their decoded value trees, ignoring the envelope's `format_version`,
+//! which is metadata about the writer, not the run.
 
 use crate::{codec, list_capsules, read_hash_trace, CapsuleError, HASH_TRACE_FILE};
 use simgrid::time::SimTime;
@@ -40,21 +30,15 @@ pub struct FieldDiff {
     pub b: String,
 }
 
-/// The first divergent checkpoint of two streams.
+/// The capsule pair a divergence was diffed from.
 #[derive(Debug, Clone)]
 pub struct Divergence {
-    /// Index into the paired stream (0-based).
+    /// Index of the pair in stream A (0-based).
     pub index: usize,
-    /// The capture instant of the divergent pair.
+    /// The capture instant of the pair.
     pub at: SimTime,
-    /// The divergent capsule on each side. When `stream_truncated`, only
-    /// the longer stream has a capsule here — the other path is the
-    /// truncated stream's *directory* (there is no file to point at).
     pub path_a: PathBuf,
     pub path_b: PathBuf,
-    /// True when the streams are identical over their shared horizon and
-    /// the divergence is one stream simply ending early.
-    pub stream_truncated: bool,
     /// Leaf fields that disagree, in capsule order.
     pub diffs: Vec<FieldDiff>,
 }
@@ -77,131 +61,24 @@ fn capsule_value(path: &Path) -> Result<serde_json::Value, CapsuleError> {
     Ok(value)
 }
 
-/// Bisect two capsule streams to their first divergent checkpoint.
-/// Returns `None` when every paired capsule is equivalent and the
-/// streams have the same length.
-pub fn bisect_dirs(dir_a: &Path, dir_b: &Path) -> Result<Option<Divergence>, CapsuleError> {
-    let list_a = list_capsules(dir_a)?;
-    let list_b = list_capsules(dir_b)?;
-    if list_a.is_empty() {
-        return Err(CapsuleError::EmptyStream(dir_a.to_path_buf()));
-    }
-    if list_b.is_empty() {
-        return Err(CapsuleError::EmptyStream(dir_b.to_path_buf()));
-    }
-    let common = list_a.len().min(list_b.len());
-    for i in 0..common {
-        if list_a[i].0 != list_b[i].0 {
-            return Err(CapsuleError::Malformed(
-                dir_b.to_path_buf(),
-                format!(
-                    "streams were captured on different grids: pair {i} is {} ms vs {} ms \
-                     (same --checkpoint-every required)",
-                    list_a[i].0.as_millis(),
-                    list_b[i].0.as_millis()
-                ),
-            ));
-        }
-    }
-    let differs = |i: usize| -> Result<bool, CapsuleError> {
-        let (pa, pb) = (&list_a[i].1, &list_b[i].1);
-        if pa.extension() == pb.extension() {
-            // same encoding: both encoders are deterministic, so byte
-            // inequality is value inequality
-            let read = |p: &PathBuf| std::fs::read(p).map_err(|e| CapsuleError::Io(p.clone(), e));
-            Ok(read(pa)? != read(pb)?)
-        } else {
-            // mixed JSON/binary pair: compare the decoded value trees
-            let canon = |p: &PathBuf| -> Result<String, CapsuleError> {
-                serde_json::to_string(&capsule_value(p)?)
-                    .map_err(|e| CapsuleError::Malformed(p.clone(), e.to_string()))
-            };
-            Ok(canon(pa)? != canon(pb)?)
-        }
-    };
-
-    if !differs(common - 1)? {
-        // identical up to the shared horizon; a length mismatch means one
-        // run kept checkpointing past the other's end
-        if list_a.len() != list_b.len() {
-            let a_longer = list_a.len() > list_b.len();
-            let (extra, longer_dir) = if a_longer {
-                (&list_a[common], dir_a)
-            } else {
-                (&list_b[common], dir_b)
-            };
-            return Ok(Some(Divergence {
-                index: common,
-                at: extra.0,
-                path_a: if a_longer {
-                    extra.1.clone()
-                } else {
-                    dir_a.to_path_buf()
-                },
-                path_b: if a_longer {
-                    dir_b.to_path_buf()
-                } else {
-                    extra.1.clone()
-                },
-                stream_truncated: true,
-                diffs: vec![FieldDiff {
-                    path: "(stream length)".into(),
-                    a: format!("{} capsules", list_a.len()),
-                    b: format!(
-                        "{} capsules ({} continues at {} ms)",
-                        list_b.len(),
-                        longer_dir.display(),
-                        extra.0.as_millis()
-                    ),
-                }],
-            }));
-        }
-        return Ok(None);
-    }
-
-    // first differing index, assuming monotone divergence; the loop
-    // invariant (differs(hi), !differs(lo - 1)) makes the answer a
-    // verified locally-first divergence even if the assumption is broken
-    let (mut lo, mut hi) = (0usize, common - 1);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if differs(mid)? {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-
-    let va = capsule_value(&list_a[lo].1)?;
-    let vb = capsule_value(&list_b[lo].1)?;
-    let mut diffs = Vec::new();
-    diff_value("", &va, &vb, &mut diffs);
-    Ok(Some(Divergence {
-        index: lo,
-        at: list_a[lo].0,
-        path_a: list_a[lo].1.clone(),
-        path_b: list_b[lo].1.clone(),
-        stream_truncated: false,
-        diffs,
-    }))
-}
-
 /// The first step at which two runs' hash traces disagree — found without
 /// reading any capsule except the one divergent pair.
 #[derive(Debug, Clone)]
 pub struct TraceDivergence {
-    /// First step whose hashes disagree (or the first step past the
-    /// shorter trace, when one trace is a prefix of the other).
+    /// First step whose hashes or instants disagree (or the first step
+    /// past the shorter trace, when one trace is a prefix of the other).
     pub step: u64,
+    /// The instant after that step; when the two runs reached it at
+    /// different instants (their step grids differ), the earlier one.
     pub at: SimTime,
     /// The rolling digests on each side; 0 for a side whose trace ended
     /// before `step`.
     pub hash_a: u64,
     pub hash_b: u64,
     /// Field-level diff of the first capsule pair captured at or after
-    /// the divergent step — the only capsules parsed. `None` when the
-    /// streams hold no paired capsule at or past that instant (the
-    /// divergence happened after the last checkpoint).
+    /// `at` — the only capsules parsed. `None` when the streams hold no
+    /// paired capsule at or past that instant (the divergence happened
+    /// after the last checkpoint).
     pub capsule_diff: Option<Divergence>,
 }
 
@@ -209,6 +86,10 @@ pub struct TraceDivergence {
 /// (`<dir>/hash-trace.txt`), and on divergence parse only the first
 /// capsule pair at or after the divergent instant. One u64 comparison
 /// per step, `O(1)` capsule reads.
+///
+/// A step reached at different instants is a divergence at that step —
+/// a change to the event horizon forks the runs exactly this way. Only
+/// traces that number the same line differently are malformed.
 pub fn bisect_hash_traces(
     dir_a: &Path,
     dir_b: &Path,
@@ -218,22 +99,19 @@ pub fn bisect_hash_traces(
     let common = trace_a.len().min(trace_b.len());
     for i in 0..common {
         let (pa, pb) = (trace_a[i], trace_b[i]);
-        if pa.step != pb.step || pa.at_ms != pb.at_ms {
+        if pa.step != pb.step {
             return Err(CapsuleError::Malformed(
                 dir_b.join(HASH_TRACE_FILE),
                 format!(
-                    "traces run on different step grids at line {}: \
-                     step {} @ {} ms vs step {} @ {} ms",
+                    "traces number line {} differently: step {} vs step {}",
                     i + 1,
                     pa.step,
-                    pa.at_ms,
-                    pb.step,
-                    pb.at_ms
+                    pb.step
                 ),
             ));
         }
-        if pa.hash != pb.hash {
-            let at = SimTime::from_millis(pa.at_ms);
+        if pa.at_ms != pb.at_ms || pa.hash != pb.hash {
+            let at = SimTime::from_millis(pa.at_ms.min(pb.at_ms));
             return Ok(Some(TraceDivergence {
                 step: pa.step,
                 at,
@@ -293,7 +171,6 @@ fn diff_pair_at(
             at: *instant_a,
             path_a: path_a.clone(),
             path_b: path_b.clone(),
-            stream_truncated: false,
             diffs,
         }));
     }
@@ -380,7 +257,6 @@ fn render(v: &serde_json::Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CapsuleFormat;
     use mapreduce::HashPoint;
     use serde_json::Value;
 
@@ -393,8 +269,30 @@ mod tests {
         )
     }
 
+    /// The name an older build gave a JSON capsule.
     fn json_name(secs: u64) -> String {
-        crate::capsule_file_name(SimTime::from_secs(secs), CapsuleFormat::Json)
+        format!("capsule-{:015}.json", secs * 1000)
+    }
+
+    fn tmp_dirs(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
+        let base = std::env::temp_dir().join(format!("smr-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let (dir_a, dir_b) = (base.join("a"), base.join("b"));
+        std::fs::create_dir_all(&dir_a).unwrap();
+        std::fs::create_dir_all(&dir_b).unwrap();
+        (base, dir_a, dir_b)
+    }
+
+    fn trace(points: &[(u64, u64)]) -> Vec<HashPoint> {
+        points
+            .iter()
+            .enumerate()
+            .map(|(i, &(hash, at_ms))| HashPoint {
+                step: i as u64 + 1,
+                at_ms,
+                hash,
+            })
+            .collect()
     }
 
     #[test]
@@ -444,132 +342,15 @@ mod tests {
     }
 
     #[test]
-    fn bisect_finds_the_first_divergent_pair() {
-        let base = std::env::temp_dir().join(format!("smr-bisect-{}", std::process::id()));
-        let (dir_a, dir_b) = (base.join("a"), base.join("b"));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&dir_a).unwrap();
-        std::fs::create_dir_all(&dir_b).unwrap();
-        // eight paired capsules, diverging from index 5 onwards
-        for i in 0..8u64 {
-            let name = json_name(i * 10);
-            let a = format!("{{\"at\":{},\"x\":{}}}", i * 10_000, i);
-            let b = if i >= 5 {
-                format!("{{\"at\":{},\"x\":{}}}", i * 10_000, i + 100)
-            } else {
-                a.clone()
-            };
-            std::fs::write(dir_a.join(&name), a).unwrap();
-            std::fs::write(dir_b.join(&name), b).unwrap();
-        }
-        let div = bisect_dirs(&dir_a, &dir_b)
-            .expect("bisect runs")
-            .expect("streams diverge");
-        assert_eq!(div.index, 5);
-        assert_eq!(div.at, SimTime::from_secs(50));
-        assert!(!div.stream_truncated);
-        assert_eq!(div.diffs.len(), 1);
-        assert_eq!(div.diffs[0].path, "x");
-        assert_eq!(div.diffs[0].a, "5");
-        assert_eq!(div.diffs[0].b, "105");
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn mixed_format_pairs_compare_by_value_not_bytes() {
-        let base = std::env::temp_dir().join(format!("smr-bisect-mixed-{}", std::process::id()));
-        let (dir_a, dir_b) = (base.join("a"), base.join("b"));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&dir_a).unwrap();
-        std::fs::create_dir_all(&dir_b).unwrap();
-        // stream A: JSON capsules; stream B: the same values re-encoded
-        // as binary — genuinely diverging from pair 2 onwards
-        for i in 0..4u64 {
-            let a_val = obj(vec![
-                ("format_version", Value::U64(1)),
-                ("at", Value::U64(i * 10_000)),
-                ("x", Value::U64(i)),
-            ]);
-            let b_x = if i >= 2 { i + 97 } else { i };
-            let b_val = obj(vec![
-                // a different envelope version must NOT count as a
-                // divergence — it is writer metadata, not run state
-                ("format_version", Value::U64(2)),
-                ("at", Value::U64(i * 10_000)),
-                ("x", Value::U64(b_x)),
-            ]);
-            std::fs::write(
-                dir_a.join(json_name(i * 10)),
-                serde_json::to_string(&a_val).unwrap(),
-            )
-            .unwrap();
-            std::fs::write(
-                dir_b.join(crate::capsule_file_name(
-                    SimTime::from_secs(i * 10),
-                    CapsuleFormat::Binary,
-                )),
-                codec::to_binary(&b_val),
-            )
-            .unwrap();
-        }
-        let div = bisect_dirs(&dir_a, &dir_b)
-            .expect("bisect runs")
-            .expect("pair 2 diverges");
-        assert_eq!(div.index, 2);
-        assert_eq!(div.diffs.len(), 1, "{:?}", div.diffs);
-        assert_eq!(div.diffs[0].path, "x");
-        assert_eq!(div.diffs[0].a, "2");
-        assert_eq!(div.diffs[0].b, "99");
-        assert_eq!(div.path_a.extension().unwrap(), "json");
-        assert_eq!(div.path_b.extension().unwrap(), "bin");
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn identical_streams_bisect_to_none() {
-        let base = std::env::temp_dir().join(format!("smr-bisect-eq-{}", std::process::id()));
-        let (dir_a, dir_b) = (base.join("a"), base.join("b"));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&dir_a).unwrap();
-        std::fs::create_dir_all(&dir_b).unwrap();
-        for i in 0..4u64 {
-            let name = json_name(i);
-            std::fs::write(dir_a.join(&name), format!("{{\"x\":{i}}}")).unwrap();
-            std::fs::write(dir_b.join(&name), format!("{{\"x\":{i}}}")).unwrap();
-        }
-        assert!(bisect_dirs(&dir_a, &dir_b).expect("runs").is_none());
-        // a truncated (but otherwise identical) stream diverges at the cut
-        std::fs::remove_file(dir_b.join(json_name(3))).unwrap();
-        let div = bisect_dirs(&dir_a, &dir_b)
-            .expect("runs")
-            .expect("length mismatch is a divergence");
-        assert_eq!(div.index, 3);
-        assert!(div.stream_truncated);
-        // the longer stream's first unmatched capsule is a real file; the
-        // truncated side is represented by its directory
-        assert_eq!(div.path_a, dir_a.join(json_name(3)));
-        assert_eq!(div.path_b, dir_b);
-        assert_eq!(div.diffs[0].path, "(stream length)");
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
     fn hash_trace_bisect_parses_only_the_divergent_pair() {
-        let base = std::env::temp_dir().join(format!("smr-trace-bisect-{}", std::process::id()));
-        let (dir_a, dir_b) = (base.join("a"), base.join("b"));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&dir_a).unwrap();
-        std::fs::create_dir_all(&dir_b).unwrap();
+        let (base, dir_a, dir_b) = tmp_dirs("trace-bisect");
         let mk = |hashes: &[u64]| -> Vec<HashPoint> {
-            hashes
+            let points: Vec<(u64, u64)> = hashes
                 .iter()
-                .enumerate()
-                .map(|(i, h)| HashPoint {
-                    step: i as u64 + 1,
-                    at_ms: (i as u64 + 1) * 5_000,
-                    hash: *h,
-                })
-                .collect()
+                .zip(1..)
+                .map(|(&h, i)| (h, i * 5_000))
+                .collect();
+            trace(&points)
         };
         crate::write_hash_trace(&dir_a, &mk(&[10, 20, 30, 40, 50])).unwrap();
         crate::write_hash_trace(&dir_b, &mk(&[10, 20, 31, 41, 51])).unwrap();
@@ -578,8 +359,19 @@ mod tests {
         // corrupt capsule at 10 s proves nothing earlier is read.
         std::fs::write(dir_a.join(json_name(10)), "{corrupt").unwrap();
         std::fs::write(dir_b.join(json_name(10)), "{corrupt").unwrap();
-        std::fs::write(dir_a.join(json_name(20)), "{\"x\":1}").unwrap();
-        std::fs::write(dir_b.join(json_name(20)), "{\"x\":2}").unwrap();
+        // the 20 s pair mixes encodings and envelope versions: an older
+        // build's v1 JSON capsule against a binary one, differing only in
+        // `x` — the writer's format_version is not a divergence
+        std::fs::write(dir_a.join(json_name(20)), "{\"format_version\":1,\"x\":1}").unwrap();
+        let b_val = obj(vec![
+            ("format_version", Value::U64(2)),
+            ("x", Value::U64(2)),
+        ]);
+        std::fs::write(
+            dir_b.join(crate::capsule_file_name(SimTime::from_secs(20))),
+            codec::to_binary(&b_val),
+        )
+        .unwrap();
         let div = bisect_hash_traces(&dir_a, &dir_b)
             .expect("runs")
             .expect("traces diverge");
@@ -588,10 +380,53 @@ mod tests {
         assert_eq!((div.hash_a, div.hash_b), (30, 31));
         let pair = div.capsule_diff.expect("capsule pair at 20 s");
         assert_eq!(pair.at, SimTime::from_secs(20));
+        assert_eq!(pair.diffs.len(), 1, "{:?}", pair.diffs);
         assert_eq!(pair.diffs[0].path, "x");
+        assert_eq!(
+            (pair.diffs[0].a.as_str(), pair.diffs[0].b.as_str()),
+            ("1", "2")
+        );
+        assert_eq!(pair.path_b.extension().unwrap(), "bin");
         // identical traces bisect to none without touching any capsule
         crate::write_hash_trace(&dir_b, &mk(&[10, 20, 30, 40, 50])).unwrap();
         assert!(bisect_hash_traces(&dir_a, &dir_b).expect("runs").is_none());
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn a_step_reached_at_another_instant_is_a_divergence() {
+        let (base, dir_a, dir_b) = tmp_dirs("trace-grid");
+        crate::write_hash_trace(&dir_a, &trace(&[(10, 5000), (20, 10000), (30, 15000)])).unwrap();
+        crate::write_hash_trace(&dir_b, &trace(&[(10, 5000), (20, 10000), (31, 15500)])).unwrap();
+        // the pair is looked up from the earlier of the two instants, so
+        // the 15 s capsules are the ones diffed
+        for secs in [15, 20] {
+            std::fs::write(dir_a.join(json_name(secs)), format!("{{\"x\":{secs}}}")).unwrap();
+            std::fs::write(dir_b.join(json_name(secs)), "{\"x\":0}").unwrap();
+        }
+        let div = bisect_hash_traces(&dir_a, &dir_b)
+            .expect("a grid difference is not a malformed trace")
+            .expect("traces diverge");
+        assert_eq!(div.step, 3);
+        assert_eq!(div.at, SimTime::from_millis(15_000));
+        assert_eq!((div.hash_a, div.hash_b), (30, 31));
+        assert_eq!(
+            div.capsule_diff.expect("pair at 15 s").at,
+            SimTime::from_secs(15)
+        );
+        // the same instants under different step numbers stay malformed
+        let renumbered: Vec<HashPoint> = trace(&[(10, 5000), (20, 10000)])
+            .into_iter()
+            .map(|p| HashPoint {
+                step: p.step + 1,
+                ..p
+            })
+            .collect();
+        crate::write_hash_trace(&dir_b, &renumbered).unwrap();
+        assert!(matches!(
+            bisect_hash_traces(&dir_a, &dir_b),
+            Err(CapsuleError::Malformed(..))
+        ));
         let _ = std::fs::remove_dir_all(&base);
     }
 }

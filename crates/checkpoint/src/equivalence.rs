@@ -11,12 +11,11 @@
 //! [`prove_resume_equivalence`] checks this with the engine's rolling
 //! per-step hash: the resumed run's hash trace must equal the straight
 //! run's trace over the post-resume suffix, one `u64` comparison per
-//! step. That is both *cheaper* than re-serializing two full reports and
-//! *sharper* — a divergence is pinned to the exact step it first
-//! happened, not discovered at the end of the run.
-//! [`prove_resume_equivalence_full`] additionally byte-compares the two
-//! serialized reports, the belt-and-braces form used by the slower
-//! integration gates.
+//! step, so a divergence is pinned to the exact step it first happened,
+//! not discovered at the end of the run. It also byte-compares the two
+//! serialized reports, which covers what the per-step hash does not
+//! fold (event logs, sampled series); that is two serializations next
+//! to the two runs.
 
 use mapreduce::auditor;
 use mapreduce::policy::SlotPolicy;
@@ -59,57 +58,33 @@ pub struct EquivalenceProof {
     /// The first step whose rolling hashes disagree, if any.
     pub first_divergence: Option<HashMismatch>,
     /// Whether the two full reports (counters, events, series, floats)
-    /// serialize to identical bytes. `None` when the check was not run
-    /// ([`prove_resume_equivalence`] proves through hashes alone);
-    /// `Some(_)` only from [`prove_resume_equivalence_full`].
-    pub byte_identical: Option<bool>,
+    /// serialize to identical bytes.
+    pub byte_identical: bool,
 }
 
 impl EquivalenceProof {
     /// The proof holds when the resumed run retraced the straight run's
-    /// every post-resume step and the auditor fingerprints match (and,
-    /// when the byte-level check ran, the reports are byte-identical).
+    /// every post-resume step, the auditor fingerprints match and the
+    /// reports are byte-identical.
     pub fn holds(&self) -> bool {
         self.first_divergence.is_none()
             && self.steps_compared > 0
             && self.straight_fingerprint == self.resumed_fingerprint
-            && self.byte_identical != Some(false)
+            && self.byte_identical
     }
 }
 
 /// Prove resume equivalence for one cell: run `jobs` under a policy from
 /// `make_policy` capturing a capsule every `every`, then resume the
-/// midpoint capsule under a *fresh* policy instance and compare the two
-/// hash traces step by step. `make_policy` is called twice and must
-/// return equivalent fresh instances (the restored one is handed the
-/// captured state).
+/// midpoint capsule under a *fresh* policy instance, compare the two
+/// hash traces step by step and the two reports byte for byte.
+/// `make_policy` is called twice and must return equivalent fresh
+/// instances (the restored one is handed the captured state).
 pub fn prove_resume_equivalence(
     cfg: &EngineConfig,
     jobs: &[JobSpec],
     every: SimDuration,
     make_policy: &mut dyn FnMut() -> Box<dyn SlotPolicy>,
-) -> Result<EquivalenceProof, SimError> {
-    prove(cfg, jobs, every, make_policy, false)
-}
-
-/// [`prove_resume_equivalence`] plus the byte-level report comparison —
-/// strictly stronger (it also covers report fields the per-step hash
-/// does not fold, such as event logs and sampled series).
-pub fn prove_resume_equivalence_full(
-    cfg: &EngineConfig,
-    jobs: &[JobSpec],
-    every: SimDuration,
-    make_policy: &mut dyn FnMut() -> Box<dyn SlotPolicy>,
-) -> Result<EquivalenceProof, SimError> {
-    prove(cfg, jobs, every, make_policy, true)
-}
-
-fn prove(
-    cfg: &EngineConfig,
-    jobs: &[JobSpec],
-    every: SimDuration,
-    make_policy: &mut dyn FnMut() -> Box<dyn SlotPolicy>,
-    byte_level: bool,
 ) -> Result<EquivalenceProof, SimError> {
     let mut straight_policy = make_policy();
     let mut state = Engine::new(cfg.clone()).prepare(jobs.to_vec())?;
@@ -138,11 +113,8 @@ fn prove(
         ..
     } = Engine::record(mid, resumed_policy.as_mut(), None)?;
     let (steps_compared, first_divergence) = compare_traces(&straight_trace, &resumed_trace);
-    let byte_identical = byte_level.then(|| {
-        let straight_bytes = serde_json::to_string(&straight).expect("report serialises");
-        let resumed_bytes = serde_json::to_string(&resumed).expect("report serialises");
-        straight_bytes == resumed_bytes
-    });
+    let byte_identical = serde_json::to_string(&straight).expect("report serialises")
+        == serde_json::to_string(&resumed).expect("report serialises");
     Ok(EquivalenceProof {
         policy: straight.policy.clone(),
         capsules: capsules.len(),
@@ -241,7 +213,7 @@ mod tests {
         assert!(proof.capsules >= 2);
         assert!(proof.resumed_from > SimTime::ZERO, "midpoint is mid-run");
         assert!(proof.steps_compared > 0, "suffix was actually compared");
-        assert_eq!(proof.byte_identical, None, "hash proof skips byte check");
+        assert!(proof.byte_identical, "resumed report not byte-identical");
     }
 
     #[test]
@@ -254,14 +226,13 @@ mod tests {
             8,
             SimTime::ZERO,
         );
-        let proof =
-            prove_resume_equivalence_full(&cfg, &[job], SimDuration::from_secs(20), &mut || {
-                Box::new(smapreduce::SlotManagerPolicy::paper_default())
-            })
-            .expect("both runs complete");
+        let proof = prove_resume_equivalence(&cfg, &[job], SimDuration::from_secs(20), &mut || {
+            Box::new(smapreduce::SlotManagerPolicy::paper_default())
+        })
+        .expect("both runs complete");
         assert!(proof.holds(), "{proof:?}");
         assert_eq!(proof.policy, "SMapReduce");
-        assert_eq!(proof.byte_identical, Some(true));
+        assert!(proof.byte_identical);
     }
 
     fn pt(step: u64, hash: u64) -> HashPoint {

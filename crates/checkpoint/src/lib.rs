@@ -8,21 +8,21 @@
 //!
 //! * a **resume-equivalence proof** ([`equivalence`]): run to T, capture,
 //!   restore, run to the end — and check the resumed run's per-step hash
-//!   trace and auditor fingerprint match the uninterrupted run's;
-//! * a **divergence bisector** ([`bisect`]): given two capsule streams of
-//!   what should be the same run, binary-search to the first divergent
-//!   checkpoint and diff it field by field — or, cheaper, scan two hash
-//!   traces and parse only the one divergent capsule pair.
+//!   trace, auditor fingerprint and report bytes match the uninterrupted
+//!   run's;
+//! * a **divergence bisector** ([`bisect`]): given two recordings of what
+//!   should be the same run, scan their per-step hash traces for the
+//!   first divergent step and diff only the capsule pair captured at or
+//!   after it, field by field.
 //!
-//! Capsules come in two encodings behind the same versioned envelope:
-//! **JSON** (`capsule-<millis>.json`, the format-v1 wire form, still
-//! written on request and always readable) and **binary**
-//! (`capsule-<millis>.bin`, the [`codec`] module's pooled + LZ-compressed
-//! encoding — several times smaller and faster, the default for new
-//! sweeps). [`load`] sniffs the encoding from the first byte (`{` opens a
-//! JSON capsule, `S` opens the binary `SMRB` magic), so a *capsule
-//! stream* — a directory of capsule files written by [`write_stream_as`]
-//! and enumerated by [`list_capsules`] — may freely mix both.
+//! Capsules are written in one encoding: the [`codec`] module's pooled +
+//! LZ-compressed binary form (`capsule-<millis>.bin`). JSON capsules
+//! (`.json`, the format-v1 wire form) written by older builds stay
+//! readable: [`load`] sniffs the encoding from the first byte (`{` opens
+//! a JSON capsule, `S` opens the binary `SMRB` magic), so a *capsule
+//! stream* — a directory of capsule files written by [`write_stream`]
+//! next to its [`HASH_TRACE_FILE`] and enumerated by [`list_capsules`] —
+//! recorded by an older build still loads, resumes and bisects.
 //!
 //! All writes are crash-safe: bytes land in a temp file in the target
 //! directory and are atomically renamed into place, so a killed run
@@ -39,18 +39,15 @@ pub mod bisect;
 pub mod codec;
 pub mod equivalence;
 
-pub use bisect::{bisect_dirs, bisect_hash_traces, Divergence, FieldDiff, TraceDivergence};
-pub use equivalence::{
-    compare_traces, prove_resume_equivalence, prove_resume_equivalence_full, EquivalenceProof,
-    HashMismatch,
-};
+pub use bisect::{bisect_hash_traces, Divergence, FieldDiff, TraceDivergence};
+pub use equivalence::{compare_traces, prove_resume_equivalence, EquivalenceProof, HashMismatch};
 
 /// Capsule envelope version written by this build. v1 capsules were
 /// always JSON text; v2 capsules additionally carry the engine's rolling
-/// per-step `state_hash` and may be encoded in either JSON or the binary
-/// [`codec`] form. [`load`] reads every version in
-/// [`MIN_FORMAT_VERSION`]..=[`FORMAT_VERSION`] and refuses anything newer
-/// instead of misinterpreting it.
+/// per-step `state_hash`, and this build writes them in the binary
+/// [`codec`] form (older builds also wrote v2 as JSON). [`load`] reads
+/// every version in [`MIN_FORMAT_VERSION`]..=[`FORMAT_VERSION`] and
+/// refuses anything newer instead of misinterpreting it.
 pub const FORMAT_VERSION: u32 = 2;
 /// Oldest capsule version this build still reads (committed v1 fixtures
 /// must keep loading and resuming for as long as this stays at 1).
@@ -59,48 +56,6 @@ pub const MIN_FORMAT_VERSION: u32 = 1;
 /// File name of the per-step hash trace recorded alongside a capsule
 /// stream: one `<step> <at_ms> <hash>` line per engine step.
 pub const HASH_TRACE_FILE: &str = "hash-trace.txt";
-
-/// The two on-disk capsule encodings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CapsuleFormat {
-    /// Compact JSON text — the v1 wire form; human-greppable.
-    Json,
-    /// Pooled, LZ-compressed binary (`SMRB` envelope, see [`codec`]).
-    Binary,
-}
-
-impl CapsuleFormat {
-    /// Parse a `--capsule-format` operand.
-    pub fn parse(s: &str) -> Option<CapsuleFormat> {
-        match s {
-            "json" => Some(CapsuleFormat::Json),
-            "bin" | "binary" => Some(CapsuleFormat::Binary),
-            _ => None,
-        }
-    }
-
-    pub fn extension(self) -> &'static str {
-        match self {
-            CapsuleFormat::Json => "json",
-            CapsuleFormat::Binary => "bin",
-        }
-    }
-
-    /// Infer the format a path's extension asks for.
-    pub fn of_path(path: &Path) -> Option<CapsuleFormat> {
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => Some(CapsuleFormat::Json),
-            Some("bin") => Some(CapsuleFormat::Binary),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for CapsuleFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.extension())
-    }
-}
 
 /// A complete simulation state frozen at one simulated instant, plus the
 /// envelope needed to trust it later: the format version and the capture
@@ -155,7 +110,6 @@ pub enum CapsuleError {
         path: PathBuf,
         found: u32,
     },
-    EmptyStream(PathBuf),
     /// Two states in one stream share a capture instant: they would land
     /// on the same file name, silently shortening the stream on disk.
     DuplicateInstant {
@@ -177,9 +131,6 @@ impl fmt::Display for CapsuleError {
                  v{MIN_FORMAT_VERSION}..=v{FORMAT_VERSION}",
                 path.display()
             ),
-            CapsuleError::EmptyStream(p) => {
-                write!(f, "{}: no capsule-*.{{json,bin}} files", p.display())
-            }
             CapsuleError::DuplicateInstant { dir, at } => write!(
                 f,
                 "{}: two capsules captured at the same instant ({} ms)",
@@ -192,16 +143,9 @@ impl fmt::Display for CapsuleError {
 
 impl std::error::Error for CapsuleError {}
 
-/// Serialize one capsule into its wire bytes.
-pub fn to_bytes(snap: &SimSnapshot, format: CapsuleFormat) -> Vec<u8> {
-    match format {
-        CapsuleFormat::Json => serde_json::to_string(snap)
-            .expect("capsule serialises")
-            .into_bytes(),
-        CapsuleFormat::Binary => {
-            codec::to_binary(&serde_json::to_value(snap).expect("capsule serialises"))
-        }
-    }
+/// Serialize one capsule into its binary wire bytes.
+pub fn to_bytes(snap: &SimSnapshot) -> Vec<u8> {
+    codec::to_binary(&serde_json::to_value(snap).expect("capsule serialises"))
 }
 
 /// Parse capsule wire bytes, sniffing the encoding from the first byte:
@@ -220,12 +164,10 @@ pub fn from_bytes(origin: &Path, bytes: &[u8]) -> Result<SimSnapshot, CapsuleErr
     Ok(snap)
 }
 
-/// Write one capsule, in the encoding the path's extension names
-/// (`.bin` → binary, anything else → JSON). Crash-safe: bytes go to a
+/// Write one capsule in the binary encoding. Crash-safe: bytes go to a
 /// temp file in the same directory, atomically renamed into place.
 pub fn save(path: &Path, snap: &SimSnapshot) -> Result<(), CapsuleError> {
-    let format = CapsuleFormat::of_path(path).unwrap_or(CapsuleFormat::Json);
-    write_atomic(path, &to_bytes(snap, format))
+    write_atomic(path, &to_bytes(snap))
 }
 
 /// Read and validate one capsule (either encoding, sniffed).
@@ -265,13 +207,8 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CapsuleError> {
 /// order is chronological order. The v2 name scheme pads to 15 digits —
 /// enough for every representable instant below ~31,688 simulated years
 /// (the v1 scheme's 12 digits broke the invariant past 10^12 ms).
-pub fn capsule_file_name(at: SimTime, format: CapsuleFormat) -> String {
-    format!("capsule-{:015}.{}", at.as_millis(), format.extension())
-}
-
-/// [`write_stream_as`] in the JSON encoding.
-pub fn write_stream(dir: &Path, states: &[EngineState]) -> Result<Vec<PathBuf>, CapsuleError> {
-    write_stream_as(dir, states, CapsuleFormat::Json)
+pub fn capsule_file_name(at: SimTime) -> String {
+    format!("capsule-{:015}.bin", at.as_millis())
 }
 
 /// Write a run's captured states into `dir` as a capsule stream. Creates
@@ -279,11 +216,7 @@ pub fn write_stream(dir: &Path, states: &[EngineState]) -> Result<Vec<PathBuf>, 
 /// States sharing a capture instant are a [`CapsuleError::DuplicateInstant`]
 /// — they would collapse onto one file name and desynchronize the
 /// on-disk stream length from the run report.
-pub fn write_stream_as(
-    dir: &Path,
-    states: &[EngineState],
-    format: CapsuleFormat,
-) -> Result<Vec<PathBuf>, CapsuleError> {
+pub fn write_stream(dir: &Path, states: &[EngineState]) -> Result<Vec<PathBuf>, CapsuleError> {
     std::fs::create_dir_all(dir).map_err(|e| CapsuleError::Io(dir.to_path_buf(), e))?;
     let mut instants: Vec<SimTime> = states.iter().map(|s| s.at()).collect();
     instants.sort();
@@ -295,15 +228,16 @@ pub fn write_stream_as(
     }
     let mut paths = Vec::with_capacity(states.len());
     for state in states {
-        let path = dir.join(capsule_file_name(state.at(), format));
+        let path = dir.join(capsule_file_name(state.at()));
         save(&path, &SimSnapshot::new(state.clone()))?;
         paths.push(path);
     }
     Ok(paths)
 }
 
-/// Enumerate a capsule stream (both encodings, any digit width), sorted
-/// by capture instant. Non-capsule files in the directory are ignored.
+/// Enumerate a capsule stream (`.bin` names, and the `.json` names older
+/// builds wrote; any digit width), sorted by capture instant. Non-capsule
+/// files in the directory are ignored.
 pub fn list_capsules(dir: &Path) -> Result<Vec<(SimTime, PathBuf)>, CapsuleError> {
     let entries = std::fs::read_dir(dir).map_err(|e| CapsuleError::Io(dir.to_path_buf(), e))?;
     let mut out = Vec::new();
@@ -374,8 +308,8 @@ pub fn read_hash_trace(path: &Path) -> Result<Vec<HashPoint>, CapsuleError> {
 }
 
 /// Fold a whole hash trace down to one u64 — the digest `reproduce
-/// fingerprint --hash-trace` prints, identical for a straight run and an
-/// equivalent resumed run's reconstructed trace.
+/// fingerprint` prints, identical for a straight run and an equivalent
+/// resumed run's reconstructed trace.
 pub fn trace_digest(trace: &[HashPoint]) -> u64 {
     let mut h = mapreduce::initial_state_hash(trace.len() as u64);
     for p in trace {
@@ -422,52 +356,47 @@ mod tests {
     #[test]
     fn file_names_sort_chronologically() {
         assert_eq!(
-            capsule_file_name(SimTime::ZERO, CapsuleFormat::Json),
-            "capsule-000000000000000.json"
-        );
-        assert_eq!(
-            capsule_file_name(SimTime::ZERO, CapsuleFormat::Binary),
+            capsule_file_name(SimTime::ZERO),
             "capsule-000000000000000.bin"
         );
-        let a = capsule_file_name(SimTime::from_secs(9), CapsuleFormat::Json);
-        let b = capsule_file_name(SimTime::from_secs(100), CapsuleFormat::Json);
+        let a = capsule_file_name(SimTime::from_secs(9));
+        let b = capsule_file_name(SimTime::from_secs(100));
         assert!(a < b, "{a} should sort before {b}");
         // the v1 12-digit pad broke lexicographic order past 10^12 ms;
         // 15 digits cover every instant below ~31,688 simulated years
-        let big = capsule_file_name(SimTime::from_millis(10u64.pow(12)), CapsuleFormat::Json);
+        let big = capsule_file_name(SimTime::from_millis(10u64.pow(12)));
         assert!(b < big, "{b} should sort before {big}");
     }
 
     #[test]
-    fn stream_round_trips_through_disk_in_both_formats() {
+    fn stream_round_trips_through_disk() {
         let (_, states) = small_stream();
         assert!(states.len() >= 2, "expected several capsules");
-        for format in [CapsuleFormat::Json, CapsuleFormat::Binary] {
-            let dir = tmp_dir(&format!("roundtrip-{format}"));
-            let paths = write_stream_as(&dir, &states, format).expect("write");
-            assert_eq!(paths.len(), states.len());
-            let listed = list_capsules(&dir).expect("list");
-            assert_eq!(listed.len(), states.len());
-            for ((at, path), state) in listed.iter().zip(&states) {
-                assert_eq!(*at, state.at());
-                let snap = load(path).expect("load");
-                assert_eq!(snap.at, state.at());
-                assert_eq!(
-                    serde_json::to_string(&snap.state).unwrap(),
-                    serde_json::to_string(state).unwrap(),
-                    "capsule at {} ms changed through disk ({format})",
-                    at.as_millis()
-                );
-            }
-            // crash-safe writes leave no temp droppings behind
-            let stray = std::fs::read_dir(&dir)
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
-                .count();
-            assert_eq!(stray, 0, "temp files left in the stream directory");
-            let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmp_dir("roundtrip");
+        let paths = write_stream(&dir, &states).expect("write");
+        assert_eq!(paths.len(), states.len());
+        let listed = list_capsules(&dir).expect("list");
+        assert_eq!(listed.len(), states.len());
+        for ((at, path), state) in listed.iter().zip(&states) {
+            assert_eq!(*at, state.at());
+            assert_eq!(std::fs::read(path).unwrap()[..4], codec::MAGIC[..]);
+            let snap = load(path).expect("load");
+            assert_eq!(snap.at, state.at());
+            assert_eq!(
+                serde_json::to_string(&snap.state).unwrap(),
+                serde_json::to_string(state).unwrap(),
+                "capsule at {} ms changed through disk",
+                at.as_millis()
+            );
         }
+        // crash-safe writes leave no temp droppings behind
+        let stray = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
+            .count();
+        assert_eq!(stray, 0, "temp files left in the stream directory");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -479,8 +408,8 @@ mod tests {
         let (_, states) = small_stream();
         let last = states.last().expect("capsules");
         let snap = SimSnapshot::new(last.clone());
-        let json = to_bytes(&snap, CapsuleFormat::Json).len();
-        let bin = to_bytes(&snap, CapsuleFormat::Binary).len();
+        let json = serde_json::to_string(&snap).unwrap().len();
+        let bin = to_bytes(&snap).len();
         assert!(
             bin * 3 <= json,
             "binary capsule not ≥3× smaller: {bin} vs {json} bytes"
@@ -490,20 +419,26 @@ mod tests {
     #[test]
     fn loaded_capsule_resumes_to_the_straight_result() {
         let (straight, states) = small_stream();
-        for format in [CapsuleFormat::Json, CapsuleFormat::Binary] {
-            let dir = tmp_dir(&format!("resume-{format}"));
-            let paths = write_stream_as(&dir, &states, format).expect("write");
-            let snap = load(&paths[paths.len() / 2]).expect("load");
+        let dir = tmp_dir("resume");
+        let paths = write_stream(&dir, &states).expect("write");
+        let mid = &paths[paths.len() / 2];
+        // an older build's JSON capsule of the same state resumes too
+        let json_path = dir.join("capsule-mid.json");
+        let json = serde_json::to_string(&load(mid).expect("load")).unwrap();
+        std::fs::write(&json_path, json).unwrap();
+        for path in [mid, &json_path] {
+            let snap = load(path).expect("load");
             let resumed = Engine::record(snap.state, &mut StaticSlotPolicy, None)
                 .expect("resume")
                 .report;
             assert_eq!(
                 serde_json::to_string(&straight).unwrap(),
                 serde_json::to_string(&resumed).unwrap(),
-                "resume from a {format} disk capsule diverged"
+                "resume from {} diverged",
+                path.display()
             );
-            let _ = std::fs::remove_dir_all(&dir);
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -524,16 +459,18 @@ mod tests {
         let (_, states) = small_stream();
         let dir = tmp_dir("version");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(capsule_file_name(states[0].at(), CapsuleFormat::Json));
         let mut snap = SimSnapshot::new(states[0].clone());
         snap.format_version = FORMAT_VERSION + 1;
-        let json = serde_json::to_string(&snap).unwrap();
-        std::fs::write(&path, json).unwrap();
-        match load(&path) {
-            Err(CapsuleError::VersionMismatch { found, .. }) => {
-                assert_eq!(found, FORMAT_VERSION + 1)
+        let json = serde_json::to_string(&snap).unwrap().into_bytes();
+        for (name, bytes) in [("capsule.bin", to_bytes(&snap)), ("capsule.json", json)] {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            match load(&path) {
+                Err(CapsuleError::VersionMismatch { found, .. }) => {
+                    assert_eq!(found, FORMAT_VERSION + 1)
+                }
+                other => panic!("{name}: expected version mismatch, got {other:?}"),
             }
-            other => panic!("expected version mismatch, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -31,7 +31,6 @@
 //! (per-node task Gantt, slot occupancy, utilization timelines, decision
 //! markers, counters, auditor verdict).
 
-use checkpoint::CapsuleFormat;
 use harness::scale::Scale;
 use harness::{
     ablation, capsules, ext_fair, ext_faults, ext_hetero, ext_load, ext_stragglers, fig1, fig3,
@@ -53,9 +52,7 @@ struct Args {
     engine: Option<SteppingMode>,
     checkpoint_every: Option<SimDuration>,
     capsule_dir: Option<PathBuf>,
-    capsule_format: CapsuleFormat,
     via: capsules::Via,
-    hash_trace: bool,
     /// `serve`: wall-clock tick interval (ms).
     tick_ms: u64,
     /// `serve`: simulated seconds advanced per wall second.
@@ -71,9 +68,7 @@ fn parse_args() -> Result<Args, String> {
     let mut engine = None;
     let mut checkpoint_every = None;
     let mut capsule_dir = None;
-    let mut capsule_format = CapsuleFormat::Json;
     let mut via = capsules::Via::Straight;
-    let mut hash_trace = false;
     let mut tick_ms = 20u64;
     let mut dilation = 50.0f64;
     let mut it = std::env::args().skip(1);
@@ -121,12 +116,6 @@ fn parse_args() -> Result<Args, String> {
             "--via" => {
                 via = capsules::Via::parse(&it.next().ok_or("--via needs straight|resume")?)?;
             }
-            "--capsule-format" => {
-                let s = it.next().ok_or("--capsule-format needs json|bin")?;
-                capsule_format = CapsuleFormat::parse(&s)
-                    .ok_or_else(|| format!("--capsule-format must be json|bin, got {s}"))?;
-            }
-            "--hash-trace" => hash_trace = true,
             "--tick-ms" => {
                 tick_ms = it
                     .next()
@@ -174,26 +163,25 @@ fn parse_args() -> Result<Args, String> {
         engine,
         checkpoint_every,
         capsule_dir,
-        capsule_format,
         via,
-        hash_trace,
         tick_ms,
         dilation,
     })
 }
 
 const USAGE: &str = "usage: reproduce [TARGET] [--quick] [--out DIR] [--trace FILE] [--dashboard DIR] [--engine fixed|adaptive]
-       reproduce <target> --checkpoint-every SECS --capsule-dir DIR [--capsule-format json|bin]   # record the target's representative run as a capsule stream + hash trace
-       reproduce fingerprint <target> [--via straight|resume] [--capsule-dir DIR] [--capsule-format json|bin] [--hash-trace]   # print the representative run's auditor fingerprint (+ per-step hash digest)
-       reproduce resume CAPSULE.{json,bin}                            # resume a capsule to completion
-       reproduce bisect DIR_A DIR_B [--hash-trace]                    # first divergent checkpoint (or hash-trace step) of two streams (exit 1 if diverged)
+       reproduce <target> --checkpoint-every SECS --capsule-dir DIR   # record the target's representative run as a capsule stream + hash trace
+       reproduce fingerprint <target> [--via straight|resume] [--capsule-dir DIR]   # print the representative run's auditor fingerprint and per-step hash digest
+       reproduce resume CAPSULE.{bin,json}                            # resume a capsule to completion
+       reproduce bisect DIR_A DIR_B                                   # first divergent step of two streams' hash traces, diffed at the next capsule pair (exit 1 if diverged)
        reproduce serve [ADDR] [--tick-ms MS] [--dilation X]           # realtime NDJSON service (default 127.0.0.1:7700)
        reproduce --help                                               # full target list with descriptions";
 
 /// The perf-summary block every figure JSON carries. It holds no wall
 /// clock: timings come from perfbench (see `BENCHMARK.json`).
-fn perf_block(steps: u64, sim_seconds: f64) -> serde_json::Value {
+fn perf_block(steps: u64, sim_ms: u64) -> serde_json::Value {
     let telem = harness::runner::active_telemetry();
+    let sim_seconds = sim_ms as f64 / 1000.0;
     let mut perf = serde_json::Value::Object(Vec::new());
     perf.set("steps", serde_json::Value::U64(steps));
     perf.set("sim_seconds", serde_json::Value::F64(sim_seconds));
@@ -267,14 +255,7 @@ fn run_fingerprint(args: &Args, scale: Scale) -> ExitCode {
     if let Err(msg) = check_capsule_target(target) {
         return fail(&msg);
     }
-    match capsules::fingerprint_target(
-        target,
-        scale,
-        args.via,
-        args.capsule_dir.as_deref(),
-        args.capsule_format,
-        args.hash_trace,
-    ) {
+    match capsules::fingerprint_target(target, scale, args.via, args.capsule_dir.as_deref()) {
         Ok(line) => {
             print!("{line}");
             ExitCode::SUCCESS
@@ -294,14 +275,13 @@ fn run_record(args: &Args, scale: Scale, every: SimDuration) -> ExitCode {
     if let Err(msg) = check_capsule_target(&args.target) {
         return fail(&msg);
     }
-    match capsules::record_target(&args.target, scale, every, dir, args.capsule_format) {
+    match capsules::record_target(&args.target, scale, every, dir) {
         Ok(rec) => {
             println!(
-                "[wrote {} {} capsules (every {:.0}s of a {:.1}s run) and a \
+                "[wrote {} capsules (every {:.0}s of a {:.1}s run) and a \
                  {}-step hash trace to {}]\n\
                  fingerprint {:#018x}",
                 rec.capsules,
-                args.capsule_format,
                 rec.every_s,
                 rec.makespan_s,
                 rec.hash_points,
@@ -314,7 +294,7 @@ fn run_record(args: &Args, scale: Scale, every: SimDuration) -> ExitCode {
     }
 }
 
-/// `reproduce resume CAPSULE.json`.
+/// `reproduce resume CAPSULE.bin`.
 fn run_resume(args: &Args) -> ExitCode {
     let Some(path) = args.operands.first() else {
         return fail(&format!("resume needs a capsule file\n{USAGE}"));
@@ -382,29 +362,16 @@ fn run_serve(args: &Args) -> ExitCode {
     }
 }
 
-/// `reproduce bisect DIR_A DIR_B` — exit 0 when the streams are
-/// identical, 1 when they diverge (with the first divergent checkpoint
-/// and its field diff on stdout).
+/// `reproduce bisect DIR_A DIR_B` — exit 0 when the two hash traces are
+/// identical, 1 when they diverge (with the first divergent step and the
+/// field diff of the first capsule pair at or after it on stdout).
 fn run_bisect(args: &Args) -> ExitCode {
     let [dir_a, dir_b] = args.operands.as_slice() else {
         return fail(&format!("bisect needs two capsule directories\n{USAGE}"));
     };
-    if args.hash_trace {
-        return match checkpoint::bisect_hash_traces(Path::new(dir_a), Path::new(dir_b)) {
-            Ok(div) => {
-                print!("{}", capsules::render_trace_divergence(&div));
-                if div.is_none() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => fail(&e.to_string()),
-        };
-    }
-    match checkpoint::bisect_dirs(Path::new(dir_a), Path::new(dir_b)) {
+    match checkpoint::bisect_hash_traces(Path::new(dir_a), Path::new(dir_b)) {
         Ok(div) => {
-            print!("{}", capsules::render_divergence(&div));
+            print!("{}", capsules::render_trace_divergence(&div));
             if div.is_none() {
                 ExitCode::SUCCESS
             } else {
@@ -447,7 +414,7 @@ fn main() -> ExitCode {
     }
     let run_one = |name: &str| -> Result<(), String> {
         let steps_before = harness::runner::total_steps();
-        let sim_before = harness::runner::total_sim_seconds();
+        let sim_ms_before = harness::runner::total_sim_ms();
         let counters_before = harness::runner::counters_snapshot();
         let (text, json): (String, serde_json::Value) = match name {
             "fig1" => {
@@ -570,7 +537,7 @@ fn main() -> ExitCode {
         };
         let perf = perf_block(
             harness::runner::total_steps() - steps_before,
-            harness::runner::total_sim_seconds() - sim_before,
+            harness::runner::total_sim_ms() - sim_ms_before,
         );
         let counters = harness::runner::counters_snapshot().delta_from(&counters_before);
         // non-object payloads (e.g. headline's claim list) get wrapped so

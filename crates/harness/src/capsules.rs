@@ -7,20 +7,20 @@
 //!
 //! * **fingerprinted** ([`fingerprint_target`]) — run straight through,
 //!   or snapshot-at-midpoint-then-resume, printing the auditor
-//!   fingerprint of the final report. The two must print identical
-//!   output; CI `cmp`s them. With the hash trace enabled, the replay
-//!   path additionally verifies the resumed run's *per-step* state
-//!   hashes against the straight run's — a divergence is pinned to the
-//!   exact step it first happened rather than discovered at the end.
+//!   fingerprint of the final report and the digest of the per-step hash
+//!   trace. The two must print identical output; CI `cmp`s them. The
+//!   replay path verifies the resumed run's *per-step* state hashes
+//!   against the straight run's — a divergence is pinned to the exact
+//!   step it first happened rather than discovered at the end.
 //! * **recorded** ([`record_target`]) — run once with `--checkpoint-every`
-//!   capture, writing the capsule stream (JSON or binary) plus the
-//!   per-step hash trace into `--capsule-dir` for later
-//!   `reproduce resume` / `reproduce bisect`.
+//!   capture, writing the binary capsule stream plus the per-step hash
+//!   trace into `--capsule-dir` for later `reproduce resume` /
+//!   `reproduce bisect`.
 
 use crate::dashboard;
 use crate::runner::{self, System};
 use crate::scale::Scale;
-use checkpoint::{CapsuleFormat, SimSnapshot};
+use checkpoint::SimSnapshot;
 use mapreduce::{auditor, Recording};
 use simgrid::time::SimDuration;
 use std::path::{Path, PathBuf};
@@ -52,22 +52,20 @@ fn fingerprint_every() -> SimDuration {
     SimDuration::from_secs(30)
 }
 
-/// Fingerprint a target's representative run. The printed output is
-/// via-independent by construction: if the replay path diverges from the
-/// straight path, the fingerprints (and the CI `cmp`) differ — and with
-/// `hash_trace`, a per-step divergence fails the resume invocation
-/// outright, naming the first divergent step.
+/// Fingerprint a target's representative run: the auditor fingerprint
+/// of its report and the digest of its per-step hash trace. The printed
+/// output is via-independent by construction: the resume path verifies
+/// every post-resume step against the straight run and fails the
+/// invocation on the first divergent step, naming it.
 ///
 /// With `capsule_dir` set, the resume path writes the full capsule
-/// stream there in `format` (the straight path writes nothing) — on a
-/// gate failure that stream is the artifact to bisect.
+/// stream and hash trace there (the straight path writes nothing) — on
+/// a gate failure that stream is the artifact to bisect.
 pub fn fingerprint_target(
     target: &str,
     scale: Scale,
     via: Via,
     capsule_dir: Option<&Path>,
-    format: CapsuleFormat,
-    hash_trace: bool,
 ) -> Result<String, String> {
     let (mut cfg, jobs, system, _) =
         dashboard::representative(target, scale).map_err(|e| e.to_string())?;
@@ -76,16 +74,12 @@ pub fn fingerprint_target(
     let seed = cfg.seed;
     let err = |e: simgrid::error::SimError| e.to_string();
     let state = runner::boot(&cfg, jobs, &system, seed).map_err(err)?;
-    let (report, trace) = match (via, hash_trace) {
-        (Via::Straight, false) => (runner::resume_once(state, &system).map_err(err)?, None),
-        (Via::Straight, true) => {
-            // recording is observational (proven by the resume
-            // equivalence gate), so this line stays identical to the
-            // plain straight line
+    let (report, trace) = match via {
+        Via::Straight => {
             let rec = runner::record_once(state, &system, None).map_err(err)?;
-            (rec.report, Some(rec.hash_trace))
+            (rec.report, rec.hash_trace)
         }
-        (Via::Resume, _) => {
+        Via::Resume => {
             let Recording {
                 capsules,
                 hash_trace: straight_trace,
@@ -99,50 +93,41 @@ pub fn fingerprint_target(
                 ));
             }
             if let Some(dir) = capsule_dir {
-                checkpoint::write_stream_as(dir, &capsules, format).map_err(|e| e.to_string())?;
+                checkpoint::write_stream(dir, &capsules).map_err(|e| e.to_string())?;
                 checkpoint::write_hash_trace(dir, &straight_trace).map_err(|e| e.to_string())?;
             }
             let mid = capsules[capsules.len() / 2].clone();
-            if hash_trace {
-                let resumed = runner::record_once(mid, &system, None).map_err(err)?;
-                let (compared, mismatch) =
-                    checkpoint::compare_traces(&straight_trace, &resumed.hash_trace);
-                if let Some(m) = mismatch {
-                    return Err(format!(
-                        "{target}: resumed run diverged from the straight run at step {} \
-                         (t={}ms): straight {:#018x} != resumed {:#018x} \
-                         ({compared} steps agreed before it)",
-                        m.step, m.at_ms, m.straight, m.resumed
-                    ));
-                }
-                if compared == 0 {
-                    return Err(format!(
-                        "{target}: resume verified zero steps — midpoint capsule \
-                         resumed at the end of the run"
-                    ));
-                }
-                // verified step-for-step, so the straight trace digest is
-                // the resumed run's digest too: both lines cmp equal
-                (resumed.report, Some(straight_trace))
-            } else {
-                (runner::resume_once(mid, &system).map_err(err)?, None)
+            let resumed = runner::record_once(mid, &system, None).map_err(err)?;
+            let (compared, mismatch) =
+                checkpoint::compare_traces(&straight_trace, &resumed.hash_trace);
+            if let Some(m) = mismatch {
+                return Err(format!(
+                    "{target}: resumed run diverged from the straight run at step {} \
+                     (t={}ms): straight {:#018x} != resumed {:#018x} \
+                     ({compared} steps agreed before it)",
+                    m.step, m.at_ms, m.straight, m.resumed
+                ));
             }
+            if compared == 0 {
+                return Err(format!(
+                    "{target}: resume verified zero steps — midpoint capsule \
+                     resumed at the end of the run"
+                ));
+            }
+            // verified step-for-step, so the straight trace digest is
+            // the resumed run's digest too: both outputs cmp equal
+            (resumed.report, straight_trace)
         }
     };
-    let mut out = format!(
-        "{target} {} seed {} fingerprint {:#018x}\n",
+    Ok(format!(
+        "{target} {} seed {} fingerprint {:#018x}\n\
+         {target} hash-trace {} steps digest {:#018x}\n",
         report.policy,
         seed,
-        auditor::fingerprint(&report)
-    );
-    if let Some(trace) = trace {
-        out.push_str(&format!(
-            "{target} hash-trace {} steps digest {:#018x}\n",
-            trace.len(),
-            checkpoint::trace_digest(&trace)
-        ));
-    }
-    Ok(out)
+        auditor::fingerprint(&report),
+        trace.len(),
+        checkpoint::trace_digest(&trace)
+    ))
 }
 
 /// Outcome of recording a target's representative run as a capsule
@@ -158,14 +143,13 @@ pub struct RecordOutcome {
 }
 
 /// Run a target's representative configuration with capsule capture every
-/// `every`, writing the stream (in `format`) and the per-step hash trace
-/// into `dir`.
+/// `every`, writing the binary stream and the per-step hash trace into
+/// `dir`.
 pub fn record_target(
     target: &str,
     scale: Scale,
     every: SimDuration,
     dir: &Path,
-    format: CapsuleFormat,
 ) -> Result<RecordOutcome, String> {
     let (mut cfg, jobs, system, _) =
         dashboard::representative(target, scale).map_err(|e| e.to_string())?;
@@ -177,7 +161,7 @@ pub fn record_target(
     } = runner::boot(&cfg, jobs, &system, cfg.seed)
         .and_then(|state| runner::record_once(state, &system, Some(every)))
         .map_err(|e| e.to_string())?;
-    let paths = checkpoint::write_stream_as(dir, &capsules, format).map_err(|e| e.to_string())?;
+    let paths = checkpoint::write_stream(dir, &capsules).map_err(|e| e.to_string())?;
     checkpoint::write_hash_trace(dir, &trace).map_err(|e| e.to_string())?;
     Ok(RecordOutcome {
         dir: dir.to_path_buf(),
@@ -217,64 +201,39 @@ pub fn resume_capsule(path: &Path) -> Result<String, String> {
 }
 
 /// Render a bisection outcome for the terminal.
-pub fn render_divergence(div: &Option<checkpoint::Divergence>) -> String {
-    match div {
-        None => "capsule streams are equivalent\n".to_string(),
-        Some(d) if d.stream_truncated => {
-            let mut out = format!(
-                "streams identical until one ends early: pair {} at t={:.0}s\n  a: {}\n  b: {}\n",
-                d.index,
-                d.at.as_secs_f64(),
-                d.path_a.display(),
-                d.path_b.display()
-            );
-            for diff in &d.diffs {
-                out.push_str(&format!("  {}: {} != {}\n", diff.path, diff.a, diff.b));
-            }
-            out
-        }
-        Some(d) => {
-            let mut out = format!(
-                "first divergent checkpoint: index {} at t={:.0}s\n  a: {}\n  b: {}\n",
-                d.index,
-                d.at.as_secs_f64(),
-                d.path_a.display(),
-                d.path_b.display()
-            );
-            const SHOWN: usize = 20;
-            for diff in d.diffs.iter().take(SHOWN) {
-                out.push_str(&format!("  {}: {} != {}\n", diff.path, diff.a, diff.b));
-            }
-            if d.diffs.len() > SHOWN {
-                out.push_str(&format!(
-                    "  … and {} more differing fields\n",
-                    d.diffs.len() - SHOWN
-                ));
-            }
-            out
-        }
-    }
-}
-
-/// Render a hash-trace bisection outcome for the terminal.
 pub fn render_trace_divergence(div: &Option<checkpoint::TraceDivergence>) -> String {
-    match div {
-        None => "hash traces are identical\n".to_string(),
-        Some(d) => {
-            let mut out = format!(
-                "hash traces diverge at step {} (t={:.0}s): {:#018x} != {:#018x}\n",
-                d.step,
-                d.at.as_secs_f64(),
-                d.hash_a,
-                d.hash_b
-            );
-            match &d.capsule_diff {
-                Some(pair) => out.push_str(&render_divergence(&Some(pair.clone()))),
-                None => out.push_str("  (no capsule pair captured at or after that step)\n"),
-            }
-            out
-        }
+    let Some(d) = div else {
+        return "hash traces are identical\n".to_string();
+    };
+    let mut out = format!(
+        "hash traces diverge at step {} (t={:.0}s): {:#018x} != {:#018x}\n",
+        d.step,
+        d.at.as_secs_f64(),
+        d.hash_a,
+        d.hash_b
+    );
+    let Some(pair) = &d.capsule_diff else {
+        out.push_str("  (no capsule pair captured at or after that step)\n");
+        return out;
+    };
+    out.push_str(&format!(
+        "first capsule pair at or after it: index {} at t={:.0}s\n  a: {}\n  b: {}\n",
+        pair.index,
+        pair.at.as_secs_f64(),
+        pair.path_a.display(),
+        pair.path_b.display()
+    ));
+    const SHOWN: usize = 20;
+    for diff in pair.diffs.iter().take(SHOWN) {
+        out.push_str(&format!("  {}: {} != {}\n", diff.path, diff.a, diff.b));
     }
+    if pair.diffs.len() > SHOWN {
+        out.push_str(&format!(
+            "  … and {} more differing fields\n",
+            pair.diffs.len() - SHOWN
+        ));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -288,57 +247,17 @@ mod tests {
     }
 
     #[test]
-    fn straight_and_resume_fingerprints_agree() {
-        let a = fingerprint_target(
-            "fig1",
-            Scale::Quick,
-            Via::Straight,
-            None,
-            CapsuleFormat::Json,
-            false,
-        )
-        .expect("straight");
+    fn straight_and_resume_fingerprints_agree_per_step() {
+        let a = fingerprint_target("fig1", Scale::Quick, Via::Straight, None).expect("straight");
+        assert!(a.contains("hash-trace"), "digest line missing: {a}");
         let dir = tmp("fp");
-        let b = fingerprint_target(
-            "fig1",
-            Scale::Quick,
-            Via::Resume,
-            Some(&dir),
-            CapsuleFormat::Json,
-            false,
-        )
-        .expect("resume");
-        assert_eq!(a, b, "replay fingerprint diverged from straight run");
+        let b = fingerprint_target("fig1", Scale::Quick, Via::Resume, Some(&dir))
+            .expect("resume verified every post-resume step");
+        assert_eq!(a, b, "replay output diverged from the straight run");
         assert!(
             !checkpoint::list_capsules(&dir).expect("list").is_empty(),
             "resume path wrote its capsule stream"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn hash_traced_fingerprints_agree_per_step() {
-        let a = fingerprint_target(
-            "fig1",
-            Scale::Quick,
-            Via::Straight,
-            None,
-            CapsuleFormat::Binary,
-            true,
-        )
-        .expect("straight");
-        assert!(a.contains("hash-trace"), "digest line missing: {a}");
-        let dir = tmp("fp-hash");
-        let b = fingerprint_target(
-            "fig1",
-            Scale::Quick,
-            Via::Resume,
-            Some(&dir),
-            CapsuleFormat::Binary,
-            true,
-        )
-        .expect("resume verified every post-resume step");
-        assert_eq!(a, b, "hash-trace output diverged between vias");
         assert!(
             dir.join(checkpoint::HASH_TRACE_FILE).exists(),
             "resume path wrote the hash trace"
@@ -348,49 +267,55 @@ mod tests {
 
     #[test]
     fn recorded_stream_resumes_and_bisects_clean() {
-        let dir_a = tmp("rec-a");
-        let dir_b = tmp("rec-b");
-        let every = SimDuration::from_secs(30);
-        // one stream JSON, the other binary: same run, and both the
-        // mixed-format bisect and the hash-trace bisect must see through
-        // the encoding difference
-        let ra = record_target(
+        let dir_bin = tmp("rec-bin");
+        let dir_json = tmp("rec-json");
+        let rec = record_target(
             "ext-faults",
             Scale::Quick,
-            every,
-            &dir_a,
-            CapsuleFormat::Json,
+            SimDuration::from_secs(30),
+            &dir_bin,
         )
-        .expect("record a");
-        let rb = record_target(
-            "ext-faults",
-            Scale::Quick,
-            every,
-            &dir_b,
-            CapsuleFormat::Binary,
-        )
-        .expect("record b");
-        assert_eq!(ra.fingerprint, rb.fingerprint, "recording is deterministic");
-        assert!(ra.capsules >= 2, "{} capsules", ra.capsules);
-        assert_eq!(ra.hash_points, rb.hash_points);
-        assert!(ra.hash_points > 0, "hash trace recorded");
-        // identical reruns bisect to no divergence, whatever the encoding
-        let div = checkpoint::bisect_dirs(&dir_a, &dir_b).expect("bisect");
-        assert!(div.is_none(), "{}", render_divergence(&div));
-        let tdiv = checkpoint::bisect_hash_traces(&dir_a, &dir_b).expect("trace bisect");
-        assert!(tdiv.is_none(), "{}", render_trace_divergence(&tdiv));
-        // any capsule resumes to the recorded fingerprint
-        let capsules = checkpoint::list_capsules(&dir_a).expect("list");
-        let (_, mid_path) = capsules
-            .get(capsules.len() / 2)
-            .expect("recorded stream has capsules");
-        let summary = resume_capsule(mid_path).expect("resume");
+        .expect("record");
+        assert!(rec.capsules >= 2, "{} capsules", rec.capsules);
+        assert!(rec.hash_points > 0, "hash trace recorded");
+        let capsules = checkpoint::list_capsules(&dir_bin).expect("list");
+        assert_eq!(capsules.len(), rec.capsules);
         assert!(
-            summary.contains(&format!("{:#018x}", ra.fingerprint)),
-            "resume fingerprint missing from: {summary}"
+            capsules
+                .iter()
+                .all(|(_, p)| p.extension().unwrap() == "bin"),
+            "every recorded capsule is binary"
         );
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
+        // the same stream as an older build wrote it: JSON capsules next
+        // to the same hash trace; it bisects clean against the binary one
+        std::fs::create_dir_all(&dir_json).unwrap();
+        for (at, path) in &capsules {
+            let snap = checkpoint::load(path).expect("load");
+            std::fs::write(
+                dir_json.join(format!("capsule-{:015}.json", at.as_millis())),
+                serde_json::to_string(&snap).unwrap(),
+            )
+            .unwrap();
+        }
+        std::fs::copy(
+            dir_bin.join(checkpoint::HASH_TRACE_FILE),
+            dir_json.join(checkpoint::HASH_TRACE_FILE),
+        )
+        .unwrap();
+        let div = checkpoint::bisect_hash_traces(&dir_json, &dir_bin).expect("bisect");
+        assert!(div.is_none(), "{}", render_trace_divergence(&div));
+        // a capsule of either encoding resumes to the recorded fingerprint
+        for dir in [&dir_bin, &dir_json] {
+            let listed = checkpoint::list_capsules(dir).expect("list");
+            let (_, mid_path) = &listed[listed.len() / 2];
+            let summary = resume_capsule(mid_path).expect("resume");
+            assert!(
+                summary.contains(&format!("{:#018x}", rec.fingerprint)),
+                "resume fingerprint missing from: {summary}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir_bin);
+        let _ = std::fs::remove_dir_all(&dir_json);
     }
 
     #[test]

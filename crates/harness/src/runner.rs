@@ -79,9 +79,11 @@ pub fn total_steps() -> u64 {
     TOTAL_STEPS.load(Ordering::Relaxed)
 }
 
-/// Total simulated time covered by this process so far, in seconds.
-pub fn total_sim_seconds() -> f64 {
-    TOTAL_SIM_MS.load(Ordering::Relaxed) as f64 / 1000.0
+/// Total simulated time covered by this process so far, in milliseconds.
+/// A whole number, so the difference of two readings is exact whatever
+/// ran before them.
+pub fn total_sim_ms() -> u64 {
+    TOTAL_SIM_MS.load(Ordering::Relaxed)
 }
 
 /// Cluster counters accumulated by every [`run_once`] so far.

@@ -586,8 +586,8 @@ struct Sim<'r> {
     telem: Telemetry,
     step_counter: telemetry::Counter,
     heartbeat_counter: telemetry::Counter,
-    /// Per-step wall-clock histogram (µs); only fed under the `profiling`
-    /// feature, where the extra clock reads are accepted.
+    /// Per-step wall-clock histogram (µs); fed only while telemetry is
+    /// enabled, so an untraced step reads no clock for it.
     step_duration_us: telemetry::Histogram,
     node_crash_counter: telemetry::Counter,
     lost_output_counter: telemetry::Counter,
@@ -766,7 +766,7 @@ impl<'r> Sim<'r> {
             }
             self.st.steps += 1;
             self.step_counter.inc();
-            if telemetry::PROFILING_ENABLED {
+            if self.telem.is_enabled() {
                 let end = self.telem.clock_us();
                 self.step_duration_us.record(end.saturating_sub(step_start));
             }

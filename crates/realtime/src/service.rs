@@ -13,7 +13,7 @@
 use crate::egress::{FrameCell, FramePool, ObservationFrame, ObservationPool};
 use crate::ingress::{Command, Envelope, Reply, TenantId};
 use crate::script::{IngressScript, ScriptedCommand, TenantTrace, TickHash};
-use checkpoint::{capsule_file_name, CapsuleFormat, SimSnapshot};
+use checkpoint::{capsule_file_name, SimSnapshot};
 use mapreduce::{Engine, EngineArena, EngineConfig, JobSpec, Run};
 use simgrid::cluster::NodeId;
 use simgrid::fault::NodeFault;
@@ -236,8 +236,8 @@ impl TenantCore {
         })
     }
 
-    /// Capture the resident run and write it under `dir` (binary
-    /// encoding) — the only place a tenant's state is cloned. Replay
+    /// Capture the resident run and write it under `dir` as a capsule —
+    /// the only place a tenant's state is cloned. Replay
     /// treats snapshots as no-ops — they never mutate tenant state.
     pub(crate) fn snapshot(&self, id: TenantId, dir: &Path) -> Result<Reply, String> {
         let run = self
@@ -245,11 +245,7 @@ impl TenantCore {
             .as_ref()
             .ok_or_else(|| format!("tenant {id} has no running cluster yet"))?;
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        let file = format!(
-            "tenant{:04}-{}",
-            id,
-            capsule_file_name(run.at(), CapsuleFormat::Binary)
-        );
+        let file = format!("tenant{:04}-{}", id, capsule_file_name(run.at()));
         let path = dir.join(file);
         checkpoint::save(&path, &SimSnapshot::new(run.capture())).map_err(|e| e.to_string())?;
         Ok(Reply::Snapshotted {

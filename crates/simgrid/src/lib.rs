@@ -33,7 +33,6 @@
 //! ```
 
 pub mod cluster;
-pub mod disk;
 pub mod error;
 pub mod fault;
 pub mod metrics;

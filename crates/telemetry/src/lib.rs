@@ -16,10 +16,6 @@
 //!    `&'static str`; argument values ([`ArgValue`]) are `Copy`. Only
 //!    rich instant events (heartbeat-rate decision records, lifecycle
 //!    mirrors) allocate, and they are off the per-tick path.
-//!
-//! The `profiling` cargo feature compiles in the finest-grained
-//! instrumentation; dependents branch on [`PROFILING_ENABLED`] so the
-//! extra statements constant-fold away in default builds.
 
 mod chrome;
 pub mod dashboard;
@@ -33,11 +29,6 @@ pub use recorder::{CounterSample, InstantEvent, Recorder, SpanRecord};
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// True when the `profiling` feature is enabled. Hot-path call sites write
-/// `if telemetry::PROFILING_ENABLED { ... }` so the block compiles out of
-/// default builds entirely.
-pub const PROFILING_ENABLED: bool = cfg!(feature = "profiling");
 
 /// Default span-ring capacity: ~260k spans ≈ 14 MB. Long runs wrap and
 /// keep the most recent spans (the exporter reports the dropped count).

@@ -12,11 +12,11 @@
 //! Per the paper's own uniformity note (§II-A: "we use the *slot* to denote
 //! the slot in HadoopV1 and the container in YARN"), the baseline is
 //! implemented as a [`mapreduce::policy::SlotPolicy`] over the same engine:
-//!
-//! * [`container`] — the memory/vcore sizing model (how a container size
-//!   maps to per-node concurrency, the user guesswork of §I);
-//! * [`capacity`] — the capacity scheduler with map priority as a dynamic
-//!   per-heartbeat targets rule.
+//! [`capacity`] is the capacity scheduler with map priority as a dynamic
+//! per-heartbeat targets rule. The policy takes the initial map and
+//! reduce slot counts directly — the "3 map containers and 2 reduce
+//! containers" the paper configures — so no memory/vcore sizing model
+//! stands between them.
 //!
 //! What this baseline deliberately lacks — thrashing detection and
 //! map/shuffle balancing — is exactly what `smapreduce` adds.
@@ -33,7 +33,5 @@
 //! ```
 
 pub mod capacity;
-pub mod container;
 
 pub use capacity::{capacity_targets, CapacityPolicy, NodeTargets};
-pub use container::{ContainerSpec, NodeResources};

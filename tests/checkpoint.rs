@@ -1,18 +1,15 @@
 //! Checkpoint & replay guarantees at the workspace level: resume
 //! equivalence for every figure's representative run, snapshot/restore at
-//! random instants of random-fault-plan runs, and divergence bisection on
-//! a deliberately corrupted capsule stream.
+//! random instants of random-fault-plan runs, pinned capsule bytes, and
+//! divergence bisection of a run forked by an injected fault.
 
-use checkpoint::{
-    bisect_dirs, codec, prove_resume_equivalence, prove_resume_equivalence_full, CapsuleFormat,
-    SimSnapshot,
-};
+use checkpoint::{prove_resume_equivalence, SimSnapshot};
 use harness::dashboard::representative;
 use harness::runner::{boot, record_once, resume_once};
 use harness::{Scale, System};
 use mapreduce::{
-    fold_hash, initial_state_hash, Engine, EngineConfig, EngineState, JobProfile, JobSpec,
-    RunReport,
+    fold_hash, initial_state_hash, Engine, EngineConfig, EngineState, HashPoint, JobProfile,
+    JobSpec, RunReport,
 };
 use proptest::proptest;
 use simgrid::cluster::NodeId;
@@ -54,6 +51,9 @@ const TARGETS: &[&str] = &[
     "headline",
 ];
 
+/// Resuming each target's midpoint capsule retraces the straight run
+/// step for step (one u64 per step) and ends in a byte-identical report,
+/// which also covers the event logs and series the hash does not fold.
 #[test]
 fn resume_equivalence_holds_for_every_target() {
     // Several targets share a representative configuration; prove each
@@ -77,11 +77,15 @@ fn resume_equivalence_holds_for_every_target() {
         assert!(
             proof.holds(),
             "{target}: resumed run diverged from the straight run \
-             (straight {:#018x}, resumed {:#018x} from capsule {:?}/{})",
+             (straight {:#018x}, resumed {:#018x} from capsule {:?}/{}; first \
+             divergent step {:?} of {} compared; reports byte-identical: {})",
             proof.straight_fingerprint,
             proof.resumed_fingerprint,
             proof.resumed_from,
             proof.capsules,
+            proof.first_divergence,
+            proof.steps_compared,
+            proof.byte_identical,
         );
         proven.push(key);
     }
@@ -89,6 +93,59 @@ fn resume_equivalence_holds_for_every_target() {
         proven.len() >= 3,
         "expected several distinct configurations"
     );
+}
+
+/// The per-step hash trace (one u64 per step) and the full byte-level
+/// report comparison must agree: on the fig1 and ext-faults
+/// representative runs both find the resumed run identical to the
+/// straight run, and once the midpoint capsule is forked by an injected
+/// fault both find the resumed run different.
+#[test]
+fn hash_trace_agrees_with_full_report_comparison() {
+    let every = SimDuration::from_secs(30);
+    for target in ["fig1", "ext-faults"] {
+        let (cfg, jobs, system, _) =
+            representative(target, Scale::Quick).expect("representative run");
+        let proof = prove_resume_equivalence(&cfg, &jobs, every, &mut || system.make_policy())
+            .unwrap_or_else(|e| panic!("{target}: {e}"));
+        assert!(proof.steps_compared > 0, "{target}: no steps compared");
+        assert_eq!(
+            proof.first_divergence, None,
+            "{target}: hash trace diverged"
+        );
+        assert!(
+            proof.byte_identical,
+            "{target}: resumed report not byte-identical"
+        );
+        assert!(proof.holds(), "{target}: proof failed");
+
+        let rec = boot(&cfg, jobs.clone(), &system, cfg.seed)
+            .and_then(|state| record_once(state, &system, Some(every)))
+            .unwrap_or_else(|e| panic!("{target}: {e}"));
+        let mut forked = rec.capsules[rec.capsules.len() / 2].clone();
+        let at = forked.at();
+        forked
+            .inject_fault(NodeFault::transient(
+                NodeId(cfg.cluster.workers - 1),
+                at + SimDuration::from_secs(3),
+                SimDuration::from_secs(60),
+            ))
+            .unwrap_or_else(|e| panic!("{target}: {e}"));
+        let resumed =
+            record_once(forked, &system, None).unwrap_or_else(|e| panic!("{target}: {e}"));
+        let (_, first_divergence) =
+            checkpoint::compare_traces(&rec.hash_trace, &resumed.hash_trace);
+        let byte_identical = serde_json::to_string(&rec.report).unwrap()
+            == serde_json::to_string(&resumed.report).unwrap();
+        assert!(
+            first_divergence.is_some(),
+            "{target}: the hash trace missed the injected fault"
+        );
+        assert!(
+            !byte_identical,
+            "{target}: the report comparison missed the injected fault"
+        );
+    }
 }
 
 proptest! {
@@ -234,8 +291,8 @@ fn recorded_capsule_bytes_are_pinned() {
                 let snap = SimSnapshot::new(c.clone());
                 (
                     c.at().as_millis(),
-                    bytes_digest(&checkpoint::to_bytes(&snap, CapsuleFormat::Binary)),
-                    bytes_digest(&checkpoint::to_bytes(&snap, CapsuleFormat::Json)),
+                    bytes_digest(&checkpoint::to_bytes(&snap)),
+                    bytes_digest(serde_json::to_string(&snap).unwrap().as_bytes()),
                 )
             })
             .collect();
@@ -264,13 +321,11 @@ fn ext_faults_capsule_stream_is_pinned() {
         .into_iter()
         .map(SimSnapshot::new)
         .collect();
-    let encode = |format| -> Vec<Vec<u8>> {
-        snaps
-            .iter()
-            .map(|snap| checkpoint::to_bytes(snap, format))
-            .collect()
-    };
-    let (json, binary) = (encode(CapsuleFormat::Json), encode(CapsuleFormat::Binary));
+    let json: Vec<Vec<u8>> = snaps
+        .iter()
+        .map(|snap| serde_json::to_string(snap).unwrap().into_bytes())
+        .collect();
+    let binary: Vec<Vec<u8>> = snaps.iter().map(checkpoint::to_bytes).collect();
     let total = |stream: &[Vec<u8>]| stream.iter().map(Vec::len).sum::<usize>();
     assert_eq!(
         (snaps.len(), total(&json), total(&binary)),
@@ -283,7 +338,7 @@ fn ext_faults_capsule_stream_is_pinned() {
         let decoded = checkpoint::from_bytes(std::path::Path::new("ext-faults"), bin)
             .expect("own encoding decodes");
         assert!(
-            checkpoint::to_bytes(&decoded, CapsuleFormat::Json) == *json,
+            serde_json::to_string(&decoded).unwrap().as_bytes() == json.as_slice(),
             "capsule {i}: the binary round trip lost information"
         );
     }
@@ -296,8 +351,13 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A recording, and the same run forked by a fault injected into one of
+/// its capsules: the fork's stream holds the recording's capsules and
+/// trace up to the capture and the resumed run's from there. The
+/// bisector must name the first step after the capture, and the capsule
+/// pair it diffs must name the injected fault.
 #[test]
-fn bisect_pinpoints_a_deliberately_corrupted_stream() {
+fn bisect_names_the_first_step_and_field_an_injected_fault_changed() {
     let cfg = EngineConfig::small_test(4, 11);
     let job = JobSpec::new(
         0,
@@ -306,140 +366,60 @@ fn bisect_pinpoints_a_deliberately_corrupted_stream() {
         8,
         SimTime::ZERO,
     );
-    let (_, capsules) = record(&cfg, job, &System::SMapReduce, SimDuration::from_secs(5));
-    assert!(capsules.len() >= 4, "need a few checkpoints to bisect");
-    let good = tmp_dir("good");
-    let bad = tmp_dir("bad");
-    let good_files = checkpoint::write_stream(&good, &capsules).expect("write good stream");
-    checkpoint::write_stream(&bad, &capsules).expect("write bad stream");
+    let system = System::SMapReduce;
+    let every = SimDuration::from_secs(5);
+    let rec = boot(&cfg, vec![job], &system, cfg.seed)
+        .and_then(|state| record_once(state, &system, Some(every)))
+        .expect("recorded run completes");
+    assert!(rec.capsules.len() >= 4, "need a few checkpoints to bisect");
+    let k = rec.capsules.len() / 2;
+    let mut forked = rec.capsules[k].clone();
+    let capture = forked.at();
+    forked
+        .inject_fault(NodeFault::transient(
+            NodeId(1),
+            capture + SimDuration::from_secs(3),
+            SimDuration::from_secs(30),
+        ))
+        .expect("fault injects");
+    let resumed = record_once(forked, &system, Some(every)).expect("forked run completes");
+    // resuming with the same period captures the fork instant first
+    assert_eq!(resumed.capsules[0].at(), capture);
 
-    // corrupt every capsule from index `k` onward: nudge the step counter,
-    // the way a silently divergent replay would
-    let k = capsules.len() / 2;
-    for path in &good_files[k..] {
-        let bad_path = bad.join(path.file_name().unwrap());
-        let text = std::fs::read_to_string(&bad_path).unwrap();
-        let mut v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        let mut state = v.get("state").unwrap().clone();
-        let steps = state.get("steps").unwrap().as_u64().unwrap();
-        state.set("steps", serde_json::Value::U64(steps + 7));
-        v.set("state", state);
-        std::fs::write(&bad_path, serde_json::to_string(&v).unwrap()).unwrap();
-    }
+    let (good, bad) = (tmp_dir("fault-good"), tmp_dir("fault-bad"));
+    checkpoint::write_stream(&good, &rec.capsules).expect("write recording");
+    checkpoint::write_hash_trace(&good, &rec.hash_trace).expect("write recording trace");
+    let mut bad_capsules = rec.capsules[..k].to_vec();
+    bad_capsules.extend(resumed.capsules);
+    let mut bad_trace: Vec<HashPoint> = rec
+        .hash_trace
+        .iter()
+        .take_while(|p| p.at_ms <= capture.as_millis())
+        .copied()
+        .collect();
+    let steps_to_capture = bad_trace.len() as u64;
+    bad_trace.extend(&resumed.hash_trace);
+    checkpoint::write_stream(&bad, &bad_capsules).expect("write fork");
+    checkpoint::write_hash_trace(&bad, &bad_trace).expect("write fork trace");
 
-    let div = bisect_dirs(&good, &bad)
+    let div = checkpoint::bisect_hash_traces(&good, &bad)
         .expect("bisect runs")
-        .expect("corruption must be found");
-    assert_eq!(div.index, k, "first divergent checkpoint");
-    assert_eq!(div.at, capsules[k].at());
+        .expect("the fault forks the run");
+    assert_eq!(
+        div.step,
+        steps_to_capture + 1,
+        "first step after the capture"
+    );
+    assert!(div.at > capture);
+    let pair = div.capsule_diff.expect("a capsule pair follows the fork");
+    assert!(pair.at >= div.at);
     assert!(
-        div.diffs.iter().any(|d| d.path == "state.steps"),
-        "diff must name the corrupted field, got {:?}",
-        div.diffs,
+        pair.diffs
+            .iter()
+            .any(|d| d.path.starts_with("state.config.fault_plan")),
+        "diff must name the injected fault, got {:?}",
+        pair.diffs,
     );
-
-    // sanity: the corrupted file still parses as a structurally valid
-    // capsule (the divergence is semantic, not syntactic)
-    let snap: SimSnapshot =
-        checkpoint::load(&bad.join(good_files[k].file_name().unwrap())).expect("still loads");
-    assert_eq!(snap.at, capsules[k].at());
-
-    let _ = std::fs::remove_dir_all(&good);
-    let _ = std::fs::remove_dir_all(&bad);
-}
-
-/// The per-step hash trace (one u64 per step) and the full byte-level
-/// report comparison must agree: on the fig1 and ext-faults
-/// representative runs, both the cheap proof and the exhaustive proof
-/// hold, and they see the same run (same fingerprints, same step count).
-#[test]
-fn hash_trace_agrees_with_full_report_comparison() {
-    for target in ["fig1", "ext-faults"] {
-        let (cfg, jobs, system, _) =
-            representative(target, Scale::Quick).expect("representative run");
-        let cheap = prove_resume_equivalence(&cfg, &jobs, SimDuration::from_secs(30), &mut || {
-            system.make_policy()
-        })
-        .unwrap_or_else(|e| panic!("{target}: {e}"));
-        let full =
-            prove_resume_equivalence_full(&cfg, &jobs, SimDuration::from_secs(30), &mut || {
-                system.make_policy()
-            })
-            .unwrap_or_else(|e| panic!("{target}: {e}"));
-        assert!(
-            cheap.holds(),
-            "{target}: hash-trace proof failed at {:?}",
-            cheap.first_divergence
-        );
-        assert!(full.holds(), "{target}: full proof failed");
-        assert_eq!(
-            cheap.byte_identical, None,
-            "{target}: cheap proof did bytes"
-        );
-        assert_eq!(
-            full.byte_identical,
-            Some(true),
-            "{target}: resumed report not byte-identical"
-        );
-        assert_eq!(
-            (cheap.straight_fingerprint, cheap.resumed_fingerprint),
-            (full.straight_fingerprint, full.resumed_fingerprint),
-            "{target}: the two proofs saw different runs"
-        );
-        assert_eq!(
-            cheap.steps_compared, full.steps_compared,
-            "{target}: the two proofs compared different step ranges"
-        );
-        assert!(cheap.steps_compared > 0, "{target}: no steps compared");
-    }
-}
-
-/// Bisection works across mixed encodings: the good stream on disk as
-/// JSON, the bad stream as binary capsules corrupted from index `k`
-/// onward, and `bisect_dirs` still pins pair `k` and names the field.
-#[test]
-fn bisect_pinpoints_corruption_across_mixed_formats() {
-    let cfg = EngineConfig::small_test(4, 13);
-    let job = JobSpec::new(
-        0,
-        JobProfile::synthetic_map_heavy(),
-        2048.0,
-        8,
-        SimTime::ZERO,
-    );
-    let (_, capsules) = record(&cfg, job, &System::SMapReduce, SimDuration::from_secs(5));
-    assert!(capsules.len() >= 4, "need a few checkpoints to bisect");
-    let good = tmp_dir("mixed-good");
-    let bad = tmp_dir("mixed-bad");
-    checkpoint::write_stream_as(&good, &capsules, CapsuleFormat::Json).expect("write good");
-    let bad_files =
-        checkpoint::write_stream_as(&bad, &capsules, CapsuleFormat::Binary).expect("write bad");
-
-    let k = capsules.len() / 2;
-    for path in &bad_files[k..] {
-        let bytes = std::fs::read(path).unwrap();
-        let mut v = codec::from_binary(&bytes).expect("own capsule decodes");
-        let mut state = v.get("state").unwrap().clone();
-        let steps = state.get("steps").unwrap().as_u64().unwrap();
-        state.set("steps", serde_json::Value::U64(steps + 7));
-        v.set("state", state);
-        std::fs::write(path, codec::to_binary(&v)).unwrap();
-    }
-
-    let div = bisect_dirs(&good, &bad)
-        .expect("bisect runs")
-        .expect("corruption must be found");
-    assert_eq!(div.index, k, "first divergent checkpoint");
-    assert_eq!(div.at, capsules[k].at());
-    assert!(!div.stream_truncated);
-    assert!(
-        div.diffs.iter().any(|d| d.path == "state.steps"),
-        "diff must name the corrupted field, got {:?}",
-        div.diffs,
-    );
-    // the paths prove the comparison really crossed encodings
-    assert_eq!(div.path_a.extension().unwrap(), "json");
-    assert_eq!(div.path_b.extension().unwrap(), "bin");
 
     let _ = std::fs::remove_dir_all(&good);
     let _ = std::fs::remove_dir_all(&bad);

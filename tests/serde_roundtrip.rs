@@ -5,7 +5,7 @@
 //! properties pin that for the counter ledger, fault plans, full run
 //! reports, and the capsule envelope itself.
 
-use checkpoint::{codec, CapsuleFormat, SimSnapshot};
+use checkpoint::{codec, SimSnapshot};
 use harness::runner::{boot, record_once};
 use harness::{run_once, System};
 use mapreduce::{
@@ -141,19 +141,19 @@ proptest! {
         let (_, capsules) = record(&cfg, job, &System::SMapReduce, SimDuration::from_secs(20));
         let state = capsules.into_iter().next_back().expect("capsules captured");
         let snap = SimSnapshot::new(state);
-        let json = checkpoint::to_bytes(&snap, CapsuleFormat::Json);
-        let binary = checkpoint::to_bytes(&snap, CapsuleFormat::Binary);
+        let json = serde_json::to_string(&snap).unwrap().into_bytes();
+        let binary = checkpoint::to_bytes(&snap);
         let origin = std::path::Path::new("proptest");
         let from_json = checkpoint::from_bytes(origin, &json).expect("json decodes");
         let from_binary = checkpoint::from_bytes(origin, &binary).expect("binary decodes");
         proptest::prop_assert_eq!(
             &json,
-            &checkpoint::to_bytes(&from_binary, CapsuleFormat::Json),
+            &serde_json::to_string(&from_binary).unwrap().into_bytes(),
             "binary round trip changed the state"
         );
         proptest::prop_assert_eq!(
             &binary,
-            &checkpoint::to_bytes(&from_json, CapsuleFormat::Binary),
+            &checkpoint::to_bytes(&from_json),
             "json round trip changed the state"
         );
     }
@@ -235,7 +235,7 @@ fn corrupt_binary_capsules_never_panic() {
     );
     let (_, capsules) = record(&cfg, job, &System::HadoopV1, SimDuration::from_secs(30));
     let snap = SimSnapshot::new(capsules.into_iter().next_back().expect("capsules"));
-    let bytes = checkpoint::to_bytes(&snap, CapsuleFormat::Binary);
+    let bytes = checkpoint::to_bytes(&snap);
     let origin = std::path::Path::new("corrupt-test");
     // every truncation is an error, not a panic
     for cut in 0..bytes.len() {
