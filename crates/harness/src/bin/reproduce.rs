@@ -146,11 +146,7 @@ fn parse_args() -> Result<Args, String> {
     let mut positionals = positionals.into_iter();
     let target = positionals.next().unwrap_or_else(|| "all".to_string());
     let operands: Vec<String> = positionals.collect();
-    let takes_operands = matches!(
-        target.as_str(),
-        "fingerprint" | "resume" | "bisect" | "serve"
-    );
-    if !takes_operands && !operands.is_empty() {
+    if !targets::takes_operands(&target) && !operands.is_empty() {
         return Err(format!("unexpected argument: {}\n{USAGE}", operands[0]));
     }
     Ok(Args {
@@ -211,29 +207,8 @@ fn perf_block(steps: u64, sim_ms: u64) -> serde_json::Value {
     perf
 }
 
-/// Targets with a representative run the checkpoint tooling can record
-/// and fingerprint (everything except the meta targets).
-const CAPSULE_TARGETS: &[&str] = &[
-    "fig1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "ext-hetero",
-    "ext-stragglers",
-    "ext-fair",
-    "ext-load",
-    "ext-faults",
-    "ablations",
-    "model-check",
-    "headline",
-];
-
 fn check_capsule_target(target: &str) -> Result<(), String> {
-    if CAPSULE_TARGETS.contains(&target) {
+    if targets::has_representative_run(target) {
         Ok(())
     } else {
         Err(format!(
@@ -578,17 +553,7 @@ fn main() -> ExitCode {
     };
 
     let targets: Vec<&str> = if args.target == "all" {
-        vec![
-            "fig1",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "ext-hetero",
-        ]
+        targets::all().collect()
     } else {
         vec![args.target.as_str()]
     };

@@ -101,139 +101,6 @@ pub fn fingerprint(report: &RunReport) -> u64 {
     h
 }
 
-/// Per-step wall-clock budgets (µs) for the engine's hot phases. The
-/// spans already exist (`step/allocate_nodes`, `step/network_allocate`,
-/// `step/event_horizon`, `step/advance_maps`, `step/advance_reduces`);
-/// this gates their *means* so a phase regressing from O(nodes) to
-/// O(nodes²) fails an audit instead of quietly stretching wall time.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseBudget {
-    /// Mean per-step cost of the allocate phase (node contention scaling
-    /// plus fabric water-filling): `allocate_nodes + network_allocate`.
-    pub allocate_us: f64,
-    /// Mean per-step cost of the event-horizon search (`event_horizon`;
-    /// adaptive mode only — fixed-tick runs record no horizon spans and
-    /// the check is skipped).
-    pub horizon_us: f64,
-    /// Mean per-step cost of the integrate phase:
-    /// `advance_maps + advance_reduces`.
-    pub integrate_us: f64,
-}
-
-impl PhaseBudget {
-    /// A generous default for CI-grade hardware at testbed scale
-    /// (16–64 nodes): each phase is single-digit µs per step warm, so a
-    /// 10× margin still catches any complexity-class regression.
-    pub fn default_gate() -> PhaseBudget {
-        PhaseBudget {
-            allocate_us: 150.0,
-            horizon_us: 100.0,
-            integrate_us: 150.0,
-        }
-    }
-
-    /// The default gate with every budget scaled by `factor` — larger
-    /// clusters get proportionally larger (still per-step) budgets.
-    pub fn scaled(factor: f64) -> PhaseBudget {
-        let base = PhaseBudget::default_gate();
-        PhaseBudget {
-            allocate_us: base.allocate_us * factor,
-            horizon_us: base.horizon_us * factor,
-            integrate_us: base.integrate_us * factor,
-        }
-    }
-}
-
-/// Mean per-step span costs actually observed (µs), as paired with a
-/// [`PhaseBudget`] by [`audit_phase_spans`]. `horizon_us` is `None` when
-/// no horizon spans were recorded (fixed-tick mode).
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseMeans {
-    pub allocate_us: f64,
-    pub horizon_us: Option<f64>,
-    pub integrate_us: f64,
-    /// Steps covered by the recorded spans (the span ring is bounded, so
-    /// this may be fewer than the run's total steps; means stay unbiased
-    /// because the ring keeps a contiguous suffix of the run).
-    pub steps_covered: u64,
-}
-
-/// Aggregate the engine's phase spans out of `telem` into per-step means.
-/// Returns `None` when telemetry is disabled or no allocate spans were
-/// recorded (nothing ran, or the sink was detached).
-pub fn phase_means(telem: &telemetry::Telemetry) -> Option<PhaseMeans> {
-    let (alloc, hor, integ, n_alloc, n_hor, n_int) = telem.with_spans(|spans| {
-        let (mut alloc, mut hor, mut integ) = (0u64, 0u64, 0u64);
-        let (mut n_alloc, mut n_hor, mut n_int) = (0u64, 0u64, 0u64);
-        for s in spans {
-            match (s.cat, s.name) {
-                ("step", "allocate_nodes") | ("step", "network_allocate") => {
-                    alloc += s.dur_us;
-                    n_alloc += 1;
-                }
-                ("step", "event_horizon") => {
-                    hor += s.dur_us;
-                    n_hor += 1;
-                }
-                ("step", "advance_maps") | ("step", "advance_reduces") => {
-                    integ += s.dur_us;
-                    n_int += 1;
-                }
-                _ => {}
-            }
-        }
-        (alloc, hor, integ, n_alloc, n_hor, n_int)
-    })?;
-    if n_alloc == 0 || n_int == 0 {
-        return None;
-    }
-    // allocate_nodes + network_allocate (and advance_maps +
-    // advance_reduces) are each recorded once per step, so half the span
-    // count is the number of steps the ring still covers.
-    let steps_covered = n_alloc / 2;
-    Some(PhaseMeans {
-        allocate_us: alloc as f64 / (n_alloc as f64 / 2.0),
-        horizon_us: (n_hor > 0).then(|| hor as f64 / n_hor as f64),
-        integrate_us: integ as f64 / (n_int as f64 / 2.0),
-        steps_covered,
-    })
-}
-
-/// Gate the per-step mean wall cost of the engine's phase spans against a
-/// [`PhaseBudget`]. Telemetry must have been enabled for the run; a
-/// disabled sink (no spans at all) is itself a violation, so the gate
-/// cannot silently pass by measuring nothing.
-pub fn audit_phase_spans(telem: &telemetry::Telemetry, budget: &PhaseBudget) -> Vec<Violation> {
-    let mut v = Vec::new();
-    let Some(means) = phase_means(telem) else {
-        push(
-            &mut v,
-            "phase_budget",
-            "no phase spans recorded: run the gated run with telemetry enabled".into(),
-        );
-        return v;
-    };
-    let mut check = |phase: &'static str, mean: f64, budget_us: f64| {
-        if mean > budget_us {
-            push(
-                &mut v,
-                "phase_budget",
-                format!(
-                    "{phase} mean {mean:.2} µs/step exceeds budget {budget_us:.2} µs \
-                     (over {} steps)",
-                    means.steps_covered
-                ),
-            );
-        }
-    };
-    check("allocate", means.allocate_us, budget.allocate_us);
-    if let Some(hor) = means.horizon_us {
-        check("event_horizon", hor, budget.horizon_us);
-    }
-    check("integrate", means.integrate_us, budget.integrate_us);
-    v
-}
-
 /// Check every invariant; empty result means the report is self-consistent.
 pub fn audit(report: &RunReport, setup: &AuditSetup) -> Vec<Violation> {
     let mut v = Vec::new();
@@ -938,72 +805,6 @@ mod tests {
         let mut d = a.clone();
         d.counters.inc(Counter::SpilledRecords);
         assert_ne!(fingerprint(&a), fingerprint(&d), "sensitive to one bit");
-    }
-
-    fn run_with_spans() -> telemetry::Telemetry {
-        let telem = telemetry::Telemetry::enabled();
-        let cfg = EngineConfig::small_test(4, 7);
-        let job = JobSpec::new(
-            0,
-            JobProfile::synthetic_map_heavy(),
-            1024.0,
-            8,
-            SimTime::ZERO,
-        );
-        let mut state = Engine::new(cfg).prepare(vec![job]).expect("prepare");
-        state.override_policy("HadoopV1").expect("bind");
-        Engine::resume_in(
-            state,
-            &mut StaticSlotPolicy,
-            &telem,
-            &mut crate::EngineArena::new(),
-        )
-        .expect("run succeeds");
-        telem
-    }
-
-    #[test]
-    fn phase_means_cover_every_step_of_a_real_run() {
-        let telem = run_with_spans();
-        let means = phase_means(&telem).expect("spans recorded");
-        assert!(means.steps_covered > 0);
-        assert!(means.allocate_us >= 0.0 && means.allocate_us.is_finite());
-        assert!(means.integrate_us >= 0.0 && means.integrate_us.is_finite());
-        // fixed-mode runs skip the adaptive horizon phase entirely
-        if let Some(h) = means.horizon_us {
-            assert!(h >= 0.0 && h.is_finite());
-        }
-    }
-
-    #[test]
-    fn generous_phase_budget_passes_a_real_run() {
-        let telem = run_with_spans();
-        // 100x the default gate: loose enough for any CI machine, tight
-        // enough that a pathological per-step regression (milliseconds
-        // per step) still trips it
-        let violations = audit_phase_spans(&telem, &PhaseBudget::scaled(100.0));
-        assert!(violations.is_empty(), "unexpected: {violations:?}");
-    }
-
-    #[test]
-    fn tiny_phase_budget_is_violated() {
-        let telem = run_with_spans();
-        let violations = audit_phase_spans(&telem, &PhaseBudget::scaled(0.0));
-        assert!(
-            violations.iter().any(|v| v.invariant == "phase_budget"),
-            "zero budget must trip: {violations:?}"
-        );
-    }
-
-    #[test]
-    fn disabled_telemetry_cannot_pass_the_phase_gate() {
-        let telem = telemetry::Telemetry::disabled();
-        assert!(phase_means(&telem).is_none());
-        let violations = audit_phase_spans(&telem, &PhaseBudget::default_gate());
-        assert!(
-            violations.iter().any(|v| v.invariant == "phase_budget"),
-            "a gate that measured nothing must not pass: {violations:?}"
-        );
     }
 
     #[test]

@@ -3518,6 +3518,57 @@ mod tests {
         }
     }
 
+    /// Every step records each of its phase spans exactly once: the node
+    /// allocation, the fabric water-fill and both integrate halves in
+    /// either mode, the event horizon in adaptive mode only. Each
+    /// heartbeat round records one span, and the ring drops none.
+    #[test]
+    fn every_step_records_each_phase_span_once() {
+        for mode in [SteppingMode::Adaptive, SteppingMode::Fixed] {
+            let mut cfg = EngineConfig::small_test(4, 7);
+            cfg.tick.mode = mode;
+            let job = JobSpec::new(
+                0,
+                JobProfile::synthetic_map_heavy(),
+                1024.0,
+                8,
+                SimTime::ZERO,
+            );
+            let telem = Telemetry::enabled();
+            let report = Engine::resume_in(
+                bound(&Engine::new(cfg), vec![job]),
+                &mut StaticSlotPolicy,
+                &telem,
+                &mut EngineArena::new(),
+            )
+            .unwrap();
+            assert!(report.steps > 0);
+            assert_eq!(telem.dropped_spans(), 0, "{mode:?}");
+            let count = |cat: &str, name: &str| {
+                telem
+                    .with_spans(|it| it.filter(|s| s.cat == cat && s.name == name).count() as u64)
+                    .unwrap()
+            };
+            for name in [
+                "allocate_nodes",
+                "network_allocate",
+                "advance_maps",
+                "advance_reduces",
+            ] {
+                assert_eq!(count("step", name), report.steps, "{mode:?}: step/{name}");
+            }
+            let horizons = match mode {
+                SteppingMode::Adaptive => report.steps,
+                SteppingMode::Fixed => 0,
+            };
+            assert_eq!(count("step", "event_horizon"), horizons, "{mode:?}");
+            assert_eq!(telem.counter("engine.steps").get(), report.steps);
+            let rounds = telem.counter("engine.heartbeat_rounds").get();
+            assert!(rounds > 0);
+            assert_eq!(count("engine", "heartbeat_round"), rounds, "{mode:?}");
+        }
+    }
+
     /// A resident [`Run`] stepped quantum by quantum ends on the straight
     /// run's report and on the state the capsule-in/capsule-out chunks
     /// reach, and a capture taken mid-run resumes like the run itself.

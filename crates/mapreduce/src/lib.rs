@@ -50,7 +50,7 @@ pub mod stats;
 pub mod task;
 
 pub use arena::EngineArena;
-pub use auditor::{audit_phase_spans, phase_means, AuditSetup, PhaseBudget, PhaseMeans, Violation};
+pub use auditor::{AuditSetup, Violation};
 pub use counters::{Counter, CounterLedger};
 pub use engine::{
     fold_hash, initial_state_hash, Advanced, Engine, EngineConfig, EngineObservation, EngineState,

@@ -312,11 +312,15 @@ struct Tenant {
 }
 
 /// Cross-thread state shared between the tick thread and every handle.
+/// `commands` and `frames` are the telemetry registry's
+/// `realtime.commands` and `realtime.frames` counters (detached, but still
+/// counting, when telemetry is off), so `stats()`, the summary and a trace
+/// all read one count.
 pub(crate) struct Shared {
     pub pool: ObservationPool,
     pub tick: AtomicU64,
-    pub commands: AtomicU64,
-    pub frames: AtomicU64,
+    pub commands: telemetry::Counter,
+    pub frames: telemetry::Counter,
     pub missed_ticks: AtomicU64,
     pub reclaimed: AtomicU64,
     pub fresh: AtomicU64,
@@ -399,8 +403,8 @@ impl RealtimeService {
         let shared = Arc::new(Shared {
             pool: ObservationPool::new(),
             tick: AtomicU64::new(0),
-            commands: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
+            commands: cfg.telemetry.counter("realtime.commands"),
+            frames: cfg.telemetry.counter("realtime.frames"),
             missed_ticks: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
             fresh: AtomicU64::new(0),
@@ -550,8 +554,8 @@ impl ServiceHandle {
         ServiceStats {
             tick: s.tick.load(Ordering::Acquire),
             tenants: s.pool.len(),
-            commands_applied: s.commands.load(Ordering::Relaxed),
-            frames_published: s.frames.load(Ordering::Relaxed),
+            commands_applied: s.commands.get(),
+            frames_published: s.frames.get(),
             publish_skips: s.pool.publish_skips(),
             frames_reclaimed: s.reclaimed.load(Ordering::Relaxed),
             frames_fresh: s.fresh.load(Ordering::Relaxed),
@@ -603,8 +607,6 @@ fn tick_loop(cfg: ServiceConfig, rx: Receiver<Envelope>, shared: Arc<Shared>) ->
     let mut latency_us: Vec<u64> = Vec::new();
     let mut script_cmds: Vec<ScriptedCommand> = Vec::new();
     let tick_counter = telem.counter("realtime.ticks");
-    let cmd_counter = telem.counter("realtime.commands");
-    let frame_counter = telem.counter("realtime.frames");
     let started = Instant::now();
     let mut tick: u64 = 0;
     let mut next_deadline = Instant::now() + cfg.tick_interval;
@@ -629,8 +631,7 @@ fn tick_loop(cfg: ServiceConfig, rx: Receiver<Envelope>, shared: Arc<Shared>) ->
                 &mut stopping,
             );
             if result.is_ok() {
-                shared.commands.fetch_add(1, Ordering::Relaxed);
-                cmd_counter.inc();
+                shared.commands.inc();
                 if cfg.record_script {
                     script_cmds.push(ScriptedCommand {
                         tick,
@@ -691,8 +692,7 @@ fn tick_loop(cfg: ServiceConfig, rx: Receiver<Envelope>, shared: Arc<Shared>) ->
             let published = publish_frame(tenant, tick, &mut frame_pool);
             tenant.publish_pending = !published;
             if published {
-                shared.frames.fetch_add(1, Ordering::Relaxed);
-                frame_counter.inc();
+                shared.frames.inc();
             }
         }
         shared
@@ -766,8 +766,8 @@ fn tick_loop(cfg: ServiceConfig, rx: Receiver<Envelope>, shared: Arc<Shared>) ->
         ticks: tick,
         quantum_ms,
         wall_seconds,
-        commands_applied: shared.commands.load(Ordering::Relaxed),
-        frames_published: shared.frames.load(Ordering::Relaxed),
+        commands_applied: shared.commands.get(),
+        frames_published: shared.frames.get(),
         publish_skips: shared.pool.publish_skips(),
         frames_reclaimed: frame_pool.reclaimed,
         frames_fresh: frame_pool.fresh,

@@ -294,9 +294,16 @@ fn recorded_script_replays_to_identical_hashes() {
     assert!(reloaded.replay().verified);
 }
 
+/// Rejected commands leave the service healthy and count nowhere: the
+/// command and frame counts of `stats()`, the summary and the telemetry
+/// registry are one count each.
 #[test]
 fn commands_validate_and_errors_do_not_kill_the_service() {
-    let handle = RealtimeService::spawn(fast_config());
+    let telem = telemetry::Telemetry::enabled();
+    let handle = RealtimeService::spawn(ServiceConfig {
+        telemetry: telem.clone(),
+        ..fast_config()
+    });
     // bad system label
     assert!(handle.create_tenant("x", 8, 1, "nope").is_err());
     // no workers, or more than any cluster the service sizes for
@@ -326,6 +333,9 @@ fn commands_validate_and_errors_do_not_kill_the_service() {
     assert!(handle.inject_fault(t, 0, 1000, None).is_err());
     // fault must be strictly in the future
     handle.submit_job(t, "grep", 512.0, 2).unwrap();
+    let commands = telem.counter("realtime.commands");
+    assert_eq!(handle.stats().commands_applied, 2);
+    assert_eq!(commands.get(), 2);
     assert!(handle.inject_fault(t, 0, 0, None).is_err());
     // the same sizes injected into the running cluster
     for (input_mb, reduces) in hostile {
@@ -337,6 +347,16 @@ fn commands_validate_and_errors_do_not_kill_the_service() {
     });
     let summary = handle.shutdown().unwrap();
     assert!(summary.tenants[0].error.is_none());
+    // create, submit and the shutdown itself were applied
+    assert_eq!(summary.commands_applied, 3);
+    assert_eq!(handle.stats().commands_applied, 3);
+    assert_eq!(commands.get(), 3);
+    // each published frame advanced the tenant's epoch by one
+    let published = handle.frame(t).unwrap().epoch;
+    assert!(published > 0);
+    assert_eq!(summary.frames_published, published);
+    assert_eq!(handle.stats().frames_published, published);
+    assert_eq!(telem.counter("realtime.frames").get(), published);
     // failed commands were not recorded into the script
     let script = summary.script.unwrap();
     assert!(script.replay().verified);

@@ -89,7 +89,8 @@ struct Row {
 
 /// Accumulates per-node resource grants between sample boundaries.
 ///
-/// Usage per step: call [`NodeUsageSampler::accumulate`] once per live node
+/// Usage per step: call [`NodeUsageSampler::accumulate_all`] once (the
+/// engine does), or [`NodeUsageSampler::accumulate`] once per live node,
 /// with the step's granted *rates* and the step length, then
 /// [`NodeUsageSampler::sample`] at each sample boundary. All per-step work
 /// is flat array arithmetic — no allocation — and a sample appends to one

@@ -26,7 +26,7 @@
 
 use crate::config::SmrConfig;
 use crate::slot_manager::SlotManagerPolicy;
-use mapreduce::policy::{PolicyContext, SlotDirective, SlotPolicy};
+use mapreduce::policy::{PolicyContext, PolicyDecisionRecord, SlotDirective, SlotPolicy};
 
 /// Capacity-proportional wrapper around the paper's slot manager.
 pub struct HeteroSlotManagerPolicy {
@@ -56,7 +56,7 @@ impl HeteroSlotManagerPolicy {
         t.max(1)
     }
 
-    /// Access the wrapped uniform manager (decision log, trace).
+    /// Access the wrapped uniform manager (its decision log and targets).
     pub fn inner(&self) -> &SlotManagerPolicy {
         &self.inner
     }
@@ -73,6 +73,10 @@ impl SlotPolicy for HeteroSlotManagerPolicy {
 
     fn attach_telemetry(&mut self, telem: &telemetry::Telemetry) {
         self.inner.attach_telemetry(telem);
+    }
+
+    fn decision_records(&self) -> Vec<PolicyDecisionRecord> {
+        self.inner.decision_records()
     }
 
     // reference_cores is configuration; the mutable state is all the
@@ -194,6 +198,27 @@ mod tests {
             p.directive_overhead_ms(),
             SmrConfig::default().directive_overhead_ms
         );
+    }
+
+    /// A run's report carries the wrapped manager's audited decisions,
+    /// as it does for the uniform manager.
+    #[test]
+    fn reports_carry_the_wrapped_managers_decisions() {
+        use mapreduce::{Engine, EngineConfig, JobProfile, JobSpec};
+        let job = JobSpec::new(
+            0,
+            JobProfile::synthetic_map_heavy(),
+            2048.0,
+            8,
+            SimTime::ZERO,
+        );
+        let mut p = HeteroSlotManagerPolicy::paper_default();
+        let report = Engine::new(EngineConfig::small_test(4, 7))
+            .run(vec![job], &mut p)
+            .unwrap();
+        assert!(report.slot_changes > 0, "the manager moved slots");
+        assert!(!report.decisions.is_empty(), "decisions reported");
+        assert_eq!(report.decisions, p.inner().decision_records());
     }
 
     #[test]

@@ -68,18 +68,10 @@ pub struct SlotManagerPolicy {
     /// Signature of the active job mix (total map count is a cheap proxy);
     /// when it changes the detector history is stale.
     workload_sig: Option<(usize, usize)>,
-    /// Decision log (bounded use: one entry per period).
-    pub decisions: Vec<(SimTime, Decision)>,
-    /// Optional rate trace recorded at each decision (diagnostics; off by
-    /// default).
-    pub trace: Option<Vec<RateTracePoint>>,
-    /// Full audit log: every decision with the inputs behind it. Mirrors
+    /// The decision log: every decision with the inputs behind it. Mirrors
     /// into telemetry when the engine attaches a sink.
     pub audit: AuditLog,
 }
-
-/// One diagnostics sample: `(now, R_t, R_s, R_m, f)`.
-pub type RateTracePoint = (SimTime, f64, f64, f64, f64);
 
 impl SlotManagerPolicy {
     pub fn new(cfg: SmrConfig) -> SlotManagerPolicy {
@@ -99,8 +91,6 @@ impl SlotManagerPolicy {
             reduce_target: None,
             last_decision_at: None,
             workload_sig: None,
-            decisions: Vec::new(),
-            trace: None,
             audit: AuditLog::new(),
         }
     }
@@ -135,7 +125,6 @@ impl SlotManagerPolicy {
     }
 
     fn record(&mut self, now: SimTime, d: Decision, inputs: DecisionInputs) {
-        self.decisions.push((now, d));
         self.audit.push(DecisionRecord {
             at: now,
             decision: d,
@@ -230,8 +219,6 @@ struct ManagerState {
     last_decision_at: Option<SimTime>,
     rate_window: VecDeque<(SimTime, f64, f64)>,
     workload_sig: Option<(usize, usize)>,
-    decisions: Vec<(SimTime, Decision)>,
-    trace: Option<Vec<RateTracePoint>>,
     audit: AuditLog,
 }
 
@@ -272,8 +259,6 @@ impl SlotPolicy for SlotManagerPolicy {
             last_decision_at: self.last_decision_at,
             rate_window: self.rate_window.clone(),
             workload_sig: self.workload_sig,
-            decisions: self.decisions.clone(),
-            trace: self.trace.clone(),
             audit: self.audit.clone(),
         }
         .to_value()
@@ -290,8 +275,6 @@ impl SlotPolicy for SlotManagerPolicy {
         self.last_decision_at = s.last_decision_at;
         self.rate_window = s.rate_window;
         self.workload_sig = s.workload_sig;
-        self.decisions = s.decisions;
-        self.trace = s.trace;
         // the restored log carries records only; the telemetry mirror is
         // reattached by the engine via attach_telemetry
         self.audit = s.audit;
@@ -420,9 +403,6 @@ impl SlotPolicy for SlotManagerPolicy {
             self.record(now, Decision::Hold, inputs);
             return self.directives(ctx);
         }
-        if let Some(trace) = &mut self.trace {
-            trace.push((now, rt, rs, rm, f.unwrap_or(f64::NAN)));
-        }
         let verdict = classify(f, self.cfg.f_lower, self.cfg.f_upper);
 
         match verdict {
@@ -512,6 +492,10 @@ mod tests {
         })
     }
 
+    fn last_decision(p: &SlotManagerPolicy) -> Option<Decision> {
+        p.audit.records().last().map(|r| r.decision)
+    }
+
     fn ctx<'a>(
         now: SimTime,
         stats: &'a ClusterStats,
@@ -535,8 +519,8 @@ mod tests {
         assert_eq!(ds.len(), 4);
         assert!(ds.iter().all(|d| d.map_slots == 4 && d.reduce_slots == 2));
         assert!(matches!(
-            p.decisions.last(),
-            Some((_, Decision::IncrementMaps { to: 4 }))
+            last_decision(&p),
+            Some(Decision::IncrementMaps { to: 4 })
         ));
     }
 
@@ -590,10 +574,7 @@ mod tests {
         let tr = trackers(4, 3, 2);
         let ds = p.decide(&ctx(SimTime::from_secs(6), &stats, &tr));
         assert!(ds.is_empty());
-        assert!(matches!(
-            p.decisions.last(),
-            Some((_, Decision::SlowStartHold))
-        ));
+        assert!(matches!(last_decision(&p), Some(Decision::SlowStartHold)));
     }
 
     #[test]
@@ -647,11 +628,12 @@ mod tests {
         let _ = p.decide(&ctx(SimTime::from_secs(42), &stats, &tr4));
         let _ = p.decide(&ctx(SimTime::from_secs(48), &stats, &tr4));
         assert!(
-            p.decisions
+            p.audit
+                .records()
                 .iter()
-                .any(|(_, d)| matches!(d, Decision::ThrashingRetreat { to: 3 })),
+                .any(|r| matches!(r.decision, Decision::ThrashingRetreat { to: 3 })),
             "decisions: {:?}",
-            p.decisions
+            p.audit.records()
         );
         assert_eq!(p.map_target, Some(3));
         // further map-heavy signals cannot push past the ceiling
@@ -776,14 +758,13 @@ mod tests {
         let mut q = test_policy();
         q.restore_state(&snap).unwrap();
         assert_eq!(q.current_targets(), p.current_targets());
-        assert_eq!(q.decisions, p.decisions);
         assert_eq!(q.audit.records(), p.audit.records());
         // both continue identically from the restored state
         let tr_now = trackers(4, p.map_target.unwrap(), 2);
         let a = p.decide(&ctx(SimTime::from_secs(42), &stats, &tr_now));
         let b = q.decide(&ctx(SimTime::from_secs(42), &stats, &tr_now));
         assert_eq!(a, b);
-        assert_eq!(p.decisions, q.decisions);
+        assert_eq!(p.audit.records(), q.audit.records());
     }
 
     #[test]
@@ -791,7 +772,7 @@ mod tests {
         let mut p = test_policy();
         p.restore_state(&serde::Value::Null).unwrap();
         assert_eq!(p.current_targets(), None);
-        assert!(p.decisions.is_empty());
+        assert!(p.audit.records().is_empty());
     }
 
     #[test]
@@ -803,6 +784,6 @@ mod tests {
         let tr = trackers(2, 3, 2);
         let ds = p.decide(&ctx(SimTime::from_secs(30), &stats, &tr));
         assert!(ds.is_empty());
-        assert!(matches!(p.decisions.last(), Some((_, Decision::Hold))));
+        assert!(matches!(last_decision(&p), Some(Decision::Hold)));
     }
 }

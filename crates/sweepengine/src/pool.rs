@@ -89,16 +89,6 @@ impl BatchedSweep {
         self.workers
     }
 
-    /// Drive every cell to completion and return reports in cell order.
-    ///
-    /// Results are independent of the worker count and claim order: each
-    /// cell is a pure function of its own inputs, writes its result into
-    /// its own slot, and recycled arena buffers are indistinguishable
-    /// from fresh ones.
-    ///
-    /// If any cell panicked, the panic with the lowest cell index is
-    /// re-raised (deterministically, however many workers raced) as
-    /// `"{system} cell {index} with trial seed {seed} panicked: {msg}"`.
     /// Drive a batch of **mutable** tasks through the pool once and return
     /// `f`'s results in task order — the realtime service's per-tick
     /// primitive, where each "cell" is a long-lived tenant advanced in
@@ -174,6 +164,16 @@ impl BatchedSweep {
             .collect()
     }
 
+    /// Drive every cell to completion and return reports in cell order.
+    ///
+    /// Results are independent of the worker count and claim order: each
+    /// cell is a pure function of its own inputs, writes its result into
+    /// its own slot, and recycled arena buffers are indistinguishable
+    /// from fresh ones.
+    ///
+    /// If any cell panicked, the panic with the lowest cell index is
+    /// re-raised (deterministically, however many workers raced) as
+    /// `"{system} cell {index} with trial seed {seed} panicked: {msg}"`.
     pub fn run<C: SweepCell>(&self, cells: &[C]) -> SweepOutcome {
         let n = cells.len();
         let workers = self.workers.min(n).max(1);

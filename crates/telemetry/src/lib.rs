@@ -1,6 +1,6 @@
 //! Unified observability for the SMapReduce reproduction: a span/event
 //! tracer with a preallocated ring-buffer recorder, a metrics registry
-//! (counters, gauges, log2-bucket histograms), and a Chrome-trace
+//! (counters and log2-bucket histograms), and a Chrome-trace
 //! (Perfetto) JSON exporter.
 //!
 //! Design constraints, in order:
@@ -24,7 +24,7 @@ mod recorder;
 
 pub use chrome::export_chrome_trace;
 pub use dashboard::{render_dashboard, DashboardSpec};
-pub use metrics::{Counter, Gauge, Histogram, MetricKind, MetricSample, MetricsRegistry};
+pub use metrics::{Counter, Histogram, MetricKind, MetricSample, MetricsRegistry};
 pub use recorder::{CounterSample, InstantEvent, Recorder, SpanRecord};
 
 use std::sync::{Arc, Mutex};
@@ -161,18 +161,6 @@ impl Telemetry {
         }
     }
 
-    /// RAII alternative to [`Telemetry::record_span`] for call sites
-    /// without borrow constraints: records on drop.
-    pub fn span(&self, cat: &'static str, name: &'static str, sim_ms: u64) -> SpanGuard {
-        SpanGuard {
-            telem: self.clone(),
-            cat,
-            name,
-            sim_ms,
-            start_us: self.clock_us(),
-        }
-    }
-
     /// Record one sample of a named counter series (rendered as a Chrome
     /// trace counter track). No-op when disabled; never allocates.
     #[inline]
@@ -228,27 +216,11 @@ impl Telemetry {
         }
     }
 
-    /// Gauge handle (f64). See [`Telemetry::counter`] on detachment.
-    pub fn gauge(&self, name: &'static str) -> Gauge {
-        match &self.inner {
-            Some(inner) => inner.metrics.gauge(name),
-            None => Gauge::detached(),
-        }
-    }
-
     /// Log2-bucket histogram handle. See [`Telemetry::counter`].
     pub fn histogram(&self, name: &'static str) -> Histogram {
         match &self.inner {
             Some(inner) => inner.metrics.histogram(name),
             None => Histogram::detached(),
-        }
-    }
-
-    /// Snapshot of all registered metrics (empty when disabled).
-    pub fn metrics_snapshot(&self) -> Vec<MetricSample> {
-        match &self.inner {
-            Some(inner) => inner.metrics.snapshot(),
-            None => Vec::new(),
         }
     }
 
@@ -318,22 +290,6 @@ impl Telemetry {
     }
 }
 
-/// Records a span over its lifetime; created by [`Telemetry::span`].
-pub struct SpanGuard {
-    telem: Telemetry,
-    cat: &'static str,
-    name: &'static str,
-    sim_ms: u64,
-    start_us: u64,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        self.telem
-            .record_span(self.cat, self.name, self.start_us, self.sim_ms);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,7 +307,6 @@ mod tests {
         assert_eq!(c.get(), 1, "detached counters still count locally");
         assert!(t.chrome_trace().is_none());
         assert_eq!(t.memory_bytes(), 0);
-        assert!(t.metrics_snapshot().is_empty());
     }
 
     #[test]
@@ -401,15 +356,5 @@ mod tests {
         let c = t.counter("ticks");
         t.counter("ticks").add(2);
         assert_eq!(c.get(), 2, "same registry through clones");
-    }
-
-    #[test]
-    fn guard_records_on_drop() {
-        let t = Telemetry::enabled();
-        {
-            let _g = t.span("engine", "scoped", 7);
-        }
-        let names: Vec<&str> = t.with_spans(|it| it.map(|s| s.name).collect()).unwrap();
-        assert_eq!(names, vec!["scoped"]);
     }
 }

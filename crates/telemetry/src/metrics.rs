@@ -1,4 +1,4 @@
-//! Metrics registry: named counters, gauges, and log2-bucket histograms.
+//! Metrics registry: named counters and log2-bucket histograms.
 //!
 //! Handles are `Arc`'d atomics — acquire them once at init, then update
 //! from the hot path without locking or allocating. `detached()`
@@ -11,7 +11,6 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     Counter,
-    Gauge,
     Histogram,
 }
 
@@ -19,7 +18,6 @@ impl MetricKind {
     pub fn label(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
             MetricKind::Histogram => "histogram",
         }
     }
@@ -30,8 +28,7 @@ impl MetricKind {
 pub struct MetricSample {
     pub name: &'static str,
     pub kind: MetricKind,
-    /// Counter: running total. Gauge: last value set. Histogram:
-    /// observation count.
+    /// Counter: running total. Histogram: observation count.
     pub value: f64,
     /// Histogram only: sum of all recorded values.
     pub sum: f64,
@@ -64,27 +61,6 @@ impl Counter {
 
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-value-wins f64 (stored as bits in an atomic).
-#[derive(Clone, Debug, Default)]
-pub struct Gauge {
-    bits: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    pub fn detached() -> Gauge {
-        Gauge::default()
-    }
-
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -163,7 +139,6 @@ fn bucket_upper_bound(idx: usize) -> u64 {
 /// preserve registration order so serialized output is deterministic.
 pub struct MetricsRegistry {
     counters: Mutex<Vec<(&'static str, Counter)>>,
-    gauges: Mutex<Vec<(&'static str, Gauge)>>,
     histograms: Mutex<Vec<(&'static str, Histogram)>>,
 }
 
@@ -171,7 +146,6 @@ impl MetricsRegistry {
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
             counters: Mutex::new(Vec::new()),
-            gauges: Mutex::new(Vec::new()),
             histograms: Mutex::new(Vec::new()),
         }
     }
@@ -184,16 +158,6 @@ impl MetricsRegistry {
         let c = Counter::detached();
         v.push((name, c.clone()));
         c
-    }
-
-    pub fn gauge(&self, name: &'static str) -> Gauge {
-        let mut v = self.gauges.lock().expect("metrics lock");
-        if let Some((_, g)) = v.iter().find(|(n, _)| *n == name) {
-            return g.clone();
-        }
-        let g = Gauge::detached();
-        v.push((name, g.clone()));
-        g
     }
 
     pub fn histogram(&self, name: &'static str) -> Histogram {
@@ -213,15 +177,6 @@ impl MetricsRegistry {
                 name,
                 kind: MetricKind::Counter,
                 value: c.get() as f64,
-                sum: 0.0,
-                buckets: Vec::new(),
-            });
-        }
-        for (name, g) in self.gauges.lock().expect("metrics lock").iter() {
-            out.push(MetricSample {
-                name,
-                kind: MetricKind::Gauge,
-                value: g.get(),
                 sum: 0.0,
                 buckets: Vec::new(),
             });
@@ -276,20 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_holds_last_value() {
-        let g = Gauge::detached();
-        assert_eq!(g.get(), 0.0);
-        g.set(2.5);
-        g.set(-1.25);
-        assert_eq!(g.get(), -1.25);
-    }
-
-    #[test]
     fn snapshot_orders_by_registration() {
         let r = MetricsRegistry::new();
         r.counter("b");
         r.counter("a");
-        r.gauge("z");
+        r.histogram("z");
         let names: Vec<&str> = r.snapshot().iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["b", "a", "z"]);
     }

@@ -237,25 +237,24 @@ fn pinned_capsules(mode: SteppingMode) -> Vec<EngineState> {
 }
 
 /// `(capture instant ms, binary capsule digest, JSON capsule digest)` of
-/// every capsule [`pinned_capsules`] takes, recorded when the engine still
-/// copied its state into a separate step-loop struct and back out.
+/// every capsule [`pinned_capsules`] takes.
 const ADAPTIVE_CAPSULE_PINS: &[(u64, u64, u64)] = &[
-    (0, 0x73c496eee367e2a5, 0x4c884e7977b658db),
-    (10000, 0x7b9961b80e46361a, 0x46819bab64ae6913),
-    (20000, 0x517903acfdce4ae6, 0x34dc6feed8797b62),
-    (30000, 0x262ab4aec525bc35, 0x33aa9e9a9115f624),
-    (40000, 0xb79146169601d18b, 0x2392118cfa795715),
-    (50000, 0x4432102662b97f21, 0xbfccdee205e3c941),
-    (60000, 0xa48d5fd973f2674e, 0xb37518ff061747bd),
+    (0, 0x7f5a7f9f036b5fb5, 0x6dec1542fecb3175),
+    (10000, 0x8624a24fc235da5f, 0xc0f64039ea26442b),
+    (20000, 0x204ed9e0a19a98d3, 0x0e5a9486ca88f987),
+    (30000, 0x4737b865f936bc2c, 0xbe0579de4fd25fe0),
+    (40000, 0x0decdb0e80772e28, 0x4213d5a38f98ef2b),
+    (50000, 0xab7bcf7f253434e0, 0x80112bcd98cd66e5),
+    (60000, 0x21b3f9b024e13be2, 0x4eddee2f47b25179),
 ];
 const FIXED_CAPSULE_PINS: &[(u64, u64, u64)] = &[
-    (0, 0x9f4a48313a7078f3, 0x0295ad8b5468ca72),
-    (10000, 0x6338187df3502766, 0xa87f60c1ecbb7d8e),
-    (20000, 0x2363a5962fa9f066, 0x38c6698168b905f6),
-    (30000, 0xbedbd3a65ff2dc51, 0xa120603dc8bbde35),
-    (40000, 0x33f905e0d0ffa09a, 0x43eba4ac2259c6b6),
-    (50000, 0x9d8cfd2df6cc5431, 0x748741c3a2ce8316),
-    (60000, 0x89ed21234e86f669, 0xfdb825a0dc1a212f),
+    (0, 0xb738afb9f6d77d78, 0x22ee40173c685a4b),
+    (10000, 0x5cdae0a3c46c2613, 0x3907105e2a6d4a37),
+    (20000, 0x719a47f5670b4e39, 0x69c52dcdc98534b8),
+    (30000, 0x87a1481bdac83cb3, 0x6c85fb86ddd5975e),
+    (40000, 0xf39e25cab0f64f68, 0xa0d4d856200efdcf),
+    (50000, 0x3c3705c5cf62aaa2, 0x21f0343a3c6e3278),
+    (60000, 0xac1dec559338b0fd, 0x4c326a2cb7e54eaa),
 ];
 
 /// Capsule bytes are pinned across commits: the decoding fixtures only
@@ -329,7 +328,7 @@ fn ext_faults_capsule_stream_is_pinned() {
     let total = |stream: &[Vec<u8>]| stream.iter().map(Vec::len).sum::<usize>();
     assert_eq!(
         (snaps.len(), total(&json), total(&binary)),
-        (4, 430_154, 61_215),
+        (4, 429_178, 61_045),
         "(capsules, JSON bytes, binary bytes) changed"
     );
     // the gate the pins must keep when they are re-recorded
