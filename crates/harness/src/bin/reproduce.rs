@@ -59,7 +59,9 @@ struct Args {
     dilation: f64,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The command line as [`Args`], or `Ok(None)` when `--help` asks for the
+/// usage text.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut positionals = Vec::new();
     let mut scale = Scale::Full;
     let mut out = PathBuf::from("results");
@@ -136,7 +138,7 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--dilation must be a positive number".into());
                 }
             }
-            "--help" | "-h" => return Err(format!("{USAGE}\n\n{}", targets::render_list())),
+            "--help" | "-h" => return Ok(None),
             other if other.starts_with("--") => {
                 return Err(format!("unexpected argument: {other}\n{USAGE}"))
             }
@@ -149,7 +151,7 @@ fn parse_args() -> Result<Args, String> {
     if !targets::takes_operands(&target) && !operands.is_empty() {
         return Err(format!("unexpected argument: {}\n{USAGE}", operands[0]));
     }
-    Ok(Args {
+    Ok(Some(Args {
         target,
         operands,
         scale,
@@ -162,7 +164,7 @@ fn parse_args() -> Result<Args, String> {
         via,
         tick_ms,
         dilation,
-    })
+    }))
 }
 
 const USAGE: &str = "usage: reproduce [TARGET] [--quick] [--out DIR] [--trace FILE] [--dashboard DIR] [--engine fixed|adaptive]
@@ -359,7 +361,11 @@ fn run_bisect(args: &Args) -> ExitCode {
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}\n\n{}", targets::render_list());
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;

@@ -602,6 +602,11 @@ struct Sim<'r> {
     snap_every: Option<SimDuration>,
     /// Capsules captured so far (drained by [`Engine::record`]).
     snapshots: Vec<EngineState>,
+    /// When set, every step folds its state into `st.state_hash`. Set by
+    /// [`Sim::over`]; only [`Engine::resume_in`] clears it, because its
+    /// state is dropped when the call returns and its report carries no
+    /// hash, so no caller could read the fold.
+    fold_hashes: bool,
     /// When set, every step's fold is also recorded into `hash_trace`.
     /// Off by default: the push below is the only step-loop allocation
     /// tracing adds, and the zero-alloc telemetry gate runs untraced.
@@ -642,6 +647,7 @@ impl<'r> Sim<'r> {
             derived,
             snap_every: None,
             snapshots: Vec::new(),
+            fold_hashes: true,
             trace_hashes: false,
             hash_trace: Vec::new(),
         }
@@ -771,7 +777,9 @@ impl<'r> Sim<'r> {
                 self.step_duration_us.record(end.saturating_sub(step_start));
             }
             self.st.now += dt;
-            self.fold_step_hash();
+            if self.fold_hashes {
+                self.fold_step_hash();
+            }
             let finished = self.st.all_finished();
             if finished || (!fixed && self.st.now.is_multiple_of(self.st.config.sample_period)) {
                 self.timed_sample(sim_ms);
@@ -811,7 +819,10 @@ impl<'r> Sim<'r> {
     /// per step, immediately after the step's time advance, in both
     /// stepping modes — so a resumed run (which restores `state_hash`
     /// from the capsule) produces the same digest sequence as the
-    /// straight run from the first post-resume step onwards.
+    /// straight run from the first post-resume step onwards. Every
+    /// stepping call folds except [`Engine::resume_in`], whose state does
+    /// not outlive it; the fold only reads the state, so skipping it
+    /// changes nothing else.
     ///
     /// The fold covers the words that move every step (time, step count,
     /// the full RNG position, per-task progress floats bit-exactly) plus
@@ -2548,7 +2559,8 @@ pub struct EngineState {
     usage: NodeUsageSampler,
     /// Rolling per-step digest (see [`fold_hash`]): seeded from the run's
     /// seed and folded once per completed step, so a resumed run's digests
-    /// line up with the straight run's. `#[serde(default)]`: format-v1
+    /// line up with the straight run's. [`Engine::resume_in`] consumes its
+    /// state and skips the fold. `#[serde(default)]`: format-v1
     /// capsules predate the digest and restore it as 0 — their resumed
     /// hash traces then simply start from a different basis, still
     /// internally consistent.
@@ -3111,6 +3123,10 @@ impl Engine {
     /// spans, slot-count tracks and lifecycle/decision instants, and is
     /// strictly observational — the report is bit-identical whether it is
     /// enabled, disabled, or shared.
+    ///
+    /// The state is consumed and the report carries no state hash, so
+    /// this call skips the per-step hash fold; [`Engine::record`],
+    /// [`Engine::advance_until_in`] and [`Run::advance_until`] keep it.
     pub fn resume_in(
         mut state: EngineState,
         policy: &mut dyn SlotPolicy,
@@ -3124,6 +3140,7 @@ impl Engine {
             // the store the arena's last run grew, and hands it back once
             // its report is built; a mid-run state keeps its own rows
             let lent = sim.st.usage.lend_rows(&mut sim.scratch.usage_rows);
+            sim.fold_hashes = false;
             let report = sim.run_to_completion();
             if lent {
                 sim.st.usage.return_rows(&mut sim.scratch.usage_rows);

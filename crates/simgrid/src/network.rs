@@ -22,9 +22,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Recycled dense scratch for [`Fabric::allocate_into`]: cluster-sized
-/// slabs indexed by `NodeId` plus a flow-sized worklist. Reset is O(1) via
-/// epoch/round stamps — slabs are never cleared, only re-stamped — so a
-/// warm scratch makes the whole allocate phase allocation-free.
+/// slabs indexed by `NodeId` plus the call's port lists and a flow-sized
+/// worklist. Reset is O(1) via epoch stamps — slabs are never cleared, only
+/// re-stamped — so a warm scratch makes the whole allocate phase
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct FabricScratch {
     /// Remaining egress capacity per node (valid where `cap_eg_stamp` is
@@ -36,22 +37,22 @@ pub struct FabricScratch {
     cap_in_stamp: Vec<u64>,
     /// Total incoming flows per receiver (drives the incast model).
     incoming: Vec<u32>,
-    /// Unfrozen flows per port this round (valid where the matching
-    /// `users_*_stamp` equals the current round).
+    /// Unfrozen flows per port, counted each round and zeroed again as
+    /// the round reads them, so every count is zero between calls.
     eg_users: Vec<u32>,
     in_users: Vec<u32>,
-    users_eg_stamp: Vec<u64>,
-    users_in_stamp: Vec<u64>,
-    /// Bottleneck marks: a port is bottlenecked this round iff its mark
-    /// equals the current round.
-    eg_mark: Vec<u64>,
-    in_mark: Vec<u64>,
+    /// Each port's fair share this round: remaining capacity ÷ users,
+    /// taken before any flow freezes.
+    eg_share: Vec<f64>,
+    in_share: Vec<f64>,
+    /// The call's distinct sender and receiver ports, in first-seen
+    /// order; each holds at most one entry per node.
+    eg_ports: Vec<usize>,
+    in_ports: Vec<usize>,
     /// Sorted worklist of unfrozen flow indices.
     active: Vec<usize>,
     /// Bumped once per allocate call; stamps cap/incoming validity.
     epoch: u64,
-    /// Bumped once per filling round; stamps user counts and marks.
-    round: u64,
 }
 
 impl FabricScratch {
@@ -59,7 +60,8 @@ impl FabricScratch {
         FabricScratch::default()
     }
 
-    /// Grow every node slab to at least `nodes` entries (never shrinks).
+    /// Grow every node slab, and the port lists' capacity, to at least
+    /// `nodes` entries (never shrinks).
     fn ensure(&mut self, nodes: usize) {
         if self.egress_cap.len() < nodes {
             self.egress_cap.resize(nodes, 0.0);
@@ -69,25 +71,22 @@ impl FabricScratch {
             self.incoming.resize(nodes, 0);
             self.eg_users.resize(nodes, 0);
             self.in_users.resize(nodes, 0);
-            self.users_eg_stamp.resize(nodes, 0);
-            self.users_in_stamp.resize(nodes, 0);
-            self.eg_mark.resize(nodes, 0);
-            self.in_mark.resize(nodes, 0);
+            self.eg_share.resize(nodes, 0.0);
+            self.in_share.resize(nodes, 0.0);
+            self.eg_ports.reserve(nodes);
+            self.in_ports.reserve(nodes);
         }
     }
 
-    /// Capacity footprint in cells (node slab width + worklist capacity);
-    /// monotonic, so arenas can detect growth by comparing snapshots.
-    pub fn footprint(&self) -> usize {
-        self.egress_cap.capacity() + self.active.capacity()
-    }
-
-    /// Approximate resident bytes across all slabs (peak-RSS proxy).
+    /// Approximate resident bytes across all slabs and lists (peak-RSS
+    /// proxy); monotonic, so arenas can detect growth by comparing
+    /// snapshots.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let node = self.egress_cap.capacity();
-        node * (2 * size_of::<f64>() + 3 * size_of::<u32>() + 6 * size_of::<u64>())
-            + self.active.capacity() * size_of::<usize>()
+        node * (4 * size_of::<f64>() + 3 * size_of::<u32>() + 2 * size_of::<u64>())
+            + (self.eg_ports.capacity() + self.in_ports.capacity() + self.active.capacity())
+                * size_of::<usize>()
     }
 }
 
@@ -210,6 +209,13 @@ impl Fabric {
     /// endpoint must be a valid dense index below `nodes`. The scratch is
     /// reset in place via epoch stamps, so a warm call allocates nothing.
     ///
+    /// The fill works per port: the first pass lists the call's distinct
+    /// sender and receiver ports, and each round counts the ports' users
+    /// in one pass over the unfrozen flows, then takes one quotient per
+    /// port for both the bottleneck share and the bottleneck test. The
+    /// freeze passes walk the flows in index order, so every port is
+    /// debited in the same order by the same amounts as a per-flow fill.
+    ///
     /// Guarantees (checked by unit and property tests, plus a differential
     /// proptest against the retired `HashMap` reference implementation):
     /// * no flow exceeds its demand;
@@ -233,26 +239,29 @@ impl Fabric {
         s.epoch += 1;
         let epoch = s.epoch;
 
-        // Pass 1: validate endpoints, count incoming flows per receiver,
-        // stamp fresh egress capacities. Ports are (node, direction).
+        // Pass 1: validate endpoints, list each distinct port once, count
+        // incoming flows per receiver and stamp fresh egress capacities.
+        // Ports are (node, direction).
+        s.eg_ports.clear();
+        s.in_ports.clear();
         for f in flows {
             let src = f.src.slot(nodes);
             let dst = f.dst.slot(nodes);
             if s.cap_eg_stamp[src] != epoch {
                 s.cap_eg_stamp[src] = epoch;
                 s.egress_cap[src] = self.config.egress_capacity();
+                s.eg_ports.push(src);
             }
             if s.cap_in_stamp[dst] != epoch {
                 s.cap_in_stamp[dst] = epoch;
                 s.incoming[dst] = 0;
+                s.in_ports.push(dst);
             }
             s.incoming[dst] += 1;
         }
-        // Pass 2: ingress capacity depends on the *total* incoming count
-        // (incast), so it can only be stamped after pass 1. Recomputing
-        // per flow is idempotent — same pure function of the final count.
-        for f in flows {
-            let dst = f.dst.0;
+        // Ingress capacity depends on the *total* incoming count (incast),
+        // so it is set once per receiver after pass 1.
+        for &dst in &s.in_ports {
             s.ingress_cap[dst] = self.config.ingress_capacity(s.incoming[dst] as usize);
         }
 
@@ -265,30 +274,33 @@ impl Fabric {
         // Progressive filling: at each step compute the bottleneck fair
         // share; freeze demand-limited flows below it first.
         while !s.active.is_empty() {
-            s.round += 1;
-            let round = s.round;
-            // Count unfrozen flows per port (lazy round-stamped reset).
+            // Count unfrozen flows per port and find the smallest demand.
+            // `f64::min` skips NaN, so a NaN demand never compares below
+            // the share, and with only NaN demands `min_demand` stays NaN.
+            let mut min_demand = f64::NAN;
             for &i in &s.active {
-                let (src, dst) = (flows[i].src.0, flows[i].dst.0);
-                if s.users_eg_stamp[src] != round {
-                    s.users_eg_stamp[src] = round;
-                    s.eg_users[src] = 0;
-                }
-                s.eg_users[src] += 1;
-                if s.users_in_stamp[dst] != round {
-                    s.users_in_stamp[dst] = round;
-                    s.in_users[dst] = 0;
-                }
-                s.in_users[dst] += 1;
+                s.eg_users[flows[i].src.0] += 1;
+                s.in_users[flows[i].dst.0] += 1;
+                min_demand = min_demand.min(flows[i].demand);
             }
-            // Bottleneck share = min over ports of remaining/users. Each
-            // active port's quotient is visited at least once (duplicates
-            // don't change a min), so this equals the per-port min.
+            // Bottleneck share = min over the ports still in use of
+            // remaining/users: one quotient per port, kept for the
+            // bottleneck test below. A port's count is zeroed as it is
+            // read, ready for the next round.
             let mut share = f64::INFINITY;
-            for &i in &s.active {
-                let (src, dst) = (flows[i].src.0, flows[i].dst.0);
-                share = share.min(s.egress_cap[src] / s.eg_users[src] as f64);
-                share = share.min(s.ingress_cap[dst] / s.in_users[dst] as f64);
+            for &p in &s.eg_ports {
+                let users = std::mem::take(&mut s.eg_users[p]);
+                if users > 0 {
+                    s.eg_share[p] = s.egress_cap[p] / users as f64;
+                    share = share.min(s.eg_share[p]);
+                }
+            }
+            for &p in &s.in_ports {
+                let users = std::mem::take(&mut s.in_users[p]);
+                if users > 0 {
+                    s.in_share[p] = s.ingress_cap[p] / users as f64;
+                    share = share.min(s.in_share[p]);
+                }
             }
             // Guard against accumulated float error driving a port's
             // remaining capacity a hair below zero.
@@ -297,8 +309,7 @@ impl Fabric {
             // Flows whose demand is at or below the share freeze at
             // demand. Membership depends only on (demand, share), so the
             // scan and the freeze can share one forward pass.
-            let any_demand_limited = s.active.iter().any(|&i| flows[i].demand <= share + 1e-12);
-            if any_demand_limited {
+            if min_demand <= share + 1e-12 {
                 let mut kept = 0;
                 for k in 0..s.active.len() {
                     let i = s.active[k];
@@ -316,25 +327,19 @@ impl Fabric {
                 continue; // recompute shares with capacity released
             }
 
-            // Otherwise freeze every flow crossing a bottleneck port.
-            // Marks are computed before any capacity is subtracted.
-            for &i in &s.active {
-                let (src, dst) = (flows[i].src.0, flows[i].dst.0);
-                if (s.egress_cap[src] / s.eg_users[src] as f64 - share).abs() < 1e-9 {
-                    s.eg_mark[src] = round;
-                }
-                if (s.ingress_cap[dst] / s.in_users[dst] as f64 - share).abs() < 1e-9 {
-                    s.in_mark[dst] = round;
-                }
-            }
+            // Otherwise freeze every flow crossing a bottleneck port: one
+            // whose share, taken before any capacity is subtracted, is
+            // the round's share.
             let mut kept = 0;
             let mut froze_any = false;
             for k in 0..s.active.len() {
                 let i = s.active[k];
-                if s.eg_mark[flows[i].src.0] == round || s.in_mark[flows[i].dst.0] == round {
+                let (src, dst) = (flows[i].src.0, flows[i].dst.0);
+                if (s.eg_share[src] - share).abs() < 1e-9 || (s.in_share[dst] - share).abs() < 1e-9
+                {
                     rates[i] = share_floor;
-                    s.egress_cap[flows[i].src.0] -= share_floor;
-                    s.ingress_cap[flows[i].dst.0] -= share_floor;
+                    s.egress_cap[src] -= share_floor;
+                    s.ingress_cap[dst] -= share_floor;
                     froze_any = true;
                 } else {
                     s.active[kept] = i;
@@ -704,38 +709,82 @@ mod tests {
         }
 
         /// Differential pinning: the dense slab allocator reproduces the
-        /// retired HashMap reference bit for bit on random topologies and
-        /// flow sets, with random crash masks applied the way the engine
-        /// applies them (flows touching a down node are never built), and
-        /// with the scratch deliberately reused dirty between cases.
+        /// retired HashMap reference bit for bit, with the scratch
+        /// deliberately reused dirty between cases. Every case holds a
+        /// fan-in of 11 or more flows into one receiver, so incast
+        /// applies; its demands are zero, the first round's exact share,
+        /// a staircase that needs one round per step and then unbounded.
+        /// Beside it run up to 40 random flows on 10 nodes, with random
+        /// crash masks applied the way the engine applies them (flows
+        /// touching a down node are never built), or up to 300 on 64
+        /// nodes, or none, so that the fan-in's shares stay exact. The
+        /// random flows' demands include zero, unbounded and exact
+        /// egress and fan-in shares.
         #[test]
         fn prop_dense_matches_hashmap_reference(
             specs in proptest::collection::vec(
-                (0u64..1000, 0usize..10, 0usize..10, 0f64..300.0), 1..40),
-            down_mask in 0u32..1024,
+                (0usize..64, 0usize..64, 0u8..8, 0f64..300.0), 1..300),
+            shape in (0u8..3, 0usize..64, 11usize..30, 0u32..1024),
         ) {
-            let up = |n: NodeId| down_mask & (1u32 << n.0) == 0;
-            let mut seen = std::collections::HashSet::new();
-            let flows: Vec<Flow> = specs.iter()
-                .filter(|(id, s, d, _)| *s != *d && seen.insert(*id))
-                .map(|&(id, s, d, dem)| Flow {
-                    id: FlowId(id), src: NodeId(s), dst: NodeId(d),
-                    // fold the top of the demand range to "unbounded" so
-                    // infinite-demand flows are exercised too
-                    demand: if dem >= 290.0 { f64::INFINITY } else { dem },
-                })
-                .filter(|f| up(f.src) && up(f.dst))
-                .collect();
+            let (size, hot, fan_in, down_mask) = shape;
+            let (nodes, others) = match size {
+                0 => (10, 40),
+                1 => (64, 300),
+                _ => (64, 0),
+            };
             let f = fabric();
+            let hot = hot % nodes;
+            // one step per round: the zero and the exact first-round
+            // share freeze in round 1, each later step lies between the
+            // share it is frozen at and the one before
+            let cap = f.config.ingress_capacity(fan_in);
+            let share1 = cap / fan_in as f64;
+            let share2 = (cap - share1) / (fan_in - 2) as f64;
+            let step2 = (share1 + share2) / 2.0;
+            let share3 = (cap - share1 - step2) / (fan_in - 3) as f64;
+            let stairs = [0.0, share1, step2, (share2 + share3) / 2.0];
+            let mut flows = Vec::new();
+            let mut push = |src: usize, dst: usize, demand: f64| {
+                let id = FlowId(flows.len() as u64);
+                flows.push(Flow { id, src: NodeId(src), dst: NodeId(dst), demand });
+            };
+            for j in 0..fan_in {
+                let src = (hot + 1 + j % (nodes - 1)) % nodes;
+                push(src, hot, stairs.get(j).copied().unwrap_or(f64::INFINITY));
+            }
+            for &(src, dst, pick, x) in specs.iter().take(others) {
+                let (src, dst) = (src % nodes, dst % nodes);
+                if src == dst {
+                    continue;
+                }
+                let demand = match pick {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    2 => f.config.egress_capacity() / (1 + x as usize % 4) as f64,
+                    3 => share1,
+                    _ => x,
+                };
+                push(src, dst, demand);
+            }
+            if size == 0 {
+                flows.retain(|f| [f.src, f.dst].iter().all(|n| down_mask & (1 << n.0) == 0));
+            }
             let mut scratch = FabricScratch::new();
             // dirty the scratch with an unrelated allocation first: the
             // epoch-stamped reset must make the second call independent
             let mut junk = Vec::new();
             let decoy = flows_of(&[(999, 0, 9, 17.0), (998, 9, 0, f64::INFINITY)]);
             f.allocate_into(&decoy, 10, &mut scratch, &mut junk);
-            assert_matches_reference(&f, &flows, 10, &mut scratch);
+            assert_matches_reference(&f, &flows, nodes, &mut scratch);
             // and again with the now-warm scratch, same flows
-            assert_matches_reference(&f, &flows, 10, &mut scratch);
+            assert_matches_reference(&f, &flows, nodes, &mut scratch);
+            if size == 2 {
+                // alone, every step of the staircase froze at its demand
+                let rates = f.allocate(&flows);
+                for (j, &step) in stairs.iter().enumerate() {
+                    proptest::prop_assert_eq!(rates[&FlowId(j as u64)].to_bits(), step.to_bits());
+                }
+            }
         }
 
         #[test]

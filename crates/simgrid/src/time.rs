@@ -66,6 +66,7 @@ impl SimTime {
     /// instant already on a boundary gets a full period. This is the step
     /// arithmetic the adaptive loop uses to land exactly on heartbeat and
     /// sample boundaries. Panics on a zero period.
+    #[inline]
     pub fn until_next_multiple_of(self, period: SimDuration) -> SimDuration {
         assert!(period.0 != 0, "period must be non-zero");
         SimDuration(period.0 - self.0 % period.0)
@@ -224,14 +225,20 @@ impl TickConfig {
 /// that never fires is harmless (the step is merely shorter); *missing* a
 /// rate change mid-step is what would break the integration, so proposals
 /// should be conservative.
+///
+/// Soft events are kept in seconds and ceiled to the grid once, in
+/// `resolve`: [`SimDuration::from_secs_f64_ceil`] is monotone on finite
+/// positive seconds, so the ceil of the earliest event equals the earliest
+/// of the ceils, and a step of many proposals pays for one conversion.
 #[derive(Debug, Clone, Copy)]
 pub struct EventHorizon {
     /// Minimum over *exact* deadlines: the boundary cap and `propose`
     /// calls. The step never crosses one of these.
     exact_ms: u64,
     /// Minimum over *soft* task events (`propose_secs` /
-    /// `propose_depletion`), which may be overshot by the coalescing pad.
-    event_ms: u64,
+    /// `propose_depletion`) in seconds, which may be overshot by the
+    /// coalescing pad; infinite while none is proposed.
+    event_s: f64,
     /// Coalescing window: soft events within `pad_ms` of the earliest one
     /// merge into a single step. Integrators clamp the overshoot, so this
     /// trades a bounded staleness (choose ≤ the fixed tick to never be
@@ -246,10 +253,11 @@ impl EventHorizon {
     const EPS: f64 = 1e-9;
 
     /// Start an accumulator capped at `cap` (the next mandatory boundary).
+    #[inline]
     pub fn new(cap: SimDuration) -> EventHorizon {
         EventHorizon {
             exact_ms: cap.0,
-            event_ms: u64::MAX,
+            event_s: f64::INFINITY,
             pad_ms: 0,
         }
     }
@@ -258,28 +266,33 @@ impl EventHorizon {
     /// of near-simultaneous completions resolve in one step instead of
     /// one step each. Exact deadlines (`new`'s cap, `propose`) are never
     /// padded — periodic boundaries stay bit-exact across modes.
+    #[inline]
     pub fn coalesce_events(&mut self, pad: SimDuration) {
         self.pad_ms = pad.0;
     }
 
     /// Propose an exact deadline `d` away (boundary, stall expiry, job
     /// arrival): never padded, never crossed.
+    #[inline]
     pub fn propose(&mut self, d: SimDuration) {
         self.exact_ms = self.exact_ms.min(d.0);
     }
 
     /// Propose a soft task event `s` fractional seconds away (ceiled to
-    /// the grid). Non-positive and non-finite times are ignored — a "due
-    /// now" event is already visible to the current allocation.
+    /// the grid by `resolve`). Non-positive and non-finite times are
+    /// ignored — a "due now" event is already visible to the current
+    /// allocation.
+    #[inline]
     pub fn propose_secs(&mut self, s: f64) {
         if s.is_finite() && s > 0.0 {
-            self.event_ms = self.event_ms.min(SimDuration::from_secs_f64_ceil(s).0);
+            self.event_s = self.event_s.min(s);
         }
     }
 
     /// Propose the depletion of `remaining` units draining at `rate`
     /// units/second; ignored when either is negligible (the quantity is
     /// not actually draining, so it cannot generate an event).
+    #[inline]
     pub fn propose_depletion(&mut self, remaining: f64, rate: f64) {
         if remaining > Self::EPS && rate > Self::EPS {
             self.propose_secs(remaining / rate);
@@ -288,11 +301,13 @@ impl EventHorizon {
 
     /// The step length: the earliest exact deadline or (padded) soft
     /// event, never shorter than 1 ms so the loop always makes progress
-    /// on the integer grid.
+    /// on the integer grid. With no soft event, the ceil of `event_s`
+    /// saturates to `u64::MAX` and only the exact deadlines count.
     pub fn resolve(self) -> SimDuration {
+        let event_ms = SimDuration::from_secs_f64_ceil(self.event_s).0;
         SimDuration(
             self.exact_ms
-                .min(self.event_ms.saturating_add(self.pad_ms))
+                .min(event_ms.saturating_add(self.pad_ms))
                 .max(1),
         )
     }
@@ -445,5 +460,104 @@ mod tests {
     fn ordering_is_chronological() {
         assert!(SimTime::from_secs(1) < SimTime::from_secs(2));
         assert!(SimDuration::from_millis(1) < SimDuration::from_secs(1));
+    }
+
+    /// The horizon with every soft proposal ceiled to the grid as it
+    /// arrives: the reference [`EventHorizon`]'s single ceil must match.
+    struct CeilEach {
+        exact_ms: u64,
+        event_ms: u64,
+        pad_ms: u64,
+    }
+
+    impl CeilEach {
+        fn propose_secs(&mut self, s: f64) {
+            if s.is_finite() && s > 0.0 {
+                self.event_ms = self.event_ms.min(SimDuration::from_secs_f64_ceil(s).0);
+            }
+        }
+
+        fn resolve(&self) -> SimDuration {
+            SimDuration(
+                self.exact_ms
+                    .min(self.event_ms.saturating_add(self.pad_ms))
+                    .max(1),
+            )
+        }
+    }
+
+    /// Seconds for a proposal: one of the edge values when `pick` indexes
+    /// one, otherwise `x` at one of three scales (around a second, around
+    /// the 1 ms grid, and past `u64::MAX` milliseconds).
+    fn secs(pick: usize, x: f64) -> f64 {
+        const EDGES: [f64; 16] = [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1e-9,
+            0.001,
+            // the next double above 1 ms, which ceils to 2 ms
+            f64::from_bits(0.001f64.to_bits() + 1),
+            // u64::MAX milliseconds
+            u64::MAX as f64 / 1000.0,
+            1e17,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        match pick.checked_sub(EDGES.len()).map(|k| k % 3) {
+            None => EDGES[pick],
+            Some(0) => x,
+            Some(1) => x * 1e-3,
+            _ => x * 1e13,
+        }
+    }
+
+    proptest::proptest! {
+        /// Random sequences of caps, pads, exact proposals, soft proposals
+        /// and depletions resolve bit for bit as the per-proposal ceil
+        /// does, after every operation.
+        #[test]
+        fn prop_horizon_matches_per_proposal_ceil(
+            cap in (0u8..8, 0u64..20_000),
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..32, -1e4f64..1e4, 0usize..32, -1e4f64..1e4, 0u64..20_000),
+                0..40),
+        ) {
+            let cap = if cap.0 == 0 { u64::MAX } else { cap.1 };
+            let mut h = EventHorizon::new(SimDuration(cap));
+            let mut r = CeilEach { exact_ms: cap, event_ms: u64::MAX, pad_ms: 0 };
+            for (op, pick_a, a, pick_b, b, ms) in ops {
+                match op {
+                    0 => {
+                        let pad = if pick_a == 0 { u64::MAX } else { ms };
+                        h.coalesce_events(SimDuration(pad));
+                        r.pad_ms = pad;
+                    }
+                    1 => {
+                        h.propose(SimDuration(ms));
+                        r.exact_ms = r.exact_ms.min(ms);
+                    }
+                    2 => {
+                        let s = secs(pick_a, a);
+                        h.propose_secs(s);
+                        r.propose_secs(s);
+                    }
+                    _ => {
+                        let (remaining, rate) = (secs(pick_a, a), secs(pick_b, b));
+                        h.propose_depletion(remaining, rate);
+                        if remaining > EventHorizon::EPS && rate > EventHorizon::EPS {
+                            r.propose_secs(remaining / rate);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(h.resolve(), r.resolve());
+            }
+        }
     }
 }

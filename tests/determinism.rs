@@ -791,3 +791,72 @@ fn resident_injections_are_pinned_exactly() {
         assert_outcome(&format!("{mode:?}"), &report, pin);
     }
 }
+
+#[test]
+fn the_state_hash_fold_is_only_observational() {
+    // `Engine::resume_in` skips the per-step hash fold, because its state
+    // is dropped when it returns; `record` and chained `advance_until_in`
+    // calls keep it. Skipping must change no report byte, and the chain
+    // must end on the recording's last hash point, which fails if a path
+    // that hands its state back skipped a fold anywhere.
+    use mapreduce::{Engine, EngineArena};
+    use simgrid::cluster::NodeId;
+    use simgrid::time::{SimDuration, SimTime, SteppingMode};
+    use simgrid::{FaultPlan, NodeFault};
+    let telem = telemetry::Telemetry::disabled();
+    let mut arena = EngineArena::new();
+    for mode in [SteppingMode::Adaptive, SteppingMode::Fixed] {
+        for sys in [System::SMapReduce, System::HadoopV1, System::Yarn] {
+            let what = format!("{mode:?} {}", sys.label());
+            let mut cfg = EngineConfig::paper_default();
+            assert_eq!(cfg.cluster.workers, 16);
+            cfg.seed = 11;
+            cfg.tick.mode = mode;
+            cfg.fault_plan = FaultPlan::new(vec![NodeFault::transient(
+                NodeId(5),
+                SimTime::from_secs(12),
+                SimDuration::from_secs(20),
+            )]);
+            let boot = || {
+                let job = Puma::Terasort.job(0, 2048.0, 16, SimTime::ZERO);
+                let mut state = Engine::new(cfg.clone()).prepare(vec![job]).unwrap();
+                state.override_policy(sys.label()).unwrap();
+                state
+            };
+            let straight =
+                Engine::resume_in(boot(), sys.make_policy().as_mut(), &telem, &mut arena).unwrap();
+            let recorded = Engine::record(boot(), sys.make_policy().as_mut(), None).unwrap();
+            let mut state = boot();
+            let chained = loop {
+                let target = state.at() + SimDuration::from_secs(7);
+                let adv = Engine::advance_until_in(
+                    state,
+                    sys.make_policy().as_mut(),
+                    target,
+                    &telem,
+                    &mut arena,
+                )
+                .unwrap();
+                state = adv.state;
+                if let Some(report) = adv.report {
+                    break report;
+                }
+            };
+            assert_eq!(straight.node_crashes, 1, "{what}: the fault fired");
+            let json = serde_json::to_string(&straight).unwrap();
+            assert_eq!(
+                json,
+                serde_json::to_string(&recorded.report).unwrap(),
+                "{what}: record"
+            );
+            assert_eq!(
+                json,
+                serde_json::to_string(&chained).unwrap(),
+                "{what}: chain"
+            );
+            let last = recorded.hash_trace.last().expect("a recorded step");
+            assert_eq!(last.step, state.observe().steps, "{what}");
+            assert_eq!(state.state_hash(), last.hash, "{what}: final hash");
+        }
+    }
+}
