@@ -30,18 +30,26 @@
 //! `DIR/<target>_dashboard.html` — a self-contained flight-recorder page
 //! (per-node task Gantt, slot occupancy, utilization timelines, decision
 //! markers, counters, auditor verdict).
+//!
+//! The target resolves to its row of [`targets::TARGETS`], which holds its
+//! run, and the row's kind fixes the flags it reads: a figure or `all`
+//! reads `--quick`, `--out`, `--trace`, `--dashboard` and `--engine`; a
+//! figure recorded with `--checkpoint-every` reads `--quick`, `--engine`
+//! and `--capsule-dir`; `fingerprint` reads `--quick`, `--engine` and
+//! `--via`, and `--capsule-dir` with `--via resume`; `serve` reads
+//! `--tick-ms` and `--dilation`; `resume` and `bisect` read none. Any
+//! other flag fails the invocation before anything runs.
 
+use harness::capsules::{self, Via};
 use harness::scale::Scale;
-use harness::{
-    ablation, capsules, ext_fair, ext_faults, ext_hetero, ext_load, ext_stragglers, fig1, fig3,
-    fig4, fig5, fig6, fig7, fig89, model_check, output, summary, targets,
-};
+use harness::targets::{self, Figure, Kind, Output, Subcommand, Target};
+use harness::{output, runner};
 use simgrid::time::{SimDuration, SteppingMode};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Args {
-    target: String,
+    target: &'static Target,
     /// Extra positional operands: the target for `fingerprint`, the
     /// capsule file for `resume`, the two stream directories for `bisect`.
     operands: Vec<String>,
@@ -52,7 +60,7 @@ struct Args {
     engine: Option<SteppingMode>,
     checkpoint_every: Option<SimDuration>,
     capsule_dir: Option<PathBuf>,
-    via: capsules::Via,
+    via: Via,
     /// `serve`: wall-clock tick interval (ms).
     tick_ms: u64,
     /// `serve`: simulated seconds advanced per wall second.
@@ -60,9 +68,11 @@ struct Args {
 }
 
 /// The command line as [`Args`], or `Ok(None)` when `--help` asks for the
-/// usage text.
+/// usage text. The target resolves to its registry row here, and a flag
+/// the target does not read is an error.
 fn parse_args() -> Result<Option<Args>, String> {
     let mut positionals = Vec::new();
+    let mut given = Vec::new();
     let mut scale = Scale::Full;
     let mut out = PathBuf::from("results");
     let mut trace = None;
@@ -70,11 +80,14 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut engine = None;
     let mut checkpoint_every = None;
     let mut capsule_dir = None;
-    let mut via = capsules::Via::Straight;
+    let mut via = Via::Straight;
     let mut tick_ms = 20u64;
     let mut dilation = 50.0f64;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        if a.starts_with("--") {
+            given.push(a.clone());
+        }
         match a.as_str() {
             "--quick" => scale = Scale::Quick,
             "--out" => {
@@ -116,7 +129,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                 ));
             }
             "--via" => {
-                via = capsules::Via::parse(&it.next().ok_or("--via needs straight|resume")?)?;
+                via = Via::parse(&it.next().ok_or("--via needs straight|resume")?)?;
             }
             "--tick-ms" => {
                 tick_ms = it
@@ -146,10 +159,14 @@ fn parse_args() -> Result<Option<Args>, String> {
         }
     }
     let mut positionals = positionals.into_iter();
-    let target = positionals.next().unwrap_or_else(|| "all".to_string());
+    let target = targets::find(&positionals.next().unwrap_or_else(|| "all".to_string()))?;
     let operands: Vec<String> = positionals.collect();
-    if !targets::takes_operands(&target) && !operands.is_empty() {
+    if !matches!(target.kind, Kind::Sub(..)) && !operands.is_empty() {
         return Err(format!("unexpected argument: {}\n{USAGE}", operands[0]));
+    }
+    let (what, reads) = flags_read(target, checkpoint_every.is_some(), via);
+    if let Some(flag) = given.iter().find(|f| !reads.contains(&f.as_str())) {
+        return Err(format!("{what} does not read {flag}\n{USAGE}"));
     }
     Ok(Some(Args {
         target,
@@ -175,10 +192,38 @@ const USAGE: &str = "usage: reproduce [TARGET] [--quick] [--out DIR] [--trace FI
        reproduce serve [ADDR] [--tick-ms MS] [--dilation X]           # realtime NDJSON service (default 127.0.0.1:7700)
        reproduce --help                                               # full target list with descriptions";
 
+/// The flags `target` reads in this invocation, and its name for an
+/// error: a figure row (or `all`) reads the figure flags, and the
+/// recording of a figure row, `fingerprint` (by `--via`), `resume`,
+/// `bisect` and `serve` each read their own.
+fn flags_read(target: &Target, recording: bool, via: Via) -> (String, &'static [&'static str]) {
+    const FIGURE: &[&str] = &["--quick", "--out", "--trace", "--dashboard", "--engine"];
+    let name = target.name.to_string();
+    match target.kind {
+        Kind::Figure(_) if recording => (
+            format!("{name} --checkpoint-every"),
+            &["--quick", "--engine", "--checkpoint-every", "--capsule-dir"],
+        ),
+        Kind::All | Kind::Figure(_) => (name, FIGURE),
+        Kind::Sub(Subcommand::Fingerprint, _) => match via {
+            Via::Straight => (
+                format!("{name} --via straight"),
+                &["--quick", "--engine", "--via"],
+            ),
+            Via::Resume => (
+                format!("{name} --via resume"),
+                &["--quick", "--engine", "--via", "--capsule-dir"],
+            ),
+        },
+        Kind::Sub(Subcommand::Resume | Subcommand::Bisect, _) => (name, &[]),
+        Kind::Sub(Subcommand::Serve, _) => (name, &["--tick-ms", "--dilation"]),
+    }
+}
+
 /// The perf-summary block every figure JSON carries. It holds no wall
 /// clock: timings come from perfbench (see `BENCHMARK.json`).
 fn perf_block(steps: u64, sim_ms: u64) -> serde_json::Value {
-    let telem = harness::runner::active_telemetry();
+    let telem = runner::active_telemetry();
     let sim_seconds = sim_ms as f64 / 1000.0;
     let mut perf = serde_json::Value::Object(Vec::new());
     perf.set("steps", serde_json::Value::U64(steps));
@@ -194,7 +239,7 @@ fn perf_block(steps: u64, sim_ms: u64) -> serde_json::Value {
     perf.set(
         "engine",
         serde_json::Value::String(
-            match harness::runner::engine_mode() {
+            match runner::engine_mode() {
                 Some(SteppingMode::Fixed) => "fixed",
                 Some(SteppingMode::Adaptive) => "adaptive",
                 None => "adaptive (default)",
@@ -209,30 +254,23 @@ fn perf_block(steps: u64, sim_ms: u64) -> serde_json::Value {
     perf
 }
 
-fn check_capsule_target(target: &str) -> Result<(), String> {
-    if targets::has_representative_run(target) {
-        Ok(())
-    } else {
-        Err(format!(
-            "no representative run for target {target}\n{USAGE}"
-        ))
-    }
-}
-
 fn fail(msg: &str) -> ExitCode {
     eprintln!("{msg}");
     ExitCode::FAILURE
 }
 
 /// `reproduce fingerprint <target> [--via straight|resume]`.
-fn run_fingerprint(args: &Args, scale: Scale) -> ExitCode {
-    let Some(target) = args.operands.first() else {
-        return fail(&format!("fingerprint needs a target\n{USAGE}"));
+fn run_fingerprint(args: &Args) -> ExitCode {
+    let [name] = args.operands.as_slice() else {
+        return fail(&format!("fingerprint needs one target\n{USAGE}"));
     };
-    if let Err(msg) = check_capsule_target(target) {
-        return fail(&msg);
-    }
-    match capsules::fingerprint_target(target, scale, args.via, args.capsule_dir.as_deref()) {
+    let fig = match targets::find(name).map(Target::figure) {
+        Ok(Some(fig)) => fig,
+        Ok(None) => return fail(&format!("no representative run for target {name}\n{USAGE}")),
+        Err(msg) => return fail(&msg),
+    };
+    let dir = args.capsule_dir.as_deref();
+    match capsules::fingerprint_target(name, fig.representative, args.scale, args.via, dir) {
         Ok(line) => {
             print!("{line}");
             ExitCode::SUCCESS
@@ -242,17 +280,11 @@ fn run_fingerprint(args: &Args, scale: Scale) -> ExitCode {
 }
 
 /// `reproduce <target> --checkpoint-every SECS --capsule-dir DIR`.
-fn run_record(args: &Args, scale: Scale, every: SimDuration) -> ExitCode {
+fn run_record(args: &Args, fig: &Figure, every: SimDuration) -> ExitCode {
     let Some(dir) = &args.capsule_dir else {
         return fail("--checkpoint-every needs --capsule-dir DIR");
     };
-    if args.target == "all" {
-        return fail("--checkpoint-every records one target's representative run; name it");
-    }
-    if let Err(msg) = check_capsule_target(&args.target) {
-        return fail(&msg);
-    }
-    match capsules::record_target(&args.target, scale, every, dir) {
+    match capsules::record_target(fig.representative, args.scale, every, dir) {
         Ok(rec) => {
             println!(
                 "[wrote {} capsules (every {:.0}s of a {:.1}s run) and a \
@@ -273,8 +305,8 @@ fn run_record(args: &Args, scale: Scale, every: SimDuration) -> ExitCode {
 
 /// `reproduce resume CAPSULE.bin`.
 fn run_resume(args: &Args) -> ExitCode {
-    let Some(path) = args.operands.first() else {
-        return fail(&format!("resume needs a capsule file\n{USAGE}"));
+    let [path] = args.operands.as_slice() else {
+        return fail(&format!("resume needs one capsule file\n{USAGE}"));
     };
     match capsules::resume_capsule(Path::new(path)) {
         Ok(summary) => {
@@ -288,11 +320,11 @@ fn run_resume(args: &Args) -> ExitCode {
 /// `reproduce serve [ADDR]` — run the realtime service until a client
 /// sends `shutdown` (or the process is killed).
 fn run_serve(args: &Args) -> ExitCode {
-    let addr = args
-        .operands
-        .first()
-        .map(String::as_str)
-        .unwrap_or("127.0.0.1:7700");
+    let addr = match args.operands.as_slice() {
+        [] => "127.0.0.1:7700",
+        [addr] => addr.as_str(),
+        _ => return fail(&format!("serve takes at most one address\n{USAGE}")),
+    };
     let cfg = realtime::ServiceConfig {
         tick_interval: std::time::Duration::from_millis(args.tick_ms),
         dilation: args.dilation,
@@ -359,6 +391,90 @@ fn run_bisect(args: &Args) -> ExitCode {
     }
 }
 
+/// `reproduce <figure>` and `reproduce all`: run each figure, then write
+/// the trace of the whole invocation.
+fn run_figures<'a>(args: &Args, figures: impl Iterator<Item = (&'a str, &'a Figure)>) -> ExitCode {
+    for (name, fig) in figures {
+        if let Err(msg) = run_figure(args, name, fig) {
+            return fail(&msg);
+        }
+    }
+    let Some(path) = &args.trace else {
+        return ExitCode::SUCCESS;
+    };
+    let telem = runner::active_telemetry();
+    let Some(trace) = telem.chrome_trace() else {
+        return fail("internal error: --trace given but telemetry disabled");
+    };
+    if let Err(e) = std::fs::write(path, trace) {
+        return fail(&format!("failed to write trace {}: {e}", path.display()));
+    }
+    println!("[wrote trace {} — open in ui.perfetto.dev]", path.display());
+    let (ds, dc) = (telem.dropped_spans(), telem.dropped_counter_samples());
+    if ds > 0 || dc > 0 {
+        eprintln!(
+            "warning: recorder rings wrapped — trace is missing the oldest \
+             {ds} span(s) and {dc} counter sample(s); raise the ring \
+             capacities to keep the whole run"
+        );
+    }
+    ExitCode::SUCCESS
+}
+
+/// Run one figure and write its plot, `.txt` and `.json` (the JSON with
+/// the perf and counter blocks of its runs) and, with `--dashboard`, its
+/// representative run's dashboard.
+fn run_figure(args: &Args, name: &str, fig: &Figure) -> Result<(), String> {
+    let steps_before = runner::total_steps();
+    let sim_ms_before = runner::total_sim_ms();
+    let counters_before = runner::counters_snapshot();
+    let Output { text, json, plot } = (fig.run)(args.scale);
+    if let Some(plot) = plot {
+        output::write_gnuplot(&args.out, name, &plot)
+            .map_err(|e| format!("{name}: writing its plot to {}: {e}", args.out.display()))?;
+    }
+    let perf = perf_block(
+        runner::total_steps() - steps_before,
+        runner::total_sim_ms() - sim_ms_before,
+    );
+    let counters = runner::counters_snapshot().delta_from(&counters_before);
+    // non-object payloads (e.g. headline's claim list) get wrapped so
+    // the perf block always has somewhere to live
+    let mut json = match json {
+        obj @ serde_json::Value::Object(_) => obj,
+        other => {
+            let mut wrapped = serde_json::Value::Object(Vec::new());
+            wrapped.set("data", other);
+            wrapped
+        }
+    };
+    json.set("perf", perf);
+    json.set(
+        "counters",
+        serde_json::to_value(&counters).expect("serialise"),
+    );
+    let mut text = text;
+    text.push_str("\nCluster counters (all runs of this target):\n");
+    if counters.is_zero() {
+        text.push_str("  (none)\n");
+    } else {
+        text.push_str(&counters.render_table("  "));
+    }
+    println!("{text}");
+    let (txt, js) =
+        output::write_outputs(&args.out, name, &text, &json).map_err(|e| e.to_string())?;
+    println!("[wrote {} and {}]\n", txt.display(), js.display());
+    if let Some(dir) = &args.dashboard {
+        let html = harness::dashboard::render_for_target(name, fig.representative, args.scale)
+            .map_err(|e| format!("{name} dashboard run failed: {e}"))?;
+        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+        let path = dir.join(format!("{name}_dashboard.html"));
+        std::fs::write(&path, html).map_err(|e| e.to_string())?;
+        println!("[wrote dashboard {}]\n", path.display());
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(Some(a)) => a,
@@ -366,232 +482,21 @@ fn main() -> ExitCode {
             println!("{USAGE}\n\n{}", targets::render_list());
             return ExitCode::SUCCESS;
         }
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+        Err(msg) => return fail(&msg),
     };
     if args.trace.is_some() {
-        harness::runner::install_telemetry(telemetry::Telemetry::enabled());
+        runner::install_telemetry(telemetry::Telemetry::enabled());
     }
     if let Some(mode) = args.engine {
-        harness::runner::set_engine_mode(mode);
+        runner::set_engine_mode(mode);
     }
-    let scale = args.scale;
-    // checkpoint & replay subcommands run and exit before the figure loop
-    match args.target.as_str() {
-        "fingerprint" => return run_fingerprint(&args, scale),
-        "resume" => return run_resume(&args),
-        "bisect" => return run_bisect(&args),
-        "serve" => return run_serve(&args),
-        _ => {}
+    match (&args.target.kind, args.checkpoint_every) {
+        (Kind::Figure(fig), Some(every)) => run_record(&args, fig, every),
+        (Kind::Figure(fig), None) => run_figures(&args, std::iter::once((args.target.name, fig))),
+        (Kind::All, _) => run_figures(&args, targets::all()),
+        (Kind::Sub(Subcommand::Fingerprint, _), _) => run_fingerprint(&args),
+        (Kind::Sub(Subcommand::Resume, _), _) => run_resume(&args),
+        (Kind::Sub(Subcommand::Bisect, _), _) => run_bisect(&args),
+        (Kind::Sub(Subcommand::Serve, _), _) => run_serve(&args),
     }
-    if let Some(every) = args.checkpoint_every {
-        return run_record(&args, scale, every);
-    }
-    if args.capsule_dir.is_some() {
-        eprintln!("--capsule-dir needs --checkpoint-every (or the fingerprint subcommand)");
-        return ExitCode::FAILURE;
-    }
-    let run_one = |name: &str| -> Result<(), String> {
-        let steps_before = harness::runner::total_steps();
-        let sim_ms_before = harness::runner::total_sim_ms();
-        let counters_before = harness::runner::counters_snapshot();
-        let (text, json): (String, serde_json::Value) = match name {
-            "fig1" => {
-                let d = fig1::run(scale);
-                let _ = output::write_gnuplot(&args.out, "fig1", &fig1::to_gnuplot(&d));
-                (
-                    fig1::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "fig3" => {
-                let d = fig3::run(scale);
-                let mut text = fig3::render(&d);
-                text.push('\n');
-                text.push_str(&summary::render(&summary::headline_claims(&d)));
-                (text, serde_json::to_value(&d).expect("serialise"))
-            }
-            "fig4" => {
-                let d = fig4::run(scale);
-                (
-                    fig4::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "fig5" => {
-                let d = fig5::run(scale);
-                let _ = output::write_gnuplot(&args.out, "fig5", &fig5::to_gnuplot(&d));
-                (
-                    fig5::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "fig6" => {
-                let d = fig6::run(scale);
-                let _ = output::write_gnuplot(&args.out, "fig6", &fig6::to_gnuplot(&d));
-                (
-                    fig6::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "fig7" => {
-                let d = fig7::run(scale);
-                (
-                    fig7::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "fig8" => {
-                let d = fig89::run_fig8(scale);
-                (
-                    fig89::render(&d, 8),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "fig9" => {
-                let d = fig89::run_fig9(scale);
-                (
-                    fig89::render(&d, 9),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "ablations" => {
-                let d = ablation::run(scale);
-                (
-                    ablation::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "model-check" => {
-                let d = model_check::run(scale);
-                (
-                    model_check::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "ext-load" => {
-                let d = ext_load::run(scale);
-                (
-                    ext_load::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "ext-fair" => {
-                let d = ext_fair::run(scale);
-                (
-                    ext_fair::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "ext-faults" => {
-                let d = ext_faults::run(scale);
-                (
-                    ext_faults::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "ext-stragglers" => {
-                let d = ext_stragglers::run(scale);
-                (
-                    ext_stragglers::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "ext-hetero" => {
-                let d = ext_hetero::run(scale);
-                (
-                    ext_hetero::render(&d),
-                    serde_json::to_value(&d).expect("serialise"),
-                )
-            }
-            "headline" => {
-                let d = fig3::run(scale);
-                let claims = summary::headline_claims(&d);
-                (
-                    summary::render(&claims),
-                    serde_json::to_value(&claims).expect("serialise"),
-                )
-            }
-            other => return Err(targets::unknown(other)),
-        };
-        let perf = perf_block(
-            harness::runner::total_steps() - steps_before,
-            harness::runner::total_sim_ms() - sim_ms_before,
-        );
-        let counters = harness::runner::counters_snapshot().delta_from(&counters_before);
-        // non-object payloads (e.g. headline's claim list) get wrapped so
-        // the perf block always has somewhere to live
-        let mut json = match json {
-            obj @ serde_json::Value::Object(_) => obj,
-            other => {
-                let mut wrapped = serde_json::Value::Object(Vec::new());
-                wrapped.set("data", other);
-                wrapped
-            }
-        };
-        json.set("perf", perf);
-        json.set(
-            "counters",
-            serde_json::to_value(&counters).expect("serialise"),
-        );
-        let mut text = text;
-        text.push_str("\nCluster counters (all runs of this target):\n");
-        if counters.is_zero() {
-            text.push_str("  (none)\n");
-        } else {
-            text.push_str(&counters.render_table("  "));
-        }
-        println!("{text}");
-        let (txt, js) =
-            output::write_outputs(&args.out, name, &text, &json).map_err(|e| e.to_string())?;
-        println!("[wrote {} and {}]\n", txt.display(), js.display());
-        if let Some(dir) = &args.dashboard {
-            let html = harness::dashboard::render_for_target(name, scale)
-                .map_err(|e| format!("{name} dashboard run failed: {e}"))?;
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-            let path = dir.join(format!("{name}_dashboard.html"));
-            std::fs::write(&path, html).map_err(|e| e.to_string())?;
-            println!("[wrote dashboard {}]\n", path.display());
-        }
-        Ok(())
-    };
-
-    let targets: Vec<&str> = if args.target == "all" {
-        targets::all().collect()
-    } else {
-        vec![args.target.as_str()]
-    };
-    for t in targets {
-        if let Err(msg) = run_one(t) {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &args.trace {
-        let telem = harness::runner::active_telemetry();
-        match telem.chrome_trace() {
-            Some(trace) => {
-                if let Err(e) = std::fs::write(path, trace) {
-                    eprintln!("failed to write trace {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                println!("[wrote trace {} — open in ui.perfetto.dev]", path.display());
-                let (ds, dc) = (telem.dropped_spans(), telem.dropped_counter_samples());
-                if ds > 0 || dc > 0 {
-                    eprintln!(
-                        "warning: recorder rings wrapped — trace is missing the oldest \
-                         {ds} span(s) and {dc} counter sample(s); raise the ring \
-                         capacities to keep the whole run"
-                    );
-                }
-            }
-            None => {
-                eprintln!("internal error: --trace given but telemetry disabled");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }

@@ -2,8 +2,9 @@
 //! representative run as a capsule stream, resume a capsule from disk,
 //! and print replay fingerprints for the CI equivalence gate.
 //!
-//! Every target's *representative* run (the same configuration its
-//! dashboard records — [`crate::dashboard::representative`]) can be:
+//! Every figure target's *representative* run (the
+//! [`Representative`] its registry row names, the same configuration its
+//! dashboard records) can be:
 //!
 //! * **fingerprinted** ([`fingerprint_target`]) — run straight through,
 //!   or snapshot-at-midpoint-then-resume, printing the auditor
@@ -17,7 +18,7 @@
 //!   trace into `--capsule-dir` for later `reproduce resume` /
 //!   `reproduce bisect`.
 
-use crate::dashboard;
+use crate::dashboard::{self, Representative};
 use crate::runner::{self, System};
 use crate::scale::Scale;
 use checkpoint::SimSnapshot;
@@ -52,8 +53,9 @@ fn fingerprint_every() -> SimDuration {
     SimDuration::from_secs(30)
 }
 
-/// Fingerprint a target's representative run: the auditor fingerprint
-/// of its report and the digest of its per-step hash trace. The printed
+/// Fingerprint `target`'s representative run `run`: the auditor
+/// fingerprint of its report and the digest of its per-step hash trace,
+/// on two lines that name `target`. The printed
 /// output is via-independent by construction: the resume path verifies
 /// every post-resume step against the straight run and fails the
 /// invocation on the first divergent step, naming it.
@@ -63,12 +65,13 @@ fn fingerprint_every() -> SimDuration {
 /// a gate failure that stream is the artifact to bisect.
 pub fn fingerprint_target(
     target: &str,
+    run: Representative,
     scale: Scale,
     via: Via,
     capsule_dir: Option<&Path>,
 ) -> Result<String, String> {
     let (mut cfg, jobs, system, _) =
-        dashboard::representative(target, scale).map_err(|e| e.to_string())?;
+        dashboard::representative(run, scale).map_err(|e| e.to_string())?;
     // fingerprints cover counters; event recording only bloats capsules
     cfg.record_events = false;
     let seed = cfg.seed;
@@ -130,8 +133,7 @@ pub fn fingerprint_target(
     ))
 }
 
-/// Outcome of recording a target's representative run as a capsule
-/// stream.
+/// Outcome of recording a representative run as a capsule stream.
 pub struct RecordOutcome {
     pub dir: PathBuf,
     pub capsules: usize,
@@ -142,17 +144,16 @@ pub struct RecordOutcome {
     pub hash_points: usize,
 }
 
-/// Run a target's representative configuration with capsule capture every
-/// `every`, writing the binary stream and the per-step hash trace into
-/// `dir`.
+/// Run the representative run `run` with capsule capture every `every`,
+/// writing the binary stream and the per-step hash trace into `dir`.
 pub fn record_target(
-    target: &str,
+    run: Representative,
     scale: Scale,
     every: SimDuration,
     dir: &Path,
 ) -> Result<RecordOutcome, String> {
     let (mut cfg, jobs, system, _) =
-        dashboard::representative(target, scale).map_err(|e| e.to_string())?;
+        dashboard::representative(run, scale).map_err(|e| e.to_string())?;
     cfg.record_events = false;
     let Recording {
         report,
@@ -248,10 +249,12 @@ mod tests {
 
     #[test]
     fn straight_and_resume_fingerprints_agree_per_step() {
-        let a = fingerprint_target("fig1", Scale::Quick, Via::Straight, None).expect("straight");
+        let run = Representative::HadoopV1Terasort;
+        let a =
+            fingerprint_target("fig1", run, Scale::Quick, Via::Straight, None).expect("straight");
         assert!(a.contains("hash-trace"), "digest line missing: {a}");
         let dir = tmp("fp");
-        let b = fingerprint_target("fig1", Scale::Quick, Via::Resume, Some(&dir))
+        let b = fingerprint_target("fig1", run, Scale::Quick, Via::Resume, Some(&dir))
             .expect("resume verified every post-resume step");
         assert_eq!(a, b, "replay output diverged from the straight run");
         assert!(
@@ -270,7 +273,7 @@ mod tests {
         let dir_bin = tmp("rec-bin");
         let dir_json = tmp("rec-json");
         let rec = record_target(
-            "ext-faults",
+            Representative::SmrTwoCrashes,
             Scale::Quick,
             SimDuration::from_secs(30),
             &dir_bin,

@@ -1,14 +1,15 @@
 //! Flight-recorder dashboards: converting a [`RunReport`] into the
-//! renderer-agnostic [`DashboardSpec`] and producing one representative
-//! recorded run per `reproduce` target.
+//! renderer-agnostic [`DashboardSpec`] and producing the representative
+//! recorded runs `reproduce` targets name.
 //!
 //! Figure sweeps run hundreds of engine instances with event recording
-//! off, so the dashboard is built from one *representative* run per
-//! target — the single configuration the figure is really about — re-run
-//! with `record_events` on. The resulting HTML (see
-//! [`telemetry::dashboard`]) shows the per-node Gantt of task attempts,
-//! slot-occupancy and utilization timelines, the policy's decision
-//! markers, the counter table and the auditor's verdict.
+//! off, so the dashboard is built from one *representative* run — the
+//! single configuration the figure is really about — re-run with
+//! `record_events` on. Each figure row of [`crate::targets::TARGETS`]
+//! names its [`Representative`]; there are three. The resulting HTML
+//! (see [`telemetry::dashboard`]) shows the per-node Gantt of task
+//! attempts, slot-occupancy and utilization timelines, the policy's
+//! decision markers, the counter table and the auditor's verdict.
 
 use crate::runner::{run_once, System};
 use crate::scale::Scale;
@@ -26,10 +27,31 @@ use telemetry::dashboard::{
 };
 use workloads::Puma;
 
-/// Run the target's representative configuration (events on), audit it,
-/// and render the dashboard HTML.
-pub fn render_for_target(target: &str, scale: Scale) -> Result<String, SimError> {
-    let (cfg, jobs, system, subtitle) = representative(target, scale)?;
+/// The single recorded run a target's dashboard shows — also the run the
+/// checkpoint tooling (`reproduce fingerprint`, `--checkpoint-every`)
+/// captures and replays, so "the representative run of fig1" means the
+/// same configuration everywhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Representative {
+    /// HadoopV1 on Terasort at the default slot configuration: Fig. 1 is
+    /// HadoopV1's static thrashing curves, led by Terasort.
+    HadoopV1Terasort,
+    /// SMapReduce on HistogramRatings: the paper's default workload under
+    /// the paper's system.
+    SmrHistogramRatings,
+    /// [`Representative::SmrHistogramRatings`] riding out two transient
+    /// node crashes placed inside the fault-free run: the fault extension.
+    SmrTwoCrashes,
+}
+
+/// Run `run` (events on), audit it, and render the dashboard HTML titled
+/// for `target`.
+pub fn render_for_target(
+    target: &str,
+    run: Representative,
+    scale: Scale,
+) -> Result<String, SimError> {
+    let (cfg, jobs, system, subtitle) = representative(run, scale)?;
     let setup = AuditSetup::from_config(&cfg);
     let seed = cfg.seed;
     let report = run_once(&cfg, jobs, &system, seed)?;
@@ -43,43 +65,39 @@ pub fn render_for_target(target: &str, scale: Scale) -> Result<String, SimError>
     Ok(render_dashboard(&spec))
 }
 
-/// The single recorded run a target's dashboard shows — also the run the
-/// checkpoint tooling (`reproduce fingerprint`, `--checkpoint-every`)
-/// captures and replays, so "the representative run of fig1" means the
-/// same configuration everywhere.
+/// The configuration, jobs, system and dashboard subtitle of `run`, with
+/// event recording on.
 pub fn representative(
-    target: &str,
+    run: Representative,
     scale: Scale,
 ) -> Result<(EngineConfig, Vec<JobSpec>, System, String), SimError> {
     let mut cfg = EngineConfig::paper_default();
     cfg.record_events = true;
-    match target {
-        // Fig. 1 is HadoopV1 static thrashing curves; record the paper's
-        // lead benchmark at the default slot configuration.
-        "fig1" => {
-            let bench = Puma::Terasort;
-            let input = scale.input(bench.default_input_mb());
-            let job = bench.job(0, input, 30, Default::default());
-            let subtitle = format!(
-                "HadoopV1 · {} {:.0} GB · {} workers · seed {}",
-                bench.name(),
-                input / 1024.0,
-                cfg.cluster.workers,
-                cfg.seed
-            );
-            Ok((cfg, vec![job], System::HadoopV1, subtitle))
+    let (bench, system) = match run {
+        Representative::HadoopV1Terasort => (Puma::Terasort, System::HadoopV1),
+        Representative::SmrHistogramRatings | Representative::SmrTwoCrashes => {
+            (Puma::HistogramRatings, System::SMapReduce)
         }
-        // The fault extension: SMapReduce riding out two transient node
-        // crashes placed inside the fault-free window.
-        "ext-faults" => {
-            let bench = Puma::HistogramRatings;
+    };
+    let input = scale.input(bench.default_input_mb());
+    let job = bench.job(0, input, 30, Default::default());
+    let mut subtitle = format!(
+        "{} · {} {:.0} GB",
+        system.label(),
+        bench.name(),
+        input / 1024.0
+    );
+    match run {
+        Representative::HadoopV1Terasort => {
+            subtitle += &format!(" · {} workers", cfg.cluster.workers);
+        }
+        Representative::SmrHistogramRatings => {}
+        Representative::SmrTwoCrashes => {
             cfg.rereplication_rate = 400.0;
-            let input = scale.input(bench.default_input_mb());
-            let job = || bench.job(0, input, 30, Default::default());
             let baseline = {
                 let mut quiet = cfg.clone();
                 quiet.record_events = false;
-                run_once(&quiet, vec![job()], &System::SMapReduce, quiet.seed)?
+                run_once(&quiet, vec![job.clone()], &system, quiet.seed)?
             };
             let m = baseline.makespan().as_secs_f64();
             // snap crash instants onto the 3 s heartbeat grid, as the
@@ -97,29 +115,11 @@ pub fn representative(
                     SimDuration::from_secs(120),
                 ),
             ]);
-            let subtitle = format!(
-                "SMapReduce · {} {:.0} GB · 2 transient node crashes · seed {}",
-                bench.name(),
-                input / 1024.0,
-                cfg.seed
-            );
-            Ok((cfg, vec![job()], System::SMapReduce, subtitle))
-        }
-        // Any other target gets the paper's default workload under the
-        // paper's system.
-        _ => {
-            let bench = Puma::HistogramRatings;
-            let input = scale.input(bench.default_input_mb());
-            let job = bench.job(0, input, 30, Default::default());
-            let subtitle = format!(
-                "SMapReduce · {} {:.0} GB · seed {}",
-                bench.name(),
-                input / 1024.0,
-                cfg.seed
-            );
-            Ok((cfg, vec![job], System::SMapReduce, subtitle))
+            subtitle += " · 2 transient node crashes";
         }
     }
+    subtitle += &format!(" · seed {}", cfg.seed);
+    Ok((cfg, vec![job], system, subtitle))
 }
 
 /// Convert one audited run into the dashboard's generic spec.
@@ -488,7 +488,8 @@ mod tests {
 
     #[test]
     fn fig1_dashboard_renders_clean() {
-        let html = render_for_target("fig1", Scale::Quick).expect("fig1 dashboard");
+        let html = render_for_target("fig1", Representative::HadoopV1Terasort, Scale::Quick)
+            .expect("fig1 dashboard");
         assert!(html.contains("<svg class=\"gantt\""));
         assert!(html.contains("HadoopV1"));
         assert!(html.contains("auditor: all invariants hold"));
@@ -496,7 +497,8 @@ mod tests {
 
     #[test]
     fn ext_faults_dashboard_shows_crashes() {
-        let html = render_for_target("ext-faults", Scale::Quick).expect("ext-faults dashboard");
+        let html = render_for_target("ext-faults", Representative::SmrTwoCrashes, Scale::Quick)
+            .expect("ext-faults dashboard");
         assert!(html.contains("class=\"outage\""), "crash windows drawn");
         assert!(html.contains("auditor: all invariants hold"));
         assert!(html.contains('\u{2715}'), "crash-killed attempts marked");

@@ -1,14 +1,8 @@
 //! Experiment scale: full paper-sized runs vs quick runs for CI.
 
-use mapreduce::engine::EngineConfigBuilder;
 use mapreduce::EngineConfig;
 use serde::{Deserialize, Serialize};
-
-/// Cluster size of the paper's testbed (§V). Figure targets reproduce the
-/// paper and therefore pass this explicitly; nothing else in [`Scale`]
-/// pins the cluster, so the scale-trajectory test and the benchmark's
-/// 1024-node workload reuse the same machinery.
-pub const TESTBED_WORKERS: usize = 16;
+use simgrid::cluster::ClusterSpec;
 
 /// How big to run an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -24,14 +18,10 @@ impl Scale {
     /// machines. `Scale` governs input sizes and trial counts only — the
     /// cluster size is always the caller's explicit choice.
     pub fn engine(self, workers: usize) -> EngineConfig {
-        EngineConfigBuilder::paper().workers(workers).build()
-    }
-
-    /// The paper's 16-worker testbed configuration — what every figure
-    /// target runs on (the cluster is what the paper holds fixed; only
-    /// inputs shrink at [`Scale::Quick`]).
-    pub fn testbed_engine(self) -> EngineConfig {
-        self.engine(TESTBED_WORKERS)
+        EngineConfig {
+            cluster: ClusterSpec::small(workers),
+            ..EngineConfig::paper_default()
+        }
     }
 
     /// Scale factor applied to input sizes.
@@ -68,12 +58,10 @@ mod tests {
         // the cluster size is an explicit parameter, not a Scale property
         assert_eq!(Scale::Full.engine(64).cluster.workers, 64);
         assert_eq!(Scale::Quick.engine(1024).cluster.workers, 1024);
-        // figure targets get the paper testbed by construction
-        assert_eq!(Scale::Full.testbed_engine().cluster.workers, 16);
+        // at the testbed's size it is exactly the paper's configuration
         assert_eq!(
-            Scale::Quick.testbed_engine().cluster.to_value(),
-            EngineConfig::paper_default().cluster.to_value(),
-            "testbed engine is exactly the paper cluster"
+            serde_json::to_value(Scale::Quick.engine(16)).unwrap(),
+            serde_json::to_value(EngineConfig::paper_default()).unwrap(),
         );
         assert!(Scale::Quick.input(1000.0) < 1000.0);
         assert_eq!(Scale::Full.input(1000.0), 1000.0);

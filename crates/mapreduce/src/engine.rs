@@ -155,15 +155,43 @@ impl EngineConfig {
     /// The paper's testbed: 16 workers, 1 GbE, 128 MB blocks, 3 map +
     /// 2 reduce slots per tracker, 3 s heartbeats.
     pub fn paper_default() -> EngineConfig {
-        EngineConfigBuilder::paper().build()
+        EngineConfig {
+            cluster: ClusterSpec::paper_testbed(),
+            fabric: FabricConfig::paper_gbe(),
+            tick: TickConfig::default(),
+            heartbeat: SimDuration::from_secs(3),
+            sample_period: SimDuration::from_secs(1),
+            init_map_slots: 3,
+            init_reduce_slots: 2,
+            reduce_slowstart: 0.05,
+            scheduler: crate::scheduler::SchedKind::Fifo,
+            jitter_amp: 0.20,
+            local_copy_rate: 180.0,
+            block_mb: 128.0,
+            record_events: false,
+            speculative_maps: false,
+            speculation_min_runtime: SimDuration::from_secs(15),
+            speculation_gap: 0.25,
+            map_failure_rate: 0.0,
+            straggler_rate: 0.0,
+            straggler_slowdown: 5.0,
+            fault_plan: simgrid::FaultPlan::none(),
+            fault_recovery: default_true(),
+            heartbeat_timeout: default_heartbeat_timeout(),
+            blacklist_threshold: default_blacklist_threshold(),
+            rereplication_rate: default_rereplication_rate(),
+            seed: 42,
+        }
     }
 
-    /// A small fast deployment for tests.
+    /// A small fast deployment for tests: the paper testbed cut to
+    /// `workers` nodes, with its own seed.
     pub fn small_test(workers: usize, seed: u64) -> EngineConfig {
-        EngineConfigBuilder::paper()
-            .workers(workers)
-            .seed(seed)
-            .build()
+        EngineConfig {
+            cluster: ClusterSpec::small(workers),
+            seed,
+            ..EngineConfig::paper_default()
+        }
     }
 
     fn validate(&self) -> Result<(), SimError> {
@@ -267,105 +295,6 @@ impl EngineConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// Builder for [`EngineConfig`]: starts from the paper testbed and applies
-/// selective overrides (the single source of truth behind
-/// [`EngineConfig::paper_default`] and [`EngineConfig::small_test`]).
-#[derive(Debug, Clone)]
-pub struct EngineConfigBuilder {
-    cfg: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// The paper's testbed configuration as the starting point.
-    pub fn paper() -> EngineConfigBuilder {
-        EngineConfigBuilder {
-            cfg: EngineConfig {
-                cluster: ClusterSpec::paper_testbed(),
-                fabric: FabricConfig::paper_gbe(),
-                tick: TickConfig::default(),
-                heartbeat: SimDuration::from_secs(3),
-                sample_period: SimDuration::from_secs(1),
-                init_map_slots: 3,
-                init_reduce_slots: 2,
-                reduce_slowstart: 0.05,
-                scheduler: crate::scheduler::SchedKind::Fifo,
-                jitter_amp: 0.20,
-                local_copy_rate: 180.0,
-                block_mb: 128.0,
-                record_events: false,
-                speculative_maps: false,
-                speculation_min_runtime: SimDuration::from_secs(15),
-                speculation_gap: 0.25,
-                map_failure_rate: 0.0,
-                straggler_rate: 0.0,
-                straggler_slowdown: 5.0,
-                fault_plan: simgrid::FaultPlan::none(),
-                fault_recovery: default_true(),
-                heartbeat_timeout: default_heartbeat_timeout(),
-                blacklist_threshold: default_blacklist_threshold(),
-                rereplication_rate: default_rereplication_rate(),
-                seed: 42,
-            },
-        }
-    }
-
-    /// Replace the cluster with an arbitrary spec.
-    pub fn cluster(mut self, cluster: ClusterSpec) -> Self {
-        self.cfg.cluster = cluster;
-        self
-    }
-
-    /// Shrink to a small test cluster of `workers` nodes.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.cluster = ClusterSpec::small(workers);
-        self
-    }
-
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Select the stepping mode (fixed reference ticks or adaptive
-    /// event-horizon macro-steps).
-    pub fn stepping(mut self, mode: SteppingMode) -> Self {
-        self.cfg.tick.mode = mode;
-        self
-    }
-
-    pub fn heartbeat(mut self, heartbeat: SimDuration) -> Self {
-        self.cfg.heartbeat = heartbeat;
-        self
-    }
-
-    pub fn sample_period(mut self, sample_period: SimDuration) -> Self {
-        self.cfg.sample_period = sample_period;
-        self
-    }
-
-    /// Schedule deterministic node crashes for the run.
-    pub fn fault_plan(mut self, plan: simgrid::FaultPlan) -> Self {
-        self.cfg.fault_plan = plan;
-        self
-    }
-
-    /// Enable or disable the job tracker's crash-recovery path.
-    pub fn fault_recovery(mut self, on: bool) -> Self {
-        self.cfg.fault_recovery = on;
-        self
-    }
-
-    /// Tracker-expiry interval for heartbeat-timeout death detection.
-    pub fn heartbeat_timeout(mut self, timeout: SimDuration) -> Self {
-        self.cfg.heartbeat_timeout = timeout;
-        self
-    }
-
-    pub fn build(self) -> EngineConfig {
-        self.cfg
     }
 }
 
@@ -4285,10 +4214,8 @@ mod tests {
             SimTime::ZERO,
         );
         for mode in [SteppingMode::Fixed, SteppingMode::Adaptive] {
-            let base = EngineConfigBuilder::paper()
-                .workers(2)
-                .stepping(mode)
-                .build();
+            let mut base = EngineConfig::small_test(2, 42);
+            base.tick.mode = mode;
             let mut bad = base.clone();
             bad.heartbeat = SimDuration::ZERO;
             let err = Engine::new(bad)
@@ -4303,10 +4230,8 @@ mod tests {
             assert!(format!("{err}").contains("sample_period"), "{err}");
         }
         // a zero tick only matters when it is actually the step length
-        let mut bad = EngineConfigBuilder::paper()
-            .workers(2)
-            .stepping(SteppingMode::Fixed)
-            .build();
+        let mut bad = EngineConfig::small_test(2, 42);
+        bad.tick.mode = SteppingMode::Fixed;
         bad.tick.tick = SimDuration::ZERO;
         let err = Engine::new(bad)
             .run(vec![job.clone()], &mut StaticSlotPolicy)
@@ -4316,13 +4241,10 @@ mod tests {
 
     #[test]
     fn adaptive_mode_accepts_off_grid_periods() {
-        let cfg = EngineConfigBuilder::paper()
-            .workers(2)
-            .seed(7)
-            .stepping(SteppingMode::Adaptive)
-            .heartbeat(SimDuration::from_millis(150))
-            .sample_period(SimDuration::from_millis(70))
-            .build();
+        let mut cfg = EngineConfig::small_test(2, 7);
+        cfg.tick.mode = SteppingMode::Adaptive;
+        cfg.heartbeat = SimDuration::from_millis(150);
+        cfg.sample_period = SimDuration::from_millis(70);
         let job = JobSpec::new(0, JobProfile::synthetic_map_heavy(), 64.0, 2, SimTime::ZERO);
         let report = Engine::new(cfg)
             .run(vec![job], &mut StaticSlotPolicy)
@@ -4345,11 +4267,8 @@ mod tests {
             )
         };
         let run = |mode: SteppingMode| {
-            let cfg = EngineConfigBuilder::paper()
-                .workers(4)
-                .seed(11)
-                .stepping(mode)
-                .build();
+            let mut cfg = EngineConfig::small_test(4, 11);
+            cfg.tick.mode = mode;
             Engine::new(cfg)
                 .run(vec![job()], &mut StaticSlotPolicy)
                 .expect("run completes")
@@ -4739,11 +4658,8 @@ mod tests {
     #[test]
     fn failure_points_fire_identically_in_both_modes() {
         let run = |mode: SteppingMode| {
-            let mut cfg = EngineConfigBuilder::paper()
-                .workers(4)
-                .seed(21)
-                .stepping(mode)
-                .build();
+            let mut cfg = EngineConfig::small_test(4, 21);
+            cfg.tick.mode = mode;
             cfg.map_failure_rate = 0.2;
             let job = JobSpec::new(
                 0,

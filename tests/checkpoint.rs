@@ -4,8 +4,9 @@
 //! divergence bisection of a run forked by an injected fault.
 
 use checkpoint::{prove_resume_equivalence, SimSnapshot};
-use harness::dashboard::representative;
+use harness::dashboard::{representative, Representative};
 use harness::runner::{boot, record_once, resume_once};
+use harness::targets::TARGETS;
 use harness::{Scale, System};
 use mapreduce::{
     fold_hash, initial_state_hash, Engine, EngineConfig, EngineState, HashPoint, JobProfile,
@@ -31,52 +32,37 @@ fn record(
     (rec.report, rec.capsules)
 }
 
-/// Every target `reproduce fingerprint` accepts.
-const TARGETS: &[&str] = &[
-    "fig1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "ext-hetero",
-    "ext-stragglers",
-    "ext-fair",
-    "ext-load",
-    "ext-faults",
-    "ablations",
-    "model-check",
-    "headline",
-];
-
-/// Resuming each target's midpoint capsule retraces the straight run
-/// step for step (one u64 per step) and ends in a byte-identical report,
-/// which also covers the event logs and series the hash does not fold.
+/// Resuming each representative run's midpoint capsule retraces the
+/// straight run step for step (one u64 per step) and ends in a
+/// byte-identical report, which also covers the event logs and series the
+/// hash does not fold. Every figure target records one of these runs for
+/// `reproduce fingerprint`, so each is proven once.
 #[test]
 fn resume_equivalence_holds_for_every_target() {
-    // Several targets share a representative configuration; prove each
-    // distinct (config, system) pair once.
-    let mut proven: Vec<String> = Vec::new();
-    for target in TARGETS {
-        let (cfg, jobs, system, _) =
-            representative(target, Scale::Quick).expect("representative run");
-        let key = format!(
-            "{}|{}",
-            system.label(),
-            serde_json::to_string(&cfg).unwrap()
-        );
-        if proven.contains(&key) {
-            continue;
+    let mut runs: Vec<Representative> = Vec::new();
+    for fig in TARGETS.iter().filter_map(|t| t.figure()) {
+        if !runs.contains(&fig.representative) {
+            runs.push(fig.representative);
         }
+    }
+    assert_eq!(
+        runs,
+        [
+            Representative::HadoopV1Terasort,
+            Representative::SmrHistogramRatings,
+            Representative::SmrTwoCrashes,
+        ],
+        "every figure row names one of the three representative runs"
+    );
+    for run in runs {
+        let (cfg, jobs, system, _) = representative(run, Scale::Quick).expect("representative run");
         let proof = prove_resume_equivalence(&cfg, &jobs, SimDuration::from_secs(30), &mut || {
             system.make_policy()
         })
-        .unwrap_or_else(|e| panic!("{target}: {e}"));
+        .unwrap_or_else(|e| panic!("{run:?}: {e}"));
         assert!(
             proof.holds(),
-            "{target}: resumed run diverged from the straight run \
+            "{run:?}: resumed run diverged from the straight run \
              (straight {:#018x}, resumed {:#018x} from capsule {:?}/{}; first \
              divergent step {:?} of {} compared; reports byte-identical: {})",
             proof.straight_fingerprint,
@@ -87,12 +73,7 @@ fn resume_equivalence_holds_for_every_target() {
             proof.steps_compared,
             proof.byte_identical,
         );
-        proven.push(key);
     }
-    assert!(
-        proven.len() >= 3,
-        "expected several distinct configurations"
-    );
 }
 
 /// The per-step hash trace (one u64 per step) and the full byte-level
@@ -103,25 +84,24 @@ fn resume_equivalence_holds_for_every_target() {
 #[test]
 fn hash_trace_agrees_with_full_report_comparison() {
     let every = SimDuration::from_secs(30);
-    for target in ["fig1", "ext-faults"] {
-        let (cfg, jobs, system, _) =
-            representative(target, Scale::Quick).expect("representative run");
+    for run in [
+        Representative::HadoopV1Terasort,
+        Representative::SmrTwoCrashes,
+    ] {
+        let (cfg, jobs, system, _) = representative(run, Scale::Quick).expect("representative run");
         let proof = prove_resume_equivalence(&cfg, &jobs, every, &mut || system.make_policy())
-            .unwrap_or_else(|e| panic!("{target}: {e}"));
-        assert!(proof.steps_compared > 0, "{target}: no steps compared");
-        assert_eq!(
-            proof.first_divergence, None,
-            "{target}: hash trace diverged"
-        );
+            .unwrap_or_else(|e| panic!("{run:?}: {e}"));
+        assert!(proof.steps_compared > 0, "{run:?}: no steps compared");
+        assert_eq!(proof.first_divergence, None, "{run:?}: hash trace diverged");
         assert!(
             proof.byte_identical,
-            "{target}: resumed report not byte-identical"
+            "{run:?}: resumed report not byte-identical"
         );
-        assert!(proof.holds(), "{target}: proof failed");
+        assert!(proof.holds(), "{run:?}: proof failed");
 
         let rec = boot(&cfg, jobs.clone(), &system, cfg.seed)
             .and_then(|state| record_once(state, &system, Some(every)))
-            .unwrap_or_else(|e| panic!("{target}: {e}"));
+            .unwrap_or_else(|e| panic!("{run:?}: {e}"));
         let mut forked = rec.capsules[rec.capsules.len() / 2].clone();
         let at = forked.at();
         forked
@@ -130,20 +110,19 @@ fn hash_trace_agrees_with_full_report_comparison() {
                 at + SimDuration::from_secs(3),
                 SimDuration::from_secs(60),
             ))
-            .unwrap_or_else(|e| panic!("{target}: {e}"));
-        let resumed =
-            record_once(forked, &system, None).unwrap_or_else(|e| panic!("{target}: {e}"));
+            .unwrap_or_else(|e| panic!("{run:?}: {e}"));
+        let resumed = record_once(forked, &system, None).unwrap_or_else(|e| panic!("{run:?}: {e}"));
         let (_, first_divergence) =
             checkpoint::compare_traces(&rec.hash_trace, &resumed.hash_trace);
         let byte_identical = serde_json::to_string(&rec.report).unwrap()
             == serde_json::to_string(&resumed.report).unwrap();
         assert!(
             first_divergence.is_some(),
-            "{target}: the hash trace missed the injected fault"
+            "{run:?}: the hash trace missed the injected fault"
         );
         assert!(
             !byte_identical,
-            "{target}: the report comparison missed the injected fault"
+            "{run:?}: the report comparison missed the injected fault"
         );
     }
 }
@@ -311,7 +290,7 @@ fn recorded_capsule_bytes_are_pinned() {
 #[test]
 fn ext_faults_capsule_stream_is_pinned() {
     let (mut cfg, jobs, system, _) =
-        representative("ext-faults", Scale::Quick).expect("representative run");
+        representative(Representative::SmrTwoCrashes, Scale::Quick).expect("representative run");
     cfg.record_events = false;
     let snaps: Vec<SimSnapshot> = boot(&cfg, jobs, &system, cfg.seed)
         .and_then(|state| record_once(state, &system, Some(SimDuration::from_secs(30))))
