@@ -234,6 +234,7 @@ fn faulted_wide_grep(mode: simgrid::time::SteppingMode) -> mapreduce::RunReport 
     let mut cfg = Scale::Full.engine(nodes);
     cfg.seed = 7;
     cfg.tick.mode = mode;
+    cfg.record_events = true;
     cfg.map_failure_rate = 0.02;
     cfg.rereplication_rate = 50.0;
     cfg.fault_plan = FaultPlan::new(vec![
@@ -266,6 +267,15 @@ fn utilization_digest(report: &mapreduce::RunReport) -> u64 {
     h
 }
 
+/// The run's serialized event log, folded byte by byte: it names every
+/// launch, kill, failure, crash and rejoin in the order they happened.
+fn event_log_digest(report: &mapreduce::RunReport) -> u64 {
+    let log = serde_json::to_string(&report.events).unwrap();
+    log.bytes().fold(mapreduce::initial_state_hash(0), |h, b| {
+        mapreduce::fold_hash(h, b as u64)
+    })
+}
+
 #[test]
 fn faulted_wide_cluster_runs_are_pinned_exactly() {
     // the 64/256-node pins above are fault-free; this one makes the
@@ -273,6 +283,7 @@ fn faulted_wide_cluster_runs_are_pinned_exactly() {
     // queue, re-sort it after lost outputs and restore lost replicas,
     // all with hundreds of nodes to choose among
     use mapreduce::auditor::fingerprint;
+    use mapreduce::Event;
     use simgrid::time::SteppingMode;
     let pins = [
         (
@@ -281,6 +292,7 @@ fn faulted_wide_cluster_runs_are_pinned_exactly() {
             213,
             74_182,
             0x46c1_c1ae_a049_84b1_u64,
+            0x7334_6519_b3a3_465e_u64,
         ),
         (
             SteppingMode::Fixed,
@@ -288,27 +300,37 @@ fn faulted_wide_cluster_runs_are_pinned_exactly() {
             743,
             74_200,
             0x3958_2d49_e42c_c6fb,
+            0x99a2_dc6b_6123_5f8c,
         ),
     ];
-    for (mode, print, steps, finished_ms, usage) in pins {
+    for (mode, print, steps, finished_ms, usage, events) in pins {
         let report = faulted_wide_grep(mode);
         assert_eq!(report.node_crashes, 2, "{mode:?}: both faults fired");
         assert!(report.lost_map_outputs > 0, "{mode:?}: outputs re-executed");
         assert!(report.map_failures > 0, "{mode:?}: attempts failed");
+        // the event log holds the order of the failures, the crash kills,
+        // the rejoin and the lost outputs, which the counters do not
+        let log = &report.events;
+        assert!(log.count(|e| matches!(e, Event::MapFailed { .. })) > 0);
+        assert!(log.count(|e| matches!(e, Event::MapKilled { .. })) > 0);
+        assert!(log.count(|e| matches!(e, Event::NodeRejoined { .. })) > 0);
+        assert!(log.count(|e| matches!(e, Event::MapOutputLost { .. })) > 0);
         let got = (
             fingerprint(&report),
             report.steps,
             report.jobs[0].finished_at.as_millis(),
             utilization_digest(&report),
+            event_log_digest(&report),
         );
         assert_eq!(
             got,
-            (print, steps, finished_ms, usage),
-            "{mode:?}: got {:#018x}/{}/{}/{:#018x}",
+            (print, steps, finished_ms, usage, events),
+            "{mode:?}: got {:#018x}/{}/{}/{:#018x}/{:#018x}",
             got.0,
             got.1,
             got.2,
-            got.3
+            got.3,
+            got.4
         );
     }
 }
@@ -382,10 +404,7 @@ fn rereplicated_queued_blocks_are_pinned_exactly() {
         let job = Puma::Grep.job(0, 60.0 * 1024.0, 30, SimTime::ZERO);
         let mut policy = System::SMapReduce.make_policy();
         let report = Engine::new(cfg).run(vec![job], policy.as_mut()).unwrap();
-        let log = serde_json::to_string(&report.events).unwrap();
-        let digest = log.bytes().fold(mapreduce::initial_state_hash(0), |h, b| {
-            mapreduce::fold_hash(h, b as u64)
-        });
+        let digest = event_log_digest(&report);
         let got = (
             fingerprint(&report),
             report.steps,
@@ -452,10 +471,7 @@ fn shuffle_heavy_wide_cluster_runs_are_pinned_exactly() {
             "{mode:?}: a shuffling reduce was killed"
         );
         assert!(report.lost_map_outputs > 0, "{mode:?}: outputs lost");
-        let log = serde_json::to_string(&report.events).unwrap();
-        let digest = log.bytes().fold(mapreduce::initial_state_hash(0), |h, b| {
-            mapreduce::fold_hash(h, b as u64)
-        });
+        let digest = event_log_digest(&report);
         let got = (
             fingerprint(&report),
             report.steps,
@@ -521,10 +537,7 @@ fn speculative_wide_cluster_runs_are_pinned_exactly() {
                 .any(|e| matches!(e, mapreduce::Event::MapKilled { .. })),
             "{mode:?}: no losing sibling was killed"
         );
-        let log = serde_json::to_string(&report.events).unwrap();
-        let digest = log.bytes().fold(mapreduce::initial_state_hash(0), |h, b| {
-            mapreduce::fold_hash(h, b as u64)
-        });
+        let digest = event_log_digest(&report);
         let got = (
             fingerprint(&report),
             report.steps,
