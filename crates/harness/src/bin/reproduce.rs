@@ -185,8 +185,8 @@ fn parse_args() -> Result<Option<Args>, String> {
 }
 
 const USAGE: &str = "usage: reproduce [TARGET] [--quick] [--out DIR] [--trace FILE] [--dashboard DIR] [--engine fixed|adaptive]
-       reproduce <target> --checkpoint-every SECS --capsule-dir DIR   # record the target's representative run as a capsule stream + hash trace
-       reproduce fingerprint <target> [--via straight|resume] [--capsule-dir DIR]   # print the representative run's auditor fingerprint and per-step hash digest
+       reproduce <target> [--quick] [--engine fixed|adaptive] --checkpoint-every SECS --capsule-dir DIR   # record the target's representative run as a capsule stream + hash trace
+       reproduce fingerprint <target> [--quick] [--engine fixed|adaptive] [--via straight|resume] [--capsule-dir DIR]   # print the representative run's auditor fingerprint and per-step hash digest
        reproduce resume CAPSULE.{bin,json}                            # resume a capsule to completion
        reproduce bisect DIR_A DIR_B                                   # first divergent step of two streams' hash traces, diffed at the next capsule pair (exit 1 if diverged)
        reproduce serve [ADDR] [--tick-ms MS] [--dilation X]           # realtime NDJSON service (default 127.0.0.1:7700)

@@ -264,16 +264,15 @@ fn account_and_audit(report: RunReport, setup: &AuditSetup) -> Result<RunReport,
     Ok(report)
 }
 
-/// Derive the seed of trial `trial` from a cell's base seed with a
-/// splitmix64-style mixer. The old `base + 1000 * trial` scheme made
-/// trial 1 of seed 0 collide with trial 0 of seed 1000 — adjacent sweep
-/// cells silently averaged over overlapping seed sets.
+/// Derive the seed of trial `trial` from a cell's base seed: the output
+/// of [`simgrid::rng::splitmix64`] from the state `cell_seed` advanced by
+/// `trial` golden-ratio increments. The old `base + 1000 * trial` scheme
+/// made trial 1 of seed 0 collide with trial 0 of seed 1000 — adjacent
+/// sweep cells silently averaged over overlapping seed sets.
 pub fn trial_seed(cell_seed: u64, trial: u64) -> u64 {
-    let mut z =
-        cell_seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(trial.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    simgrid::rng::splitmix64(
+        &mut cell_seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(trial)),
+    )
 }
 
 /// One grid cell, ready for the [`BatchedSweep`] pool: the cell's config,

@@ -26,6 +26,14 @@ fn help_prints_every_target_on_stdout_and_succeeds() {
         for t in harness::targets::TARGETS {
             assert!(stdout.contains(t.name), "{flag} omits target {}", t.name);
         }
+        // the recording and fingerprint forms read --quick and --engine too
+        for form in ["--checkpoint-every", "reproduce fingerprint"] {
+            let line = stdout.lines().find(|l| l.contains(form)).unwrap_or("");
+            assert!(
+                line.contains("[--quick]") && line.contains("[--engine fixed|adaptive]"),
+                "{flag}: the {form} line omits --quick or --engine: {line:?}"
+            );
+        }
     }
 }
 

@@ -43,6 +43,14 @@ impl MapAttemptId {
     pub fn backup(task: MapTaskId) -> MapAttemptId {
         MapAttemptId { task, attempt: 1 }
     }
+
+    /// The other attempt of the same task.
+    pub(crate) fn sibling(self) -> MapAttemptId {
+        MapAttemptId {
+            task: self.task,
+            attempt: 1 - self.attempt,
+        }
+    }
 }
 
 /// Identifier of a reduce task within its job (partition index).
