@@ -61,10 +61,6 @@ impl<'r> Sim<'r> {
             self.st.jobs[ji].running_maps += 1;
             self.st.speculative_attempts += 1;
             c.inc(Counter::SpeculativeMaps);
-        } else if remote_src.is_some() {
-            self.st.jobs[ji].remote_launches += 1;
-        } else {
-            self.st.jobs[ji].local_launches += 1;
         }
         c.inc(Counter::TotalLaunchedMaps);
         if remote_src.is_some() {

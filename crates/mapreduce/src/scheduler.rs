@@ -167,10 +167,6 @@ pub struct JobInProgress {
     pub progress: TimeSeries,
     /// Completed map-task durations (s), winning attempts only.
     pub map_durations: Vec<f64>,
-    /// Map attempts launched on a node holding the input block.
-    pub local_launches: usize,
-    /// Map attempts that had to stream input from a remote replica.
-    pub remote_launches: usize,
     /// Completed reduce-task durations (s).
     pub reduce_durations: Vec<f64>,
 }
@@ -202,8 +198,6 @@ impl JobInProgress {
             progress: TimeSeries::new(),
             map_durations: Vec::new(),
             reduce_durations: Vec::new(),
-            local_launches: 0,
-            remote_launches: 0,
         }
     }
 

@@ -218,22 +218,22 @@ fn pinned_capsules(mode: SteppingMode) -> Vec<EngineState> {
 /// `(capture instant ms, binary capsule digest, JSON capsule digest)` of
 /// every capsule [`pinned_capsules`] takes.
 const ADAPTIVE_CAPSULE_PINS: &[(u64, u64, u64)] = &[
-    (0, 0x7f5a7f9f036b5fb5, 0x6dec1542fecb3175),
-    (10000, 0x8624a24fc235da5f, 0xc0f64039ea26442b),
-    (20000, 0x204ed9e0a19a98d3, 0x0e5a9486ca88f987),
-    (30000, 0x4737b865f936bc2c, 0xbe0579de4fd25fe0),
-    (40000, 0x0decdb0e80772e28, 0x4213d5a38f98ef2b),
-    (50000, 0xab7bcf7f253434e0, 0x80112bcd98cd66e5),
-    (60000, 0x21b3f9b024e13be2, 0x4eddee2f47b25179),
+    (0, 0x27ef70484c177625, 0x01bfb8d2729df96c),
+    (10000, 0x1e3506daf2bfffc2, 0x45070605807e476d),
+    (20000, 0xd80dd35dbafbeb2b, 0xc352cfa4b362ccae),
+    (30000, 0x749005cb5a09bcf8, 0xc8f9ec0af5cfd5a6),
+    (40000, 0x94fc9b1589972ea2, 0xe0e283076df3e441),
+    (50000, 0x60c17101e1752f43, 0xd8bc8ef0ba7f6f93),
+    (60000, 0x72a481e60340f718, 0x63d4c1fdf767c6b5),
 ];
 const FIXED_CAPSULE_PINS: &[(u64, u64, u64)] = &[
-    (0, 0xb738afb9f6d77d78, 0x22ee40173c685a4b),
-    (10000, 0x5cdae0a3c46c2613, 0x3907105e2a6d4a37),
-    (20000, 0x719a47f5670b4e39, 0x69c52dcdc98534b8),
-    (30000, 0x87a1481bdac83cb3, 0x6c85fb86ddd5975e),
-    (40000, 0xf39e25cab0f64f68, 0xa0d4d856200efdcf),
-    (50000, 0x3c3705c5cf62aaa2, 0x21f0343a3c6e3278),
-    (60000, 0xac1dec559338b0fd, 0x4c326a2cb7e54eaa),
+    (0, 0xe4c6faf59916f2a7, 0x173c010e330d1b4b),
+    (10000, 0xf69de98ebabe166d, 0x506347fb1c54e6fd),
+    (20000, 0x00b5d06b1813c6d6, 0x28a14df81c0e9bd5),
+    (30000, 0xfaf0bc5bad06782d, 0x1823fb2eee0b7a82),
+    (40000, 0xf0aa8efea317c7c8, 0xc29de746414ac013),
+    (50000, 0x64e8fe3abe79c888, 0xeace8f17e0d6783b),
+    (60000, 0xfad075a44a3659b1, 0x920804e8d420cdb6),
 ];
 
 /// Capsule bytes are pinned across commits: the decoding fixtures only
@@ -307,7 +307,7 @@ fn ext_faults_capsule_stream_is_pinned() {
     let total = |stream: &[Vec<u8>]| stream.iter().map(Vec::len).sum::<usize>();
     assert_eq!(
         (snaps.len(), total(&json), total(&binary)),
-        (4, 429_178, 61_045),
+        (4, 429_016, 60_939),
         "(capsules, JSON bytes, binary bytes) changed"
     );
     // the gate the pins must keep when they are re-recorded
