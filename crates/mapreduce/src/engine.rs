@@ -24,6 +24,9 @@
 //! heartbeat rounds, which land on identical boundaries, so either mode is
 //! deterministic for a given [`EngineConfig::seed`] and the two agree on
 //! every paper-shape outcome (cross-validated in `tests/`).
+//!
+//! This file holds the step loop; the stages are the child modules
+//! `heartbeat`, `physics` (with `node_alloc`), `tasks`, `faults` and `state`.
 
 use crate::arena::{EngineArena, Scratch};
 use crate::counters::CounterLedger;

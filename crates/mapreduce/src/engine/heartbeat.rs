@@ -268,6 +268,10 @@ impl<'r> Sim<'r> {
                     (block.size_mb, src)
                 };
                 self.launch_map(i, MapAttemptId::backup(aid.task), block_mb, remote_src);
+                // the scheduler's pick counts an original as running
+                self.st.jobs[j].running_maps += 1;
+                self.st.speculative_attempts += 1;
+                self.st.job_counters[j].inc(Counter::SpeculativeMaps);
             }
             // the next job's straggler scan walks the table
             self.settle_maps();

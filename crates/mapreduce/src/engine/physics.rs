@@ -659,7 +659,7 @@ impl<'r> Sim<'r> {
 }
 
 /// A shuffling reduce's merge budget (MB/s) at contention `scale`, shared
-/// across its sources; T_r2 > T_r1: it rises once the barrier (`endgame`).
+/// across its sources. T_r2 > T_r1: it rises after the barrier (`endgame`).
 #[inline]
 fn merge_rate(profile: &JobProfile, endgame: bool, scale: f64) -> f64 {
     let boost = if endgame {

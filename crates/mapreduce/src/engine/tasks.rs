@@ -33,9 +33,8 @@ impl<'r> Sim<'r> {
     }
 
     /// Launch map attempt `aid` on tracker `i`, reading `input_mb` from
-    /// `remote_src` (`None` if local). A backup also counts as speculative
-    /// and joins its job's running maps (the scheduler's pick does that for
-    /// an original).
+    /// `remote_src` (`None` if local): draw its service time, take a slot,
+    /// count and log the launch, roll its failure point and stage it.
     pub(super) fn launch_map(
         &mut self,
         i: usize,
@@ -57,11 +56,6 @@ impl<'r> Sim<'r> {
         self.st.trackers[i].map_slots.launch();
         self.scratch.nodes.mark(node);
         let c = &mut self.st.job_counters[ji];
-        if aid.attempt > 0 {
-            self.st.jobs[ji].running_maps += 1;
-            self.st.speculative_attempts += 1;
-            c.inc(Counter::SpeculativeMaps);
-        }
         c.inc(Counter::TotalLaunchedMaps);
         if remote_src.is_some() {
             c.inc(Counter::RemoteMaps);
